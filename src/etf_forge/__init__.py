@@ -20,20 +20,13 @@ from .errors import (
 from .scalars import (
     CycloElem,
     QuadElem,
-    Rational,
-    conjugate,
-    lift_to_common_order,
-    normalize_quadratic,
     rational_sqrt,
-    reduce_cyclotomic,
-    squared_modulus,
 )
 from .matrices import (
     RATIONAL,
     ExactMatrix,
     cyclo_domain,
     kron,
-    mat_mul_adjoint,
     matmul,
     quad_domain,
     scaled_identity,

@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CatalogError, EtfForgeError
-from .frames import certify_etf, verify_naimark_pair
+from .frames import Frame, certify_etf
 from .recipes import Artifact, replay
 from .serialize import (
     canonical_json,
     certificate_to_obj,
     dump,
-    frame_from_files,
     load,
+    load_pair,
+    matrix_from_obj,
     matrix_to_obj,
     pair_to_obj,
 )
@@ -99,18 +100,23 @@ class Catalog:
         return out
 
     def find(self, record_id: str) -> CatalogRecord:
-        for record in self.records():
-            if record.id == record_id or record.id.startswith(record_id):
-                return record
-        raise CatalogError(f"no record with id {record_id}")
+        """The one record whose id starts with ``record_id`` (a nonempty prefix)."""
+        if not record_id:
+            raise CatalogError("an empty id prefix matches every record")
+        matches = [r for r in self.records() if r.id.startswith(record_id)]
+        if not matches:
+            raise CatalogError(f"no record with id {record_id}")
+        if len(matches) > 1:
+            raise CatalogError(f"id prefix {record_id} matches {len(matches)} records")
+        return matches[0]
 
     def add(self, rec: dict) -> CatalogRecord:
         """Replay the recipe, re-certify, persist the payload, append the record."""
         artifact = replay(rec)
         rid = recipe_id(rec)
         certs = {"primary": certificate_to_obj(certify_etf(artifact.primary))}
-        if artifact.complement is not None:
-            certs["complement"] = certificate_to_obj(certify_etf(artifact.complement))
+        if artifact.pair is not None:
+            certs["complement"] = certificate_to_obj(certify_etf(artifact.pair.complement))
         record = CatalogRecord(
             id=rid,
             kind=artifact.kind,
@@ -125,12 +131,9 @@ class Catalog:
         payload_dir.mkdir(parents=True, exist_ok=True)
         dump(rec, payload_dir / "recipe.json")
         dump(matrix_to_obj(artifact.primary.matrix), payload_dir / "primary.json")
-        if artifact.complement is not None:
-            dump(matrix_to_obj(artifact.complement.matrix), payload_dir / "complement.json")
-            dump(
-                pair_to_obj(artifact.primary, artifact.complement, artifact.alpha),
-                payload_dir / "pair.json",
-            )
+        if artifact.pair is not None:
+            dump(matrix_to_obj(artifact.pair.complement.matrix), payload_dir / "complement.json")
+            dump(pair_to_obj(artifact.pair), payload_dir / "pair.json")
         for role, cert in certs.items():
             dump(cert, payload_dir / f"certificate_{role}.json")
 
@@ -160,19 +163,10 @@ class Catalog:
         rec = load(payload_dir / "recipe.json")
         if recipe_id(rec) != record.id:
             raise CatalogError(f"recipe hash mismatch for {record.id}")
-        pair_obj = None
-        pair_path = payload_dir / "pair.json"
-        if pair_path.exists():
-            pair_obj = load(pair_path)
-        primary = frame_from_files(load(payload_dir / "primary.json"), pair_obj, "primary")
-        cert = certificate_to_obj(certify_etf(primary))
-        if cert != record.certificates["primary"]:
+        primary = Frame(matrix_from_obj(load(payload_dir / "primary.json")))
+        if certificate_to_obj(certify_etf(primary)) != record.certificates["primary"]:
             raise CatalogError(f"primary certificate drifted for {record.id}")
         if "complement" in record.certificates:
-            complement = frame_from_files(
-                load(payload_dir / "complement.json"), pair_obj, "complement"
-            )
-            cert_c = certificate_to_obj(certify_etf(complement))
-            if cert_c != record.certificates["complement"]:
+            pair = load_pair(payload_dir, primary)
+            if certificate_to_obj(certify_etf(pair.complement)) != record.certificates["complement"]:
                 raise CatalogError(f"complement certificate drifted for {record.id}")
-            verify_naimark_pair(primary, complement)

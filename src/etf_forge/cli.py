@@ -16,7 +16,7 @@ from pathlib import Path
 from .catalog import Catalog
 from .designs import verify_bibd, verify_qsd, verify_srg
 from .errors import EtfForgeError
-from .frames import Frame, certify_etf, verify_naimark_pair
+from .frames import Frame, certify_etf
 from .hadamard import hadamard_of_size, verify_hadamard
 from .qsd_bridge import flat_feasibility, gerzon_bounds
 from .recipes import Artifact, recipe, replay
@@ -26,8 +26,8 @@ from .serialize import (
     design_from_obj,
     dump,
     feasibility_to_obj,
-    frame_from_files,
     load,
+    load_pair,
     matrix_from_obj,
     matrix_to_csv,
     matrix_to_obj,
@@ -47,8 +47,8 @@ def _write_artifact(artifact: Artifact, out_dir: Path, fmt: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     dump(artifact.recipe, out_dir / "recipe.json")
     frames = {"primary": artifact.primary}
-    if artifact.complement is not None:
-        frames["complement"] = artifact.complement
+    if artifact.pair is not None:
+        frames["complement"] = artifact.pair.complement
     for role, frame in frames.items():
         dump(matrix_to_obj(frame.matrix), out_dir / f"{role}.json")
         dump(certificate_to_obj(certify_etf(frame)), out_dir / f"certificate_{role}.json")
@@ -57,11 +57,8 @@ def _write_artifact(artifact: Artifact, out_dir: Path, fmt: str) -> None:
                 (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
             else:
                 raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
-    if artifact.complement is not None:
-        dump(
-            pair_to_obj(artifact.primary, artifact.complement, artifact.alpha),
-            out_dir / "pair.json",
-        )
+    if artifact.pair is not None:
+        dump(pair_to_obj(artifact.pair), out_dir / "pair.json")
 
 
 def _construct_recipe(args) -> dict:
@@ -112,8 +109,8 @@ def cmd_construct(args) -> int:
     artifact = replay(rec)
     _write_artifact(artifact, Path(args.out), args.format)
     summary = {"kind": artifact.kind, "d": artifact.primary.d, "n": artifact.primary.n, "out": str(args.out)}
-    if artifact.complement is not None:
-        summary["complement_d"] = artifact.complement.d
+    if artifact.pair is not None:
+        summary["complement_d"] = artifact.pair.complement.d
     _print(summary)
     return 0
 
@@ -149,15 +146,9 @@ def cmd_verify(args) -> int:
         return 0
     if what == "naimark-pair":
         pair_dir = Path(args.path)
-        pair_obj = None
-        pair_file = pair_dir / "pair.json"
-        if pair_file.exists():
-            pair_obj = load(pair_file)
-        primary = frame_from_files(load(pair_dir / "primary.json"), pair_obj, "primary")
-        complement = frame_from_files(load(pair_dir / "complement.json"), pair_obj, "complement")
-        pair = verify_naimark_pair(primary, complement)
+        pair = load_pair(pair_dir, Frame(matrix_from_obj(load(pair_dir / "primary.json"))))
         _print({"alpha": [pair.alpha.numerator, pair.alpha.denominator],
-                "d": primary.d, "n": primary.n, "verified": True})
+                "d": pair.primary.d, "n": pair.primary.n, "verified": True})
         return 0
     raise EtfForgeError(f"unknown verify subcommand {what!r}")
 

@@ -191,14 +191,6 @@ class PermutationLift:
             rows[i * self.k + p][j * self.r + q] = 1
         return ExactMatrix.from_rows(rows, RATIONAL)
 
-    def position(self, i: int, j: int) -> tuple[int, int] | None:
-        """(p, q) for the one at (i, j), or None when X(i, j) = 0."""
-        return self._index.get((i, j))
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {(i, j): (p, q) for i, j, p, q in self.slots}
-
 
 def lift_permutation(design: Design) -> PermutationLift:
     """Lift the incidence matrix with the canonical row/column counting rule."""

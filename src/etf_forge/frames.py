@@ -108,6 +108,15 @@ def _row_product_diagonal(frame: Frame) -> tuple[list[Fraction], ExactMatrix]:
     return frame._row_product
 
 
+def _is_flat(frame: Frame) -> bool:
+    """Whether every stored entry, after weighting, has squared modulus one."""
+    m = frame.matrix
+    if frame.row_weights is None and m.int_rows() is not None:
+        return all(x in (1, -1) for row in m.int_rows() for x in row)
+    weights = frame.row_weights or (Fraction(1),) * frame.d
+    return all(w * x.squared_modulus() == 1 for i, w in enumerate(weights) for x in m.row(i))
+
+
 @dataclass(frozen=True)
 class EtfCertificate:
     """Exact witness that a frame is an equiangular tight frame."""
@@ -190,22 +199,7 @@ def certify_etf(frame: Frame) -> EtfCertificate:
             f"bound requires {beta * beta * welch_bound_sq(d, n)}"
         )
 
-    m = frame.matrix
-    if frame.row_weights is None and m.int_rows() is not None:
-        flat = all(x in (1, -1) for row in m.int_rows() for x in row)
-    else:
-        weights = frame.row_weights or (Fraction(1),) * d
-        flat = True
-        for i in range(d):
-            wi = weights[i]
-            for x in m.row(i):
-                if wi * x.squared_modulus() != 1:
-                    flat = False
-                    break
-            if not flat:
-                break
-
-    cert = EtfCertificate(d, n, beta, alpha, gamma_sq, True, flat, frame.domain)
+    cert = EtfCertificate(d, n, beta, alpha, gamma_sq, True, _is_flat(frame), frame.domain)
     object.__setattr__(frame, "_certificate", cert)
     return cert
 
@@ -220,50 +214,59 @@ class NaimarkPair:
 
 
 def verify_naimark_pair(primary: Frame, complement: Frame) -> NaimarkPair:
-    """Check both defining identities exactly.
+    """Check that the weighted rows of the stack S = [P; C] form a scaled unitary.
 
-    The complement's rows must be orthogonal with the primary's tightness
-    constant alpha as their common squared norm, and the complement's Gram
-    matrix must equal alpha I minus the primary's.
+    The dimension gate makes S square, so with W the diagonal of row weights
+    the single identity S S* = alpha W^-1 is equivalent to the Gram identity
+    G_P + G_C = alpha I; its diagonal blocks are the tightness of both frames.
+    A failure names its block: P P*, C C*, or the cross block P C*.
+
+    When the primary already carries a certificate, the complement's follows
+    from it (beta_c = alpha - beta_p, the same gamma_sq) and is cached.
     """
-    if complement.n != primary.n:
+    n, dp = primary.n, primary.d
+    if complement.n != n:
         raise FrameError("primary and complement must have the same vector count")
-    if complement.d != primary.n - primary.d:
-        raise FrameError(
-            f"complement dimension must be {primary.n - primary.d}, got {complement.d}"
-        )
+    if complement.d != n - dp:
+        raise FrameError(f"complement dimension must be {n - dp}, got {complement.d}")
 
-    p_diag, p_raw = _row_product_diagonal(primary)
-    alphas = set(p_diag)
+    weights = (primary.row_weights or (1,) * dp) + (complement.row_weights or (1,) * (n - dp))
+    diag, raw = _row_product_diagonal(
+        Frame(vstack(primary.matrix, complement.matrix), row_weights=weights)
+    )
+    nonzero = raw.int_rows()
+    if nonzero is None:
+        nonzero = [[not x.is_zero() for x in raw.row(i)] for i in range(n)]
+
+    def first_nonzero(rows, cols):
+        # S S* is Hermitian, so the upper triangle decides every block.
+        return next(((i, j) for i in rows for j in cols if j > i and nonzero[i][j]), None)
+
+    alphas = set(diag[:dp])
     if len(alphas) != 1:
         raise FrameError("primary is not tight: unequal row norms")
     alpha = alphas.pop()
-    for i in range(primary.d):
-        for j in range(primary.d):
-            if i != j and not p_raw.entry(i, j).is_zero():
-                raise FrameError("primary is not tight: rows not orthogonal")
-
-    c_diag, c_raw = _row_product_diagonal(complement)
-    for i, value in enumerate(c_diag):
-        if value != alpha:
+    if first_nonzero(range(dp), range(dp)):
+        raise FrameError("primary is not tight: rows not orthogonal")
+    for i in range(dp, n):
+        if diag[i] != alpha:
             raise FrameError(
-                f"complement row {i} has squared norm {value}, expected {alpha}"
+                f"complement row {i - dp} has squared norm {diag[i]}, expected {alpha}"
             )
-    for i in range(complement.d):
-        for j in range(complement.d):
-            if i != j and not c_raw.entry(i, j).is_zero():
-                raise FrameError(f"complement rows {i} and {j} are not orthogonal")
+    at = first_nonzero(range(dp, n), range(dp, n))
+    if at:
+        raise FrameError(f"complement rows {at[0] - dp} and {at[1] - dp} are not orthogonal")
+    at = first_nonzero(range(dp), range(dp, n))
+    if at:
+        raise FrameError(f"cross block P C* is nonzero at ({at[0]}, {at[1] - dp})")
 
-    g_p = gram(primary)
-    lhs = gram(complement)
-    rhs = scaled_identity(primary.n, alpha, g_p.domain) - g_p
-    if lhs != rhs:
-        for j in range(primary.n):
-            for j2 in range(primary.n):
-                if lhs.entry(j, j2) != rhs.entry(j, j2):
-                    raise FrameError(
-                        f"Gram complement identity failed at ({j}, {j2})"
-                    )
+    cert_p = primary._certificate
+    if cert_p is not None and complement._certificate is None:
+        cert_c = EtfCertificate(
+            complement.d, n, alpha - cert_p.beta, alpha, cert_p.gamma_sq, True,
+            _is_flat(complement), complement.domain,
+        )
+        object.__setattr__(complement, "_certificate", cert_c)
     return NaimarkPair(primary, complement, alpha)
 
 

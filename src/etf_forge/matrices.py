@@ -394,11 +394,6 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(domain, a.rows, b.cols, out)
 
 
-def mat_mul_adjoint(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """A times the conjugate transpose of B."""
-    return matmul(a, b.adjoint())
-
-
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; block (i, j) is a(i, j) * b."""
     a, b, domain = a._unified(b)
@@ -429,21 +424,6 @@ def vstack(*mats: ExactMatrix) -> ExactMatrix:
         m = m if m.domain == domain else m.with_domain(domain)
         entries.extend(m.entries)
     return ExactMatrix(domain, sum(m.rows for m in mats), cols, entries)
-
-
-def hstack(*mats: ExactMatrix) -> ExactMatrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DomainError("row counts differ in horizontal stack")
-    domain = mats[0].domain
-    for m in mats[1:]:
-        domain = domain.unify(m.domain)
-    ms = [m if m.domain == domain else m.with_domain(domain) for m in mats]
-    entries = []
-    for i in range(rows):
-        for m in ms:
-            entries.extend(m.row(i))
-    return ExactMatrix(domain, rows, sum(m.cols for m in mats), entries)
 
 
 def scaled_identity(n: int, value, domain: Domain = RATIONAL) -> ExactMatrix:

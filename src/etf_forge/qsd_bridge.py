@@ -41,7 +41,7 @@ class QsdEtfLink:
         return self.delta == QuadElem.from_rational(1) and self.eps == QuadElem.from_rational(-2)
 
 
-def _qsd_frame_scalars(params: DesignParams, x: int, y: int, branch: str):
+def qsd_frame_scalars(params: DesignParams, x: int, y: int, branch: str = "plus"):
     """(w, delta, eps) for one branch, after validating the parameter laws.
 
     Raises naming the first parameter (w, x, or y) that breaks the required
@@ -68,14 +68,9 @@ def _qsd_frame_scalars(params: DesignParams, x: int, y: int, branch: str):
     sign = 1 if branch == "plus" else -1
     delta = (QuadElem.from_rational(w) + s * (sign * k)) * Fraction(1, v)
     eps = s * (-sign)
-    # eps = (w - delta v) / k must hold by construction.
-    assert eps == (QuadElem.from_rational(w) - delta * v) * Fraction(1, k)
+    if eps != (QuadElem.from_rational(w) - delta * v) * Fraction(1, k):
+        raise FrameError("the scalars break eps = (w - delta v) / k")
     return w, delta, eps
-
-
-def qsd_frame_scalars(params: DesignParams, x: int, y: int, branch: str = "plus"):
-    """Public parameter-level view of the (w, delta, eps) scalars."""
-    return _qsd_frame_scalars(params, x, y, branch)
 
 
 def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
@@ -88,7 +83,7 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
     rational domain, otherwise in the quadratic field of their radicand.
     """
     p = cert.params
-    w, delta, eps = _qsd_frame_scalars(p, cert.x, cert.y, branch)
+    w, delta, eps = qsd_frame_scalars(p, cert.x, cert.y, branch)
     design = cert.design
     if design is None:
         raise FrameError("this certificate is parameter-level; no incidence matrix to build from")
@@ -360,7 +355,7 @@ def qsd_gives_etf(cert: QsdCertificate) -> bool:
     the block graph's a = 2 mu condition, which must agree.
     """
     try:
-        _qsd_frame_scalars(cert.params, cert.x, cert.y, "plus")
+        qsd_frame_scalars(cert.params, cert.x, cert.y, "plus")
         by_scalars = True
     except FrameError:
         by_scalars = False

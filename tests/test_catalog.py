@@ -3,6 +3,7 @@ import json
 import pytest
 
 from etf_forge.catalog import Catalog, recipe_id
+from etf_forge.errors import CatalogError
 from etf_forge.recipes import recipe, replay
 from etf_forge.serialize import load
 
@@ -14,7 +15,7 @@ def kirkman_recipe(u=2):
 def test_replay_kirkman():
     artifact = replay(kirkman_recipe())
     assert (artifact.primary.d, artifact.primary.n) == (6, 16)
-    assert artifact.complement.d == 10
+    assert artifact.pair.complement.d == 10
 
 
 def test_replay_rejects_unknown_kind():
@@ -82,3 +83,31 @@ def test_catalog_audit_detects_corruption(tmp_path):
     target.write_text(json.dumps(obj))
     failures = catalog.audit()
     assert failures == [record.id]
+
+
+def test_catalog_audit_checks_declared_pair_metadata(tmp_path):
+    catalog = Catalog(tmp_path / "cat")
+    record = catalog.add(kirkman_recipe())
+    target = catalog.root / record.payload / "pair.json"
+    obj = json.loads(target.read_text())
+    obj["alpha"], obj["d"] = [17, 1], 7
+    target.write_text(json.dumps(obj))
+    assert catalog.audit() == [record.id]
+
+
+def test_catalog_find_rejects_empty_and_ambiguous_prefixes(tmp_path):
+    catalog = Catalog(tmp_path / "cat")
+    catalog.root.mkdir()
+    lines = [
+        json.dumps({"id": rid, "kind": "simplex", "params": {}, "certificates": {},
+                    "created_at": "", "payload": f"payloads/{rid}"})
+        for rid in ("ab12", "ab34")
+    ]
+    catalog.records_file.write_text("\n".join(lines) + "\n")
+    assert catalog.find("ab3").id == "ab34"
+    with pytest.raises(CatalogError, match="empty id prefix"):
+        catalog.find("")
+    with pytest.raises(CatalogError, match="matches 2 records"):
+        catalog.find("ab")
+    with pytest.raises(CatalogError, match="no record"):
+        catalog.find("cd")

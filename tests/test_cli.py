@@ -120,6 +120,17 @@ def test_verify_naimark_pair_dir(tmp_path, capsys):
     assert json.loads(stdout)["alpha"] == [16, 1]
 
 
+def test_verify_naimark_pair_checks_declared_metadata(tmp_path, capsys):
+    out = tmp_path / "pair"
+    run(capsys, "construct", "kirkman", "--u", "2", "--out", str(out))
+    obj = load(out / "pair.json")
+    obj["alpha"], obj["d"] = [17, 1], 7
+    (out / "pair.json").write_text(canonical_json(obj))
+    code, stdout, err = run(capsys, "verify", "naimark-pair", str(out))
+    assert code == 1 and stdout == ""
+    assert "pair.json declares d 7" in err
+
+
 def test_verify_qsd_design_file(tmp_path, capsys):
     path = tmp_path / "design.json"
     path.write_text(canonical_json(design_to_obj(all_pairs_design(6))))

@@ -11,7 +11,6 @@ from etf_forge.constructions import (
     standard_kirkman_inputs,
     steiner_etf,
     steiner_naimark,
-    steiner_sibling_products_vanish,
     tensor_etf,
     verify_difference_set,
 )
@@ -187,9 +186,27 @@ def test_steiner_naimark_golden_tail():
 
 
 def test_steiner_sibling_orthogonality():
-    assert steiner_sibling_products_vanish(golden_steiner_inputs(1))
+    # The sibling cross and self products are blocks of the pair's
+    # S S* = alpha W^-1, with self products k (r + 1) I.
     fano_inputs = SteinerInputs(lift_permutation(fano_plane()), dft(3), sylvester(2), 1)
-    assert steiner_sibling_products_vanish(fano_inputs)
+    for inputs in (golden_steiner_inputs(1), fano_inputs):
+        lift = inputs.lift
+        assert steiner_naimark(inputs).alpha == lift.k * (lift.r + 1)
+
+
+def test_pair_constructions_derive_the_complement_certificate():
+    harmonic = harmonic_etf(verify_difference_set(AbelianGroup((2, 2, 2, 2)), (1, 2, 3, 5, 10, 15)))
+    pairs = (
+        kirkman_etf(standard_kirkman_inputs(2, e=sylvester(1))),
+        harmonic,
+        steiner_naimark(golden_steiner_inputs(1)),
+        tensor_etf(harmonic, harmonic),
+    )
+    for pair in pairs:
+        complement = pair.complement
+        assert complement._gram is None and complement._certificate is not None
+        fresh = Frame(complement.matrix, complement.row_weights)
+        assert certify_etf(complement) == certify_etf(fresh)
 
 
 def test_steiner_naimark_fano():

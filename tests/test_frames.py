@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from etf_forge import frames
 from etf_forge.errors import FrameError
 from etf_forge.frames import (
     Frame,
@@ -61,6 +62,18 @@ def simplex_frame():
 
 def steiner_frame():
     return Frame(ExactMatrix.from_rows(STEINER_6x16))
+
+
+def steiner_complement(siblings=STEINER_COMPLEMENT_6x16):
+    """The sibling rows over the tail I_4 (x) (1, 1, 1, 1) of weight 2."""
+    tail = [[1 if 4 * j <= t < 4 * j + 4 else 0 for t in range(16)] for j in range(4)]
+    return Frame(ExactMatrix.from_rows(list(siblings) + tail), row_weights=(1,) * 6 + (2,) * 4)
+
+
+def perturbed(rows, i, j, value):
+    out = [row[:] for row in rows]
+    out[i][j] = value
+    return out
 
 
 def test_welch_bound_values():
@@ -136,19 +149,57 @@ def test_irrational_gamma_rejected_in_quadratic_domain():
 
 def test_verify_naimark_pair_steiner_goldens():
     primary = steiner_frame()
-    tail = [[0] * 16 for _ in range(4)]
-    for j in range(4):
-        for s in range(4):
-            tail[j][4 * j + s] = 1
-    complement = Frame(
-        ExactMatrix.from_rows(STEINER_COMPLEMENT_6x16 + tail),
-        row_weights=(1,) * 6 + (2,) * 4,
-    )
-    pair = verify_naimark_pair(primary, complement)
+    pair = verify_naimark_pair(primary, steiner_complement())
     assert pair.alpha == 8
     comp_cert = certify_etf(pair.complement)
     assert comp_cert.beta == pair.alpha - certify_etf(primary).beta
     assert comp_cert.gamma_sq == 1
+
+
+def test_verify_naimark_pair_is_one_product(monkeypatch):
+    products = []
+    real_matmul = frames.matmul
+
+    def counting_matmul(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return real_matmul(a, b)
+
+    def no_gram(frame):
+        raise AssertionError("the pair check needs no Gram matrix")
+
+    monkeypatch.setattr(frames, "matmul", counting_matmul)
+    monkeypatch.setattr(frames, "gram", no_gram)
+    verify_naimark_pair(steiner_frame(), steiner_complement())
+    assert products == [(16, 16, 16)]
+
+
+def test_verify_naimark_pair_primary_block_failures():
+    complement = steiner_complement()
+    unequal = Frame(ExactMatrix.from_rows(perturbed(STEINER_6x16, 0, 0, 0)))
+    with pytest.raises(FrameError, match="primary is not tight: unequal row norms"):
+        verify_naimark_pair(unequal, complement)
+    skew = Frame(ExactMatrix.from_rows(perturbed(STEINER_6x16, 0, 0, -1)))
+    with pytest.raises(FrameError, match="primary is not tight: rows not orthogonal"):
+        verify_naimark_pair(skew, complement)
+
+
+def test_verify_naimark_pair_complement_diagonal_failure():
+    short = steiner_complement(perturbed(STEINER_COMPLEMENT_6x16, 0, 0, 0))
+    with pytest.raises(FrameError, match="complement row 0 has squared norm 7, expected 8"):
+        verify_naimark_pair(steiner_frame(), short)
+
+
+def test_verify_naimark_pair_complement_off_diagonal_failure():
+    skew = steiner_complement(perturbed(STEINER_COMPLEMENT_6x16, 0, 0, -1))
+    with pytest.raises(FrameError, match="complement rows 0 and 2 are not orthogonal"):
+        verify_naimark_pair(steiner_frame(), skew)
+
+
+def test_verify_naimark_pair_cross_block_failure():
+    # The primary's own rows pass both tightness blocks but not P C* = 0.
+    copy = steiner_complement(STEINER_6x16)
+    with pytest.raises(FrameError, match=r"cross block P C\* is nonzero at \(0, 0\)"):
+        verify_naimark_pair(steiner_frame(), copy)
 
 
 def test_verify_naimark_pair_simplex():
@@ -173,15 +224,7 @@ def test_certify_hadamard_etf_simplex_pair():
 
 def test_certify_hadamard_etf_rejects_nonflat():
     primary = steiner_frame()
-    tail = [[0] * 16 for _ in range(4)]
-    for j in range(4):
-        for s in range(4):
-            tail[j][4 * j + s] = 1
-    complement = Frame(
-        ExactMatrix.from_rows(STEINER_COMPLEMENT_6x16 + tail),
-        row_weights=(1,) * 6 + (2,) * 4,
-    )
-    pair = verify_naimark_pair(primary, complement)
+    pair = verify_naimark_pair(primary, steiner_complement())
     with pytest.raises(FrameError, match="not flat"):
         certify_hadamard_etf(pair)
 

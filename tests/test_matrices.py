@@ -9,7 +9,6 @@ from etf_forge.matrices import (
     ExactMatrix,
     cyclo_domain,
     kron,
-    mat_mul_adjoint,
     matmul,
     quad_domain,
     scaled_identity,
@@ -85,7 +84,7 @@ def test_identity_product():
 def test_simplex_row_product():
     # The 3x4 flat simplex rows are orthogonal with norm 4.
     psi = ExactMatrix.from_rows([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    assert mat_mul_adjoint(psi, psi) == scaled_identity(3, 4)
+    assert matmul(psi, psi.adjoint()) == scaled_identity(3, 4)
 
 
 def test_dimension_mismatch():

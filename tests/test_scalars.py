@@ -9,10 +9,7 @@ from etf_forge.scalars import (
     QuadElem,
     cyclotomic_polynomial,
     euler_phi,
-    lift_to_common_order,
-    normalize_quadratic,
     rational_sqrt,
-    reduce_cyclotomic,
     split_square,
 )
 
@@ -56,13 +53,13 @@ def test_cyclotomic_polynomial_degree_is_totient():
 
 
 def test_reduce_square_of_i_is_minus_one():
-    z = reduce_cyclotomic({2: 1}, 4)
+    z = CycloElem.from_terms({2: 1}, 4)
     assert z == CycloElem.from_rational(-1, 4)
     assert z.rational_value() == -1
 
 
 def test_reduce_sum_of_cube_roots_is_zero():
-    z = reduce_cyclotomic({0: 1, 1: 1, 2: 1}, 3)
+    z = CycloElem.from_terms({0: 1, 1: 1, 2: 1}, 3)
     assert z.is_zero()
 
 
@@ -79,7 +76,7 @@ def test_root_to_the_order_is_one():
         for _ in range(m):
             acc = acc * z
         assert acc == CycloElem.one(m)
-        assert reduce_cyclotomic({m: 1}, m) == reduce_cyclotomic({0: 1}, m)
+        assert CycloElem.from_terms({m: 1}, m) == CycloElem.from_terms({0: 1}, m)
 
 
 def test_conjugate_of_i():
@@ -126,20 +123,20 @@ def test_squared_modulus_quadratic():
     assert sq.rational_value() is None
 
 
-def test_lift_to_common_order():
+def test_lift_to_lcm_order():
     a = CycloElem.from_rational(-1, 2)
     b = CycloElem.root(3)
-    la, lb = lift_to_common_order(a, b)
+    la, lb = a.lift(6), b.lift(6)
     assert la.order == lb.order == 6
     assert la == a and lb == b
 
     c = CycloElem.root(4)
-    lc, ld = lift_to_common_order(c, c)
-    assert lc.order == 4 and lc == c and ld == c
+    lc = c.lift(4)
+    assert lc.order == 4 and lc == c
 
     e = CycloElem.root(2)
     f = CycloElem.root(8)
-    le, lf = lift_to_common_order(e, f)
+    le, lf = e.lift(8), f.lift(8)
     assert le.order == lf.order == 8
     assert le == CycloElem.root(8, 4)
     assert lf == CycloElem.root(8)
@@ -175,11 +172,11 @@ def test_ring_axioms_random_quadratic():
             assert x * (y + z) == x * y + x * z
 
 
-def test_normalize_quadratic():
-    assert normalize_quadratic(8, 0, 1) == QuadElem(2, 0, 2)
-    assert normalize_quadratic(4, 0, 1) == QuadElem.from_rational(2)
-    assert normalize_quadratic(4, 0, 1).rational_value() == 2
-    assert normalize_quadratic(12, 1, Fraction(1, 2)) == QuadElem(3, 1, 1)
+def test_quadratic_constructor_normalizes_radicand():
+    assert QuadElem(8, 0, 1) == QuadElem(2, 0, 2)
+    assert QuadElem(4, 0, 1) == QuadElem.from_rational(2)
+    assert QuadElem(4, 0, 1).rational_value() == 2
+    assert QuadElem(12, 1, Fraction(1, 2)) == QuadElem(3, 1, 1)
 
 
 def test_split_square():
