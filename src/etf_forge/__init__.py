@@ -16,6 +16,7 @@ from .errors import (
     EtfForgeError,
     FrameError,
     HadamardError,
+    InputError,
 )
 from .scalars import (
     CycloElem,

@@ -15,10 +15,10 @@ import fcntl
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import CatalogError, EtfForgeError
+from .errors import CatalogError, EtfForgeError, RecordLookupError
 from .frames import Frame, certify_etf
 from .recipes import Artifact, replay
 from .serialize import (
@@ -46,6 +46,20 @@ def recipe_id(rec: dict) -> str:
     return hashlib.sha256(canonical_json(rec).encode()).hexdigest()
 
 
+def write_artifact(artifact: Artifact, out_dir: Path) -> dict:
+    """Write the recipe, each frame's matrix and certificate, and the pair
+    document; returns the certificate documents by role."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dump(artifact.recipe, out_dir / "recipe.json")
+    if artifact.pair is not None:
+        dump(pair_to_obj(artifact.pair), out_dir / "pair.json")
+    certs = {role: certificate_to_obj(certify_etf(frame)) for role, frame in artifact.frames().items()}
+    for role, frame in artifact.frames().items():
+        dump(matrix_to_obj(frame.matrix), out_dir / f"{role}.json")
+        dump(certs[role], out_dir / f"certificate_{role}.json")
+    return certs
+
+
 def _params_summary(artifact: Artifact) -> dict:
     summary = {"d": artifact.primary.d, "n": artifact.primary.n}
     if artifact.link is not None:
@@ -64,14 +78,7 @@ class CatalogRecord:
     payload: str
 
     def to_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "params": self.params,
-            "certificates": self.certificates,
-            "created_at": self.created_at,
-            "payload": self.payload,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_obj(obj) -> "CatalogRecord":
@@ -102,40 +109,26 @@ class Catalog:
     def find(self, record_id: str) -> CatalogRecord:
         """The one record whose id starts with ``record_id`` (a nonempty prefix)."""
         if not record_id:
-            raise CatalogError("an empty id prefix matches every record")
+            raise RecordLookupError("an empty id prefix matches every record")
         matches = [r for r in self.records() if r.id.startswith(record_id)]
         if not matches:
-            raise CatalogError(f"no record with id {record_id}")
+            raise RecordLookupError(f"no record with id {record_id}")
         if len(matches) > 1:
-            raise CatalogError(f"id prefix {record_id} matches {len(matches)} records")
+            raise RecordLookupError(f"id prefix {record_id} matches {len(matches)} records")
         return matches[0]
 
     def add(self, rec: dict) -> CatalogRecord:
         """Replay the recipe, re-certify, persist the payload, append the record."""
         artifact = replay(rec)
         rid = recipe_id(rec)
-        certs = {"primary": certificate_to_obj(certify_etf(artifact.primary))}
-        if artifact.pair is not None:
-            certs["complement"] = certificate_to_obj(certify_etf(artifact.pair.complement))
         record = CatalogRecord(
             id=rid,
             kind=artifact.kind,
             params=_params_summary(artifact),
-            certificates=certs,
+            certificates=write_artifact(artifact, self.root / f"payloads/{rid}"),
             created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
             payload=f"payloads/{rid}",
         )
-
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload_dir = self.root / record.payload
-        payload_dir.mkdir(parents=True, exist_ok=True)
-        dump(rec, payload_dir / "recipe.json")
-        dump(matrix_to_obj(artifact.primary.matrix), payload_dir / "primary.json")
-        if artifact.pair is not None:
-            dump(matrix_to_obj(artifact.pair.complement.matrix), payload_dir / "complement.json")
-            dump(pair_to_obj(artifact.pair), payload_dir / "pair.json")
-        for role, cert in certs.items():
-            dump(cert, payload_dir / f"certificate_{role}.json")
 
         with open(self.lock_file, "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)

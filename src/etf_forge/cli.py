@@ -13,9 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import Catalog
+from .catalog import Catalog, write_artifact
 from .designs import verify_bibd, verify_qsd, verify_srg
-from .errors import EtfForgeError
+from .errors import EtfForgeError, InputError
 from .frames import Frame, certify_etf
 from .hadamard import hadamard_of_size, verify_hadamard
 from .qsd_bridge import flat_feasibility, gerzon_bounds
@@ -24,14 +24,11 @@ from .serialize import (
     canonical_json,
     certificate_to_obj,
     design_from_obj,
-    dump,
     feasibility_to_obj,
     load,
     load_pair,
     matrix_from_obj,
     matrix_to_csv,
-    matrix_to_obj,
-    pair_to_obj,
 )
 
 
@@ -44,21 +41,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def _write_artifact(artifact: Artifact, out_dir: Path, fmt: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump(artifact.recipe, out_dir / "recipe.json")
-    frames = {"primary": artifact.primary}
-    if artifact.pair is not None:
-        frames["complement"] = artifact.pair.complement
-    for role, frame in frames.items():
-        dump(matrix_to_obj(frame.matrix), out_dir / f"{role}.json")
-        dump(certificate_to_obj(certify_etf(frame)), out_dir / f"certificate_{role}.json")
-        if fmt == "csv":
-            if frame.matrix.is_rational_integer():
-                (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
-            else:
+    write_artifact(artifact, out_dir)
+    if fmt == "csv":
+        for role, frame in artifact.frames().items():
+            if not frame.matrix.is_rational_integer():
                 raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
-    if artifact.pair is not None:
-        dump(pair_to_obj(artifact.pair), out_dir / "pair.json")
+            (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
 
 
 def _construct_recipe(args) -> dict:
@@ -127,7 +115,7 @@ def cmd_verify(args) -> int:
         return 0
     if what == "bibd":
         obj = load(args.path)
-        if obj.get("schema") == "etf-forge/design/v1":
+        if isinstance(obj, dict) and obj.get("schema") == "etf-forge/design/v1":
             design = design_from_obj(obj)
             params = design.params
         else:
@@ -293,12 +281,12 @@ def main(argv=None) -> int:
         if args.cmd == "catalog":
             return cmd_catalog(args)
         parser.error(f"unknown command {args.cmd!r}")
+    except (InputError, json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return 2
     except EtfForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
     return 2
 
 

@@ -151,7 +151,7 @@ def _lifted_block_matrix(inputs: SteinerInputs) -> ExactMatrix:
     g1_star = g1_star.with_domain(domain)
     f = f.with_domain(domain)
     width = lift.v * (lift.r + 1)
-    zero = domain.zero()
+    zero = domain.from_int(0)
     rows = [[zero] * width for _ in range(lift.b)]
     for i, j, p, q in lift.slots:
         c = f.entry(p, l).conjugate()

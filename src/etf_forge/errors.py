@@ -10,6 +10,11 @@ class EtfForgeError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(EtfForgeError):
+    """A malformed document or an unresolvable reference: a usage error,
+    not a failed identity (the CLI exits 2)."""
+
+
 class DomainError(EtfForgeError):
     """Incompatible scalar domains or matrix dimensions."""
 
@@ -28,3 +33,7 @@ class FrameError(EtfForgeError):
 
 class CatalogError(EtfForgeError):
     """Catalog storage problem (bad record, failed audit, lock trouble)."""
+
+
+class RecordLookupError(CatalogError, InputError):
+    """An id prefix that is empty, ambiguous or matches no record."""

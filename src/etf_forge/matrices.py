@@ -5,21 +5,38 @@ cyclotomic matrices lift both operands to the lcm of their orders, products
 of quadratic matrices require matching radicands (rational values mix with
 anything), and cyclotomic/quadratic products are rejected.
 
-All arithmetic is exact.  Products of matrices whose entries are rational
-integers take an integer path (bitmask popcounts when every entry is in
-{-1, 0, 1}) that returns bit-identical results to the generic elementwise
-loop; a randomized oracle test in the suite pins that equivalence.
+All arithmetic is exact, and every product runs on one integer kernel.  Each
+operand is lowered once to integer coefficient planes over its domain's
+basis -- the power basis of Q(zeta_m) (one plane for Q), or 1, sqrt(t) --
+with one common denominator per matrix; an integer matrix is its own plane.
+Each entry's planes are packed into one integer (Kronecker substitution), the
+integer product accumulates every output entry's whole polynomial, and each
+output entry is unpacked, folded by x^m = 1, reduced once by the domain's
+modulus (Phi_m, or x^2 -> t) and divided by the two denominators.  When both
+packed operands hold only -1, 0 and 1 (rational matrices whose scaled entries
+are signs or zeros), large products take bitmask popcounts.  A per-entry
+Fraction loop in the test suite is the differential oracle for the kernel.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError
-from .scalars import CycloElem, QuadElem, _cached_int_elem
+from .scalars import (
+    CycloElem,
+    QuadElem,
+    _cached_int_elem,
+    _lower,
+    cyclo_from_ints,
+    pack,
+    quad_from_ints,
+    unpack,
+)
 
 
 @dataclass(frozen=True)
@@ -28,21 +45,12 @@ class CycloDomain:
 
     kind = "cyclotomic"
 
-    def zero(self):
-        return CycloElem.zero(self.order)
-
-    def one(self):
-        return CycloElem.one(self.order)
-
-    def from_rational(self, value):
-        return CycloElem.from_rational(value, self.order)
-
     def from_int(self, value: int):
         return _cached_int_elem(self.order, value)
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
+            return CycloElem.from_rational(value, self.order)
         if isinstance(value, CycloElem):
             if value.order == self.order:
                 return value
@@ -50,11 +58,18 @@ class CycloDomain:
                 return value.lift(self.order)
             q = value.rational_value()
             if q is not None:
-                return self.from_rational(q)
+                return CycloElem.from_rational(q, self.order)
             raise DomainError(
                 f"cannot place an order-{value.order} element in an order-{self.order} domain"
             )
         raise DomainError(f"not a cyclotomic value: {value!r}")
+
+    def coefficients(self, x) -> tuple[Fraction, ...]:
+        """Coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1)."""
+        return (x if x.order == self.order else self.coerce(x)).coeffs
+
+    def from_ints(self, ints: list[int], den: int):
+        return cyclo_from_ints(self.order, ints, den)
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, CycloDomain):
@@ -69,21 +84,12 @@ class QuadDomain:
 
     kind = "quadratic"
 
-    def zero(self):
-        return QuadElem(self.radicand, 0, 0)
-
-    def one(self):
-        return QuadElem(self.radicand, 1, 0)
-
-    def from_rational(self, value):
-        return QuadElem(self.radicand, Fraction(value), 0)
-
     def from_int(self, value: int):
         return QuadElem(self.radicand, value, 0)
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction)):
-            return self.from_rational(value)
+            return QuadElem(self.radicand, value, 0)
         if isinstance(value, QuadElem):
             if value.b == 0 or value.t == self.radicand:
                 return value
@@ -91,6 +97,14 @@ class QuadDomain:
                 f"cannot place a sqrt({value.t}) element in a sqrt({self.radicand}) domain"
             )
         raise DomainError(f"not a quadratic value: {value!r}")
+
+    def coefficients(self, x) -> tuple[Fraction, ...]:
+        """Coordinates in the basis 1, sqrt(t)."""
+        x = self.coerce(x)  # rejects an entry over another radicand
+        return (x.a, x.b)
+
+    def from_ints(self, ints: list[int], den: int):
+        return quad_from_ints(self.radicand, ints, den)
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, QuadDomain):
@@ -125,7 +139,7 @@ RATIONAL = cyclo_domain(1)
 class ExactMatrix:
     """A dense rows x cols matrix of domain elements, stored row-major."""
 
-    __slots__ = ("domain", "rows", "cols", "entries", "_int_rows")
+    __slots__ = ("domain", "rows", "cols", "entries", "_lowered")
 
     def __init__(self, domain: Domain, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -139,7 +153,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-        self._int_rows = False  # False = not computed, None = not integral
+        self._lowered = None  # (den, planes) once computed; see lowered()
 
     # -- constructors -------------------------------------------------
 
@@ -155,19 +169,11 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int, domain: Domain = RATIONAL) -> "ExactMatrix":
-        zero, one = domain.zero(), domain.one()
-        entries = [one if i == j else zero for i in range(n) for j in range(n)]
-        return ExactMatrix(domain, n, n, entries)
-
-    @staticmethod
-    def zeros(rows: int, cols: int, domain: Domain = RATIONAL) -> "ExactMatrix":
-        zero = domain.zero()
-        return ExactMatrix(domain, rows, cols, [zero] * (rows * cols))
+        return scaled_identity(n, 1, domain)
 
     @staticmethod
     def ones(rows: int, cols: int, domain: Domain = RATIONAL) -> "ExactMatrix":
-        one = domain.one()
-        return ExactMatrix(domain, rows, cols, [one] * (rows * cols))
+        return ExactMatrix(domain, rows, cols, [domain.from_int(1)] * (rows * cols))
 
     # -- access -------------------------------------------------------
 
@@ -177,29 +183,31 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple:
-        return self.entries[j :: self.cols]
-
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def lowered(self) -> tuple[int, list[list[list[int]]]]:
+        """(den, planes), computed once: plane k holds den times each entry's
+        k-th coordinate over the domain's basis as integer rows.
+
+        den is the lcm of the coordinates' denominators, and trailing all-zero
+        planes are dropped, so a rational matrix has exactly one plane.
+        """
+        if self._lowered is None:
+            coords = [self.domain.coefficients(x) for x in self.entries]
+            den, flat = _lower([c for v in coords for c in v])
+            width = len(coords[0])
+            planes = [flat[k::width] for k in range(width)]
+            while len(planes) > 1 and not any(planes[-1]):
+                planes.pop()
+            cols = self.cols
+            self._lowered = den, [[p[i : i + cols] for i in range(0, len(p), cols)] for p in planes]
+        return self._lowered
+
     def int_rows(self) -> list[list[int]] | None:
         """Rows as plain ints if every entry is a rational integer, else None."""
-        if self._int_rows is False:
-            out: list[list[int]] | None = []
-            for i in range(self.rows):
-                row = []
-                for x in self.row(i):
-                    q = x.rational_value()
-                    if q is None or q.denominator != 1:
-                        out = None
-                        break
-                    row.append(q.numerator)
-                if out is None:
-                    break
-                out.append(row)
-            self._int_rows = out
-        return self._int_rows
+        den, planes = self.lowered()
+        return planes[0] if den == 1 and len(planes) == 1 else None
 
     def is_rational_integer(self) -> bool:
         return self.int_rows() is not None
@@ -212,13 +220,14 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         entries = [self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)]
         out = ExactMatrix(self.domain, self.cols, self.rows, entries)
-        if isinstance(self._int_rows, list):
-            out._int_rows = [list(col) for col in zip(*self._int_rows)]
+        if self._lowered is not None:
+            den, planes = self._lowered
+            out._lowered = den, [[list(col) for col in zip(*p)] for p in planes]
         return out
 
     def adjoint(self) -> "ExactMatrix":
         """Conjugate transpose."""
-        if self.int_rows() is not None:
+        if len(self.lowered()[1]) == 1:
             return self.transpose()  # rational entries are self-conjugate
         entries = [
             self.entries[j * self.cols + i].conjugate()
@@ -246,31 +255,24 @@ class ExactMatrix:
         b = other if other.domain == domain else other.with_domain(domain)
         return a, b, domain
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, name: str):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DomainError("shape mismatch in addition")
+            raise DomainError(f"shape mismatch in {name}")
         a, b, domain = self._unified(other)
         ia, ib = a.int_rows(), b.int_rows()
         if ia is not None and ib is not None:
-            entries = [domain.from_int(x + y) for ra, rb in zip(ia, ib) for x, y in zip(ra, rb)]
+            entries = [domain.from_int(op(x, y)) for ra, rb in zip(ia, ib) for x, y in zip(ra, rb)]
         else:
-            entries = [x + y for x, y in zip(a.entries, b.entries)]
+            entries = [op(x, y) for x, y in zip(a.entries, b.entries)]
         return ExactMatrix(domain, a.rows, a.cols, entries)
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add, "addition")
+
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DomainError("shape mismatch in subtraction")
-        a, b, domain = self._unified(other)
-        ia, ib = a.int_rows(), b.int_rows()
-        if ia is not None and ib is not None:
-            entries = [domain.from_int(x - y) for ra, rb in zip(ia, ib) for x, y in zip(ra, rb)]
-        else:
-            entries = [x - y for x, y in zip(a.entries, b.entries)]
-        return ExactMatrix(domain, a.rows, a.cols, entries)
+        return self._entrywise(other, operator.sub, "subtraction")
 
     def scale(self, value) -> "ExactMatrix":
         """Multiply every entry by a scalar from the same domain (or a rational)."""
@@ -310,88 +312,75 @@ class ExactMatrix:
         return f"ExactMatrix({self.domain}, {self.rows}x{self.cols})"
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]], rows: int, inner: int, cols: int) -> list[list[int]]:
+def _pack_planes(planes: list[list[list[int]]], k: int) -> list[list[int]]:
+    """Each entry's plane values packed into one integer, k bits per slot."""
+    if len(planes) == 1:
+        return planes[0]
+    return [[pack(e, k) for e in zip(*rs)] for rs in zip(*planes)]
+
+
+def _sign_masks(vectors) -> tuple[list[int], list[int]]:
+    """Bitmasks of the +1 and of the -1 positions of each {-1, 0, 1} vector."""
+    pos, neg = [], []
+    for v in vectors:
+        p = n = 0
+        for t, x in enumerate(v):
+            if x == 1:
+                p |= 1 << t
+            elif x == -1:
+                n |= 1 << t
+        pos.append(p)
+        neg.append(n)
+    return pos, neg
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Exact integer product; bitmask popcount route for {-1,0,1} matrices."""
-    small = all(-1 <= x <= 1 for r in a for x in r) and all(
-        -1 <= x <= 1 for r in b for x in r
-    )
-    if small and rows * inner * cols > 200_000:
-        a_pos = [0] * rows
-        a_neg = [0] * rows
-        for i, row in enumerate(a):
-            p = n = 0
-            for t, x in enumerate(row):
-                if x == 1:
-                    p |= 1 << t
-                elif x == -1:
-                    n |= 1 << t
-            a_pos[i], a_neg[i] = p, n
-        b_pos = [0] * cols
-        b_neg = [0] * cols
-        for t, row in enumerate(b):
-            bit = 1 << t
-            for j, x in enumerate(row):
-                if x == 1:
-                    b_pos[j] |= bit
-                elif x == -1:
-                    b_neg[j] |= bit
-        out = []
-        for i in range(rows):
-            p, n = a_pos[i], a_neg[i]
-            out.append(
-                [
-                    (p & b_pos[j]).bit_count()
-                    + (n & b_neg[j]).bit_count()
-                    - (p & b_neg[j]).bit_count()
-                    - (n & b_pos[j]).bit_count()
-                    for j in range(cols)
-                ]
-            )
-        return out
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for t in range(inner):
-            x = arow[t]
-            if x:
-                brow = b[t]
-                if x == 1:
-                    for j in range(cols):
-                        orow[j] += brow[j]
-                elif x == -1:
-                    for j in range(cols):
-                        orow[j] -= brow[j]
-                else:
-                    for j in range(cols):
-                        orow[j] += x * brow[j]
-    return out
+    columns = list(zip(*b))
+    small = all(-1 <= x <= 1 for r in a for x in r) and all(-1 <= x <= 1 for r in b for x in r)
+    if not (small and len(a) * len(b) * len(columns) > 200_000):
+        return [[sum(map(operator.mul, r, c)) for c in columns] for r in a]
+    a_pos, a_neg = _sign_masks(a)
+    b_pos, b_neg = _sign_masks(columns)
+    return [
+        [
+            (p & bp).bit_count() + (n & bn).bit_count() - (p & bn).bit_count() - (n & bp).bit_count()
+            for bp, bn in zip(b_pos, b_neg)
+        ]
+        for p, n in zip(a_pos, a_neg)
+    ]
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product over the unified domain."""
+    """Exact matrix product over the unified domain, by one integer kernel.
+
+    Both operands are lowered to integer coefficient planes over the
+    domain's basis with one common denominator each; every entry's planes
+    are packed into one integer (Kronecker substitution), so the integer
+    product accumulates each output entry's whole polynomial.  Each output
+    entry is then unpacked, reduced once by the domain's modulus and divided
+    by the product of the two denominators.
+    """
     if a.cols != b.rows:
         raise DomainError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     a, b, domain = a._unified(b)
-    ia, ib = a.int_rows(), b.int_rows()
-    if ia is not None and ib is not None:
-        rows = _int_matmul(ia, ib, a.rows, a.cols, b.cols)
-        entries = [domain.from_int(x) for r in rows for x in r]
-        out = ExactMatrix(domain, a.rows, b.cols, entries)
-        out._int_rows = rows
+    den_a, planes_a = a.lowered()
+    den_b, planes_b = b.lowered()
+    width = len(planes_a) + len(planes_b) - 1
+    k = 0  # one plane each: the entries are the integers themselves
+    if width > 1:
+        bound = a.cols * min(len(planes_a), len(planes_b))  # terms in one output slot
+        bound *= max(abs(x) for p in planes_a for r in p for x in r)
+        bound *= max(abs(x) for p in planes_b for r in p for x in r)
+        k = bound.bit_length() + 1
+    rows = _int_matmul(_pack_planes(planes_a, k), _pack_planes(planes_b, k))
+    den = den_a * den_b
+    if width == 1 and den == 1:
+        out = ExactMatrix(domain, a.rows, b.cols, [domain.from_int(x) for r in rows for x in r])
+        out._lowered = 1, [rows]
         return out
-    zero = domain.zero()
-    brows = [b.row(t) for t in range(b.rows)]
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        acc = [zero] * b.cols
-        for t, x in enumerate(arow):
-            if not x.is_zero():
-                brow = brows[t]
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.extend(acc)
-    return ExactMatrix(domain, a.rows, b.cols, out)
+    entries = [domain.from_ints(unpack(x, k, width), den) for r in rows for x in r]
+    return ExactMatrix(domain, a.rows, b.cols, entries)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -406,7 +395,7 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             for j in range(a.cols):
                 x = a.entry(i, j)
                 if x.is_zero():
-                    entries.extend([domain.zero()] * b.cols)
+                    entries.extend([domain.from_int(0)] * b.cols)
                 else:
                     entries.extend(x * y for y in brow)
     return ExactMatrix(domain, rows, cols, entries)
@@ -428,6 +417,6 @@ def vstack(*mats: ExactMatrix) -> ExactMatrix:
 
 def scaled_identity(n: int, value, domain: Domain = RATIONAL) -> ExactMatrix:
     c = domain.coerce(value)
-    zero = domain.zero()
+    zero = domain.from_int(0)
     entries = [c if i == j else zero for i in range(n) for j in range(n)]
     return ExactMatrix(domain, n, n, entries)

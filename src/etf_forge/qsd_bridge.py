@@ -91,7 +91,7 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
     t = 1 if (delta.b == 0 and eps.b == 0) else max(delta.t, eps.t)
     domain = RATIONAL if t == 1 else quad_domain(t)
     x_rows = design.incidence.int_rows()  # b x v
-    one = domain.one()
+    one = domain.from_int(1)
     rows = []
     for i in range(p.v):
         row = [one]

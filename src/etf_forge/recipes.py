@@ -46,6 +46,10 @@ class Artifact:
     pair: NaimarkPair | None = None
     link: QsdEtfLink | None = None
 
+    def frames(self) -> dict[str, Frame]:
+        """The constructed frames by role: the primary, and a pair's complement."""
+        return {"primary": self.primary} | ({"complement": self.pair.complement} if self.pair else {})
+
 
 def recipe(kind: str, **inputs) -> dict:
     return {"schema": RECIPE_SCHEMA, "kind": kind, "inputs": inputs}

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -36,6 +35,7 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m == 1:
         return 1
@@ -45,70 +45,105 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of monic integer polynomials; the division must be exact."""
-    num = list(num)
-    dd = len(den) - 1
-    if den[-1] != 1:
-        raise ArithmeticError("the divisor must be monic")
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dd] = c
-            for j, y in enumerate(den):
-                num[i - dd + j] -= c * y
-    if any(num):
-        raise ArithmeticError("polynomial division was not exact")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, low to high.
 
-    Computed by exact division of x^m - 1 by the product of the d-th
-    cyclotomic polynomials over the proper divisors d of m.
+    For m > 1, Phi_m is the product over d | m of (1 - x^d)^mu(m/d).  Each
+    factor is a multiplication or an exact power-series division by 1 - x^d,
+    so working modulo x^(phi(m) + 1) loses nothing.
     """
     if m == 1:
         return (-1, 1)
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_divmod_exact(num, den))
+    poly = [1] + [0] * euler_phi(m)
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        primes = _factorize(m // d)
+        if any(e > 1 for e in primes.values()):
+            continue  # mu(m / d) = 0
+        if len(primes) % 2 == 0:  # mu = 1: multiply by 1 - x^d
+            for i in range(len(poly) - 1, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:  # mu = -1: divide by 1 - x^d
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+    return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    """Remainder of a coefficient list modulo Phi_m, padded to degree phi(m)."""
+def _reduce_mod_cyclotomic(ints: list[int], m: int) -> list[int]:
+    """Integer remainder of sum ints[e] x^e modulo Phi_m, as phi(m) coefficients.
+
+    Exponents at or above m first fold down by x^m = 1 (Phi_m divides
+    x^m - 1), so only the degrees phi(m) .. m - 1 need a division step.
+    """
+    rem = [0] * m
+    for e, c in enumerate(ints):
+        rem[e % m] += c
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
+    for i in range(m - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            for j in range(deg + 1):
+            for j in range(deg):
                 rem[i - deg + j] -= c * phi[j]
-    rem = rem[:deg]
-    rem += [_ZERO] * (deg - len(rem))
-    return tuple(rem)
+    del rem[deg:]
+    return rem
+
+
+def _lower(coeffs) -> tuple[int, list[int]]:
+    """(den, ints) with den the lcm of the denominators and ints = den * coeffs."""
+    den = lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return 1, [c.numerator for c in coeffs]
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def pack(ints, k: int) -> int:
+    """Kronecker substitution: the value of sum ints[i] x^i at x = 2^k."""
+    n = 0
+    for c in reversed(ints):
+        n = (n << k) + c
+    return n
+
+
+def unpack(n: int, k: int, length: int) -> list[int]:
+    """Inverse of ``pack`` for ``length`` signed slots of magnitude < 2^(k-1).
+
+    Slots of k = bound.bit_length() + 1 bits hold any magnitude <= bound.
+    """
+    if length == 1:
+        return [n]
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for _ in range(length):
+        c = ((n + half) & mask) - half  # the slot's value in [-half, half)
+        out.append(c)
+        n = (n - c) >> k
+    if n:
+        raise ArithmeticError("a packed coefficient overflowed its slot")
+    return out
+
+
+def convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials: one big-integer
+    product of their packings, with slots wide enough for every coefficient."""
+    k = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+    return unpack(pack(a, k) * pack(b, k), k, len(a) + len(b) - 1)
 
 
 @lru_cache(maxsize=None)
 def _cached_int_elem(m: int, value: int) -> "CycloElem":
     coeffs = [Fraction(value)] + [_ZERO] * (euler_phi(m) - 1)
     return CycloElem(m, tuple(coeffs))
+
+
+def cyclo_from_ints(m: int, ints: list[int], den: int = 1) -> "CycloElem":
+    """The element (sum ints[e] zeta_m^e) / den, reduced once modulo Phi_m."""
+    rem = _reduce_mod_cyclotomic(ints, m)
+    if den == 1 and not any(rem[1:]):
+        return _cached_int_elem(m, rem[0])
+    return CycloElem(m, tuple(Fraction(c, den) if c else _ZERO for c in rem))
 
 
 class CycloElem:
@@ -139,7 +174,8 @@ class CycloElem:
         items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
             acc[e % order] += Fraction(c)
-        return CycloElem(order, _reduce_mod_cyclotomic(acc, order))
+        den, ints = _lower(acc)
+        return cyclo_from_ints(order, ints, den)
 
     @staticmethod
     def from_rational(value, order: int = 1) -> "CycloElem":
@@ -147,10 +183,6 @@ class CycloElem:
         if q.denominator == 1:
             return _cached_int_elem(order, q.numerator)
         return CycloElem.from_terms({0: q}, order)
-
-    @staticmethod
-    def zero(order: int = 1) -> "CycloElem":
-        return _cached_int_elem(order, 0)
 
     @staticmethod
     def one(order: int = 1) -> "CycloElem":
@@ -187,20 +219,28 @@ class CycloElem:
             {e * k: c for e, c in enumerate(self.coeffs) if c != 0}, order
         )
 
+    def _conjugate_ints(self) -> tuple[int, list[int], list[int]]:
+        """(den, ints, conj): den * coeffs, and the conjugate's coefficients in
+        Z[x]/(x^m - 1), where zeta^e -> zeta^(m - e) needs no reduction."""
+        den, ints = _lower(self.coeffs)
+        conj = [0] * self.order
+        for e, c in enumerate(ints):
+            conj[-e % self.order] = c
+        return den, ints, conj
+
     def conjugate(self) -> "CycloElem":
         """Complex conjugate: the image of zeta under zeta -> zeta**(order-1)."""
         if self.order <= 2 or not any(self.coeffs[1:]):
             return self  # rational values are self-conjugate
-        return CycloElem.from_terms(
-            {(-e) % self.order: c for e, c in enumerate(self.coeffs) if c != 0},
-            self.order,
-        )
+        den, _, conj = self._conjugate_ints()
+        return cyclo_from_ints(self.order, conj, den)
 
     def squared_modulus(self) -> "CycloElem":
         q = self.rational_value()
         if q is not None:
             return CycloElem.from_rational(q * q, self.order)
-        return self * self.conjugate()
+        den, ints, conj = self._conjugate_ints()
+        return cyclo_from_ints(self.order, convolve(ints, conj), den * den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -240,14 +280,9 @@ class CycloElem:
         if not isinstance(other, CycloElem):
             return NotImplemented
         a, b = self._pair(other)
-        m = a.order
-        acc = [_ZERO] * m
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        acc[(i + j) % m] += x * y
-        return CycloElem(m, _reduce_mod_cyclotomic(acc, m))
+        da, ia = _lower(a.coeffs)
+        db, ib = _lower(b.coeffs)
+        return cyclo_from_ints(a.order, convolve(ia, ib), da * db)
 
     __rmul__ = __mul__
 
@@ -269,6 +304,7 @@ class CycloElem:
         return " + ".join(terms) if terms else "0"
 
 
+@lru_cache(maxsize=None)
 def split_square(n: int) -> tuple[int, int]:
     """Return (s, t) with n = s*s*t and t square-free."""
     if n < 1:
@@ -367,20 +403,11 @@ class QuadElem:
             return QuadElem(self.t, self.a * q, self.b * q)
         if not isinstance(other, QuadElem):
             return NotImplemented
-        t = self._common_t(other)
-        return QuadElem(
-            t,
-            self.a * other.a + self.b * other.b * t,
-            self.a * other.b + self.b * other.a,
-        )
+        da, ia = _lower((self.a, self.b))
+        db, ib = _lower((other.a, other.b))
+        return quad_from_ints(self._common_t(other), convolve(ia, ib), da * db)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return QuadElem(self.t, self.a / q, self.b / q)
-        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -399,6 +426,13 @@ class QuadElem:
         if self.a == 0:
             return f"{self.b}*sqrt({self.t})"
         return f"{self.a} + {self.b}*sqrt({self.t})"
+
+
+def quad_from_ints(t: int, ints: list[int], den: int = 1) -> QuadElem:
+    """The element (sum ints[e] sqrt(t)^e) / den for up to three terms, reduced by x^2 -> t."""
+    a = ints[0] + (t * ints[2] if len(ints) > 2 else 0)
+    b = ints[1] if len(ints) > 1 else 0
+    return QuadElem(t, Fraction(a, den), Fraction(b, den))
 
 
 def rational_sqrt(value) -> Fraction | None:

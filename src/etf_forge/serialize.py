@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .designs import Design
-from .errors import DesignError, DomainError, FrameError
+from .errors import DesignError, DomainError, FrameError, InputError
 from .frames import EtfCertificate, Frame, NaimarkPair, verify_naimark_pair
 from .matrices import ExactMatrix, cyclo_domain, quad_domain
 from .qsd_bridge import FeasibilityReport
@@ -46,11 +46,14 @@ def _domain_obj(domain) -> dict:
 
 
 def _domain_from_obj(obj):
-    if obj["kind"] == "cyclotomic":
-        return cyclo_domain(int(obj["order"]))
-    if obj["kind"] == "quadratic":
-        return quad_domain(int(obj["radicand"]))
-    raise DomainError(f"unknown domain kind {obj.get('kind')!r}")
+    kind = obj["kind"]
+    key = {"cyclotomic": "order", "quadratic": "radicand"}.get(kind)
+    if key is None:
+        raise InputError(f"unknown domain kind {kind!r}")
+    value = obj[key]
+    if type(value) is not int or value < 1:
+        raise InputError(f"domain {key} must be a positive integer, got {value!r}")
+    return cyclo_domain(value) if kind == "cyclotomic" else quad_domain(value)
 
 
 def _entry_obj(x) -> list:
@@ -72,21 +75,24 @@ def matrix_to_obj(m: ExactMatrix) -> dict:
 
 
 def matrix_from_obj(obj) -> ExactMatrix:
+    """Parse a matrix document; a malformed one raises ``InputError``."""
+    if not isinstance(obj, dict):
+        raise InputError(f"not a matrix document: a JSON {type(obj).__name__}")
     if obj.get("schema") != MATRIX_SCHEMA:
-        raise DomainError(f"not a matrix document: schema {obj.get('schema')!r}")
-    domain = _domain_from_obj(obj["domain"])
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = []
-    for raw in obj["entries"]:
-        if domain.kind == "cyclotomic":
-            terms = {int(e): Fraction(int(num), int(den)) for e, num, den in raw}
-            entries.append(CycloElem.from_terms(terms, domain.order))
-        else:
-            a_num, a_den, b_num, b_den = raw
-            entries.append(
-                QuadElem(domain.radicand, Fraction(int(a_num), int(a_den)), Fraction(int(b_num), int(b_den)))
-            )
-    return ExactMatrix(domain, rows, cols, entries)
+        raise InputError(f"not a matrix document: schema {obj.get('schema')!r}")
+    try:
+        domain = _domain_from_obj(obj["domain"])
+        entries = []
+        for raw in obj["entries"]:
+            if domain.kind == "cyclotomic":
+                terms = {e: Fraction(num, den) for e, num, den in raw}
+                entries.append(CycloElem.from_terms(terms, domain.order))
+            else:
+                a_num, a_den, b_num, b_den = raw
+                entries.append(QuadElem(domain.radicand, Fraction(a_num, a_den), Fraction(b_num, b_den)))
+        return ExactMatrix(domain, int(obj["rows"]), int(obj["cols"]), entries)
+    except (DomainError, TypeError, ValueError, ZeroDivisionError, KeyError) as exc:
+        raise InputError(f"malformed matrix document: {type(exc).__name__}: {exc}") from None
 
 
 def matrix_to_csv(m: ExactMatrix) -> str:
@@ -114,13 +120,20 @@ def design_to_obj(design: Design) -> dict:
 
 
 def design_from_obj(obj) -> Design:
+    if not isinstance(obj, dict):
+        raise InputError(f"not a design document: a JSON {type(obj).__name__}")
     if obj.get("schema") != DESIGN_SCHEMA:
-        raise DesignError(f"not a design document: schema {obj.get('schema')!r}")
-    blocks = [tuple(int(x) - 1 for x in block) for block in obj["blocks"]]
-    classes = obj.get("parallel_classes")
-    design = Design(int(obj["v"]), blocks, classes)
-    declared = (obj["v"], obj["k"], obj["lambda"], obj["r"], obj["b"])
-    if design.params.as_tuple() != tuple(int(x) for x in declared):
+        raise InputError(f"not a design document: schema {obj.get('schema')!r}")
+    try:
+        blocks = [tuple(int(x) - 1 for x in block) for block in obj["blocks"]]
+        classes = obj.get("parallel_classes")
+        classes = None if classes is None else [tuple(int(i) for i in c) for c in classes]
+        declared = (obj["v"], obj["k"], obj["lambda"], obj["r"], obj["b"])
+        declared_ints = tuple(int(x) for x in declared)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise InputError(f"malformed design document: {type(exc).__name__}: {exc}") from None
+    design = Design(declared_ints[0], blocks, classes)
+    if design.params.as_tuple() != declared_ints:
         raise DesignError(
             f"declared parameters {declared} disagree with the block list "
             f"{design.params.as_tuple()}"
@@ -180,21 +193,24 @@ def load_pair(directory, primary: Frame) -> NaimarkPair:
     ``primary`` is the frame read from ``primary.json``; a caller that
     certifies it first gets the complement's certificate derived.  The
     complement is ``complement.json`` with the row weights of ``pair.json``,
-    whose schema, d, n and alpha must match the verified pair.
+    a pair document whose d, n and alpha must match the verified pair.
     """
     directory = Path(directory)
     pair_path = directory / "pair.json"
     declared = load(pair_path) if pair_path.exists() else None
-    if declared is not None and not isinstance(declared, dict):
-        raise FrameError("pair.json is not a pair document")
+    if declared is not None and (not isinstance(declared, dict) or declared.get("schema") != PAIR_SCHEMA):
+        raise InputError("pair.json is not a pair document")
     weights = None
     if declared and "complement_row_weights" in declared:
-        weights = tuple(Fraction(num, den) for num, den in declared["complement_row_weights"])
+        try:
+            weights = tuple(Fraction(num, den) for num, den in declared["complement_row_weights"])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"pair.json complement_row_weights are not [num, den] pairs: {exc}") from None
     complement = Frame(matrix_from_obj(load(directory / "complement.json")), row_weights=weights)
     pair = verify_naimark_pair(primary, complement)
     if declared is not None:
         expected = pair_to_obj(pair)
-        for key in ("schema", "d", "n", "alpha"):
+        for key in ("d", "n", "alpha"):
             if declared.get(key) != expected[key]:
                 raise FrameError(
                     f"pair.json declares {key} {declared.get(key)!r}, "

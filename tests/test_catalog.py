@@ -95,6 +95,20 @@ def test_catalog_audit_checks_declared_pair_metadata(tmp_path):
     assert catalog.audit() == [record.id]
 
 
+def test_catalog_audit_lists_malformed_pair_weights_and_audits_the_rest(tmp_path):
+    catalog = Catalog(tmp_path / "cat")
+    bad = catalog.add(kirkman_recipe())
+    good = catalog.add(recipe("simplex", hadamard={"generator": "sylvester", "e": 2}, drop_row=0))
+    target = catalog.root / bad.payload / "pair.json"
+    obj = json.loads(target.read_text())
+    obj["complement_row_weights"] = 5
+    target.write_text(json.dumps(obj))
+    assert catalog.audit() == [bad.id]
+    target.write_text(json.dumps(dict(obj, complement_row_weights=[[1, 0]] * 10)))
+    assert catalog.audit() == [bad.id]
+    assert [r.id for r in catalog.records()] == [bad.id, good.id]
+
+
 def test_catalog_find_rejects_empty_and_ambiguous_prefixes(tmp_path):
     catalog = Catalog(tmp_path / "cat")
     catalog.root.mkdir()

@@ -131,6 +131,17 @@ def test_verify_naimark_pair_checks_declared_metadata(tmp_path, capsys):
     assert "pair.json declares d 7" in err
 
 
+def test_pair_json_that_is_not_a_pair_document_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "pair"
+    run(capsys, "construct", "kirkman", "--u", "2", "--out", str(out))
+    obj = load(out / "pair.json")
+    for doc in ([obj], dict(obj, schema="etf-forge/design/v1")):
+        (out / "pair.json").write_text(canonical_json(doc))
+        code, stdout, err = run(capsys, "verify", "naimark-pair", str(out))
+        _assert_input_error(code, err)
+        assert stdout == "" and "not a pair document" in err
+
+
 def test_verify_qsd_design_file(tmp_path, capsys):
     path = tmp_path / "design.json"
     path.write_text(canonical_json(design_to_obj(all_pairs_design(6))))
@@ -231,3 +242,86 @@ def test_parse_error_is_exit_2(tmp_path, capsys):
 def test_missing_file_is_exit_2(capsys):
     code, _, _ = run(capsys, "verify", "etf", "/nonexistent/path.json")
     assert code == 2
+
+
+def _malformed_matrix_files(tmp_path, capsys):
+    run(capsys, "construct", "simplex", "--size", "4", "--out", str(tmp_path / "s"))
+    obj = load(tmp_path / "s" / "primary.json")
+    cases = {
+        "zero_denominator": dict(obj, entries=[[[0, 1, 0]]] + obj["entries"][1:]),
+        "non_list_entry": dict(obj, entries=[5] + obj["entries"][1:]),
+        "top_level_array": [obj],
+    }
+    for name, doc in cases.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return cases
+
+
+def _assert_input_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_zero_denominator_is_exit_2(tmp_path, capsys):
+    _malformed_matrix_files(tmp_path, capsys)
+    code, stdout, err = run(capsys, "verify", "etf", str(tmp_path / "zero_denominator.json"))
+    _assert_input_error(code, err)
+    assert stdout == ""
+
+
+def test_non_list_entry_is_exit_2(tmp_path, capsys):
+    _malformed_matrix_files(tmp_path, capsys)
+    code, stdout, err = run(capsys, "verify", "etf", str(tmp_path / "non_list_entry.json"))
+    _assert_input_error(code, err)
+    assert stdout == ""
+
+
+def test_top_level_array_is_exit_2(tmp_path, capsys):
+    _malformed_matrix_files(tmp_path, capsys)
+    for cmd in ("etf", "hadamard", "bibd", "srg"):
+        code, stdout, err = run(capsys, "verify", cmd, str(tmp_path / "top_level_array.json"))
+        _assert_input_error(code, err)
+        assert stdout == ""
+
+
+def test_malformed_design_documents_exit_2(tmp_path, capsys):
+    good = design_to_obj(all_pairs_design(6))
+    for name, doc in (("array", [good]), ("blocks", dict(good, blocks=5)),
+                      ("classes", dict(good, parallel_classes=4)),
+                      ("schema", dict(good, schema="etf-forge/matrix/v1"))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "verify", "qsd", str(path))
+        _assert_input_error(code, err)
+        assert stdout == ""
+
+
+def test_malformed_matrix_documents_exit_2_in_a_child_process(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    _malformed_matrix_files(tmp_path, capsys)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for name in ("zero_denominator", "non_list_entry", "top_level_array"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "etf_forge.cli", "verify", "etf", str(tmp_path / f"{name}.json")],
+            capture_output=True, text=True, env=env,
+        )
+        _assert_input_error(proc.returncode, proc.stderr)
+
+
+def test_catalog_show_lookup_failures_are_exit_2(tmp_path, capsys):
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    lines = [
+        json.dumps({"id": rid, "kind": "simplex", "params": {}, "certificates": {},
+                    "created_at": "", "payload": f"payloads/{rid}"})
+        for rid in ("ab12", "ab34")
+    ]
+    (cat / "records.jsonl").write_text("\n".join(lines) + "\n")
+    for prefix, reason in (("", "empty id prefix"), ("ab", "matches 2 records"), ("cd", "no record")):
+        code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), "show", prefix)
+        _assert_input_error(code, err)
+        assert reason in err and stdout == ""

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +9,14 @@ from etf_forge.errors import DomainError
 from etf_forge.scalars import (
     CycloElem,
     QuadElem,
+    _reduce_mod_cyclotomic,
+    convolve,
     cyclotomic_polynomial,
     euler_phi,
+    pack,
     rational_sqrt,
     split_square,
+    unpack,
 )
 
 
@@ -215,3 +221,100 @@ def test_rational_sqrt():
     assert rational_sqrt(49) == 7
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(-1) is None
+
+
+def fraction_cyclo_mul(x, y):
+    """Fraction oracle: exponent-space convolution, then long division by Phi_m."""
+    m = x.order
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    acc = [Fraction(0)] * m
+    for i, c in enumerate(x.coeffs):
+        for j, d in enumerate(y.coeffs):
+            acc[(i + j) % m] += c * d
+    for i in range(m - 1, deg - 1, -1):
+        c = acc[i]
+        for j in range(deg + 1):
+            acc[i - deg + j] -= c * phi[j]
+    return tuple(acc[:deg])
+
+
+def embed(x) -> complex:
+    if isinstance(x, QuadElem):
+        return float(x.a) + float(x.b) * math.sqrt(x.t)
+    return sum(float(c) * cmath.exp(2j * cmath.pi * e / x.order) for e, c in enumerate(x.coeffs))
+
+
+def rand_elem(rng, m, terms):
+    return CycloElem.from_terms(
+        [(rng.randrange(m), Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 11)))) for _ in range(terms)],
+        m,
+    )
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 8, 12, 13, 31])
+def test_cyclo_mul_matches_fraction_and_numeric_oracles(m):
+    rng = random.Random(m)
+    for terms in (1, 3, m):
+        for _ in range(4):
+            x, y = rand_elem(rng, m, terms), rand_elem(rng, m, terms)
+            p = x * y
+            assert p.coeffs == fraction_cyclo_mul(x, y)
+            assert abs(embed(p) - embed(x) * embed(y)) < 1e-9
+            sq = x.squared_modulus()
+            assert sq.coeffs == fraction_cyclo_mul(x, x.conjugate())
+            assert abs(embed(sq) - abs(embed(x)) ** 2) < 1e-9
+
+
+def test_dense_reduced_root_products():
+    for m in (13, 31):
+        dense = CycloElem.root(m, m - 1)
+        assert dense * dense == CycloElem.root(m, m - 2)
+        assert dense * CycloElem.root(m) == 1
+        assert dense.squared_modulus() == 1
+
+
+def test_quad_mul_matches_closed_form_and_embedding():
+    rng = random.Random(6)
+    for _ in range(20):
+        a1, b1, a2, b2 = (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7))) for _ in range(4))
+        x, y = QuadElem(6, a1, b1), QuadElem(6, a2, b2)
+        p = x * y
+        assert (p.a, p.b) == (a1 * a2 + 6 * b1 * b2, a1 * b2 + a2 * b1)
+        assert abs(embed(p) - embed(x) * embed(y)) < 1e-9
+
+
+def test_integer_reduction_folds_then_divides_by_phi():
+    # x^13 = x^0 at m = 13, and x^12 = -(1 + ... + x^11).
+    assert _reduce_mod_cyclotomic([0] * 13 + [5], 13) == [5] + [0] * 11
+    assert _reduce_mod_cyclotomic([0] * 12 + [1], 13) == [-1] * 12
+    # Phi_12 = x^4 - x^2 + 1, so x^4 = x^2 - 1 and x^6 = -1.
+    assert _reduce_mod_cyclotomic([0, 0, 0, 0, 1], 12) == [-1, 0, 1, 0]
+    assert _reduce_mod_cyclotomic([0] * 6 + [3], 12) == [-3, 0, 0, 0]
+    assert _reduce_mod_cyclotomic([2, 7, -1], 1) == [8]
+
+
+def test_pack_unpack_round_trip_and_overflow():
+    rng = random.Random(11)
+    for _ in range(50):
+        ints = [rng.randint(-1000, 1000) for _ in range(rng.randint(1, 40))]
+        k = 11  # 1000 < 2^(k - 1)
+        assert unpack(pack(ints, k), k, len(ints)) == ints
+    with pytest.raises(ArithmeticError):
+        unpack(pack([3, 1], 2), 2, 2)  # 3 does not fit a signed 2-bit slot
+    a, b = [rng.randint(-50, 50) for _ in range(30)], [rng.randint(-50, 50) for _ in range(25)]
+    assert convolve(a, b) == naive_poly_mul(a, b)
+
+
+def test_convolve_short_and_zero_operands():
+    """The packed product alone serves every length, down to one coefficient."""
+    rng = random.Random(12)
+    assert convolve([3], [-4]) == [-12]
+    assert convolve([0, 0], [5]) == [0, 0]
+    assert convolve([0, 0, 0], [0, 0]) == [0, 0, 0, 0]
+    for _ in range(200):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+        assert convolve(a, b) == naive_poly_mul(a, b)
+    # One sign at full magnitude puts the middle coefficient exactly on the slot bound.
+    assert convolve([-7] * 6, [-7] * 6) == naive_poly_mul([-7] * 6, [-7] * 6)
