@@ -5,7 +5,10 @@ per line) and a ``payloads/`` tree with one subdirectory per record that
 stores the recipe, the matrices, and the certificates.  Record ids are the
 SHA-256 of the canonical recipe JSON, so identical recipes always produce
 identical ids.  Appends take an exclusive lock on ``catalog.lock``; readers
-need no lock.
+need no lock.  A payload is written to a temporary directory under
+``payloads/`` and moved into place under the lock, together with its record
+line, so a crash never leaves a recorded payload half written and a recorded
+payload is never rewritten.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import fcntl
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -117,28 +122,42 @@ class Catalog:
             raise RecordLookupError(f"id prefix {record_id} matches {len(matches)} records")
         return matches[0]
 
+    def _recorded(self, rid: str) -> CatalogRecord | None:
+        return next((r for r in self.records() if r.id == rid), None)
+
     def add(self, rec: dict) -> CatalogRecord:
-        """Replay the recipe, re-certify, persist the payload, append the record."""
+        """Replay the recipe and re-certify; unless its id is already recorded,
+        persist the payload and append the record.  Returns the record."""
         artifact = replay(rec)
         rid = recipe_id(rec)
-        record = CatalogRecord(
-            id=rid,
-            kind=artifact.kind,
-            params=_params_summary(artifact),
-            certificates=write_artifact(artifact, self.root / f"payloads/{rid}"),
-            created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            payload=f"payloads/{rid}",
-        )
-
-        with open(self.lock_file, "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                existing = {r.id for r in self.records()}
-                if rid not in existing:
+        recorded = self._recorded(rid)
+        if recorded is not None:
+            return recorded
+        self.payloads.mkdir(parents=True, exist_ok=True)
+        # The staging directory is gone once moved into place, hence the ignore.
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=self.payloads, ignore_cleanup_errors=True) as staging:
+            record = CatalogRecord(
+                id=rid,
+                kind=artifact.kind,
+                params=_params_summary(artifact),
+                certificates=write_artifact(artifact, Path(staging)),
+                created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                payload=f"payloads/{rid}",
+            )
+            with open(self.lock_file, "w") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                try:
+                    recorded = self._recorded(rid)
+                    if recorded is not None:
+                        return recorded
+                    # A payload directory without a record is left by a crash
+                    # between the move and the append; no record points to it.
+                    shutil.rmtree(self.payloads / rid, ignore_errors=True)
+                    os.replace(staging, self.payloads / rid)
                     with open(self.records_file, "a") as fh:
                         fh.write(canonical_json(record.to_obj()).rstrip("\n") + "\n")
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
+                finally:
+                    fcntl.flock(lock, fcntl.LOCK_UN)
         return record
 
     def audit(self) -> list[str]:

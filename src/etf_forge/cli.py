@@ -44,7 +44,7 @@ def _write_artifact(artifact: Artifact, out_dir: Path, fmt: str) -> None:
     write_artifact(artifact, out_dir)
     if fmt == "csv":
         for role, frame in artifact.frames().items():
-            if not frame.matrix.is_rational_integer():
+            if frame.matrix.int_rows() is None:
                 raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
             (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
 

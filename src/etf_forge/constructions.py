@@ -127,14 +127,6 @@ def harmonic_etf(ds: DifferenceSet) -> NaimarkPair:
     return verify_naimark_pair(primary, complement)
 
 
-def _split_g(g: HadamardMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """(simplex part, tail column): columns 1..r and column 0 of G."""
-    body = g.body
-    g1 = body.submatrix(range(body.rows), range(1, body.cols))
-    g2 = body.submatrix(range(body.rows), [0])
-    return g1, g2
-
-
 def _lifted_block_matrix(inputs: SteinerInputs) -> ExactMatrix:
     """(I_b (x) f_l*) Pi (I_v (x) G1*), assembled block by block.
 
@@ -143,23 +135,17 @@ def _lifted_block_matrix(inputs: SteinerInputs) -> ExactMatrix:
     the incidence matrix contribute zero blocks.
     """
     lift = inputs.lift
-    g1, _ = _split_g(inputs.g)
-    g1_star = g1.adjoint()  # r x (r+1)
-    f = inputs.f.body
-    l = inputs.column - 1
-    domain = g1_star.domain.unify(f.domain)
-    g1_star = g1_star.with_domain(domain)
-    f = f.with_domain(domain)
-    width = lift.v * (lift.r + 1)
-    zero = domain.from_int(0)
-    rows = [[zero] * width for _ in range(lift.b)]
-    for i, j, p, q in lift.slots:
-        c = f.entry(p, l).conjugate()
-        base = j * (lift.r + 1)
-        row = rows[i]
-        for s, x in enumerate(g1_star.row(q)):
-            row[base + s] = c * x
-    return ExactMatrix(domain, lift.b, width, [x for row in rows for x in row])
+    g_star = inputs.g.body.adjoint()  # G1* is rows 1..r of G*
+    f_col = inputs.f.body.adjoint().take_rows([inputs.column - 1]).transpose()
+    blocks = kron(f_col, g_star.take_rows(range(1, g_star.rows)))  # row p r + q: conj(F(p, l)) G1*[q]
+    zero = [0] * (lift.r + 1)
+    planes = []
+    for plane in blocks.planes:
+        rows = [[zero] * lift.v for _ in range(lift.b)]
+        for i, j, p, q in lift.slots:
+            rows[i][j] = plane[p * lift.r + q]
+        planes.append([[x for block in row for x in block] for row in rows])
+    return ExactMatrix(blocks.domain, blocks.den, planes)
 
 
 def steiner_etf(inputs: SteinerInputs) -> Frame:
@@ -170,10 +156,9 @@ def steiner_etf(inputs: SteinerInputs) -> Frame:
 
 
 def _steiner_tail(inputs: SteinerInputs) -> ExactMatrix:
-    """I_v (x) g2*, the unscaled tail block of the complement."""
-    _, g2 = _split_g(inputs.g)
-    v = inputs.lift.v
-    return kron(ExactMatrix.identity(v, g2.domain), g2.adjoint())
+    """I_v (x) g2*, the unscaled tail block of the complement (g2 is column 0 of G)."""
+    g2_star = inputs.g.body.adjoint().take_rows([0])
+    return kron(ExactMatrix.identity(inputs.lift.v, g2_star.domain), g2_star)
 
 
 def steiner_naimark(inputs: SteinerInputs) -> NaimarkPair:

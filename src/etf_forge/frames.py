@@ -18,7 +18,7 @@ from math import isqrt
 
 from .errors import FrameError
 from .hadamard import HadamardMatrix, verify_hadamard
-from .matrices import Domain, ExactMatrix, matmul, scaled_identity, vstack
+from .matrices import Domain, ExactMatrix, matmul, rational_rows, scaled_identity, vstack
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +87,9 @@ def gram(frame: Frame) -> ExactMatrix:
     return frame._gram
 
 
-def _row_product_diagonal(frame: Frame) -> tuple[list[Fraction], ExactMatrix]:
-    """Weighted diagonal of the row Gram matrix, plus the raw row product.
+def _row_product_diagonal(frame: Frame) -> tuple[list[Fraction], list[list]]:
+    """Weighted diagonal of the row Gram matrix, plus the raw row product
+    M M* as read by ``rational_rows`` (a zero entry reads 0).
 
     For a weighted frame, tightness holds exactly when the raw off-diagonal
     vanishes and w_i * (M M*)(i, i) is one constant; the irrational cross
@@ -96,25 +97,24 @@ def _row_product_diagonal(frame: Frame) -> tuple[list[Fraction], ExactMatrix]:
     """
     if frame._row_product is None:
         m = frame.matrix
-        raw = matmul(m, m.adjoint())
-        weights = frame.row_weights or (Fraction(1),) * m.rows
+        den, raw = rational_rows(matmul(m, m.adjoint()))
         diag = []
-        for i in range(m.rows):
-            q = raw.entry(i, i).rational_value()
-            if q is None:
+        for i, w in enumerate(frame.row_weights or (1,) * m.rows):
+            if raw[i][i] is None:
                 raise FrameError(f"row {i} has an irrational squared norm")
-            diag.append(weights[i] * q)
+            diag.append(w * Fraction(raw[i][i], den))
         object.__setattr__(frame, "_row_product", (diag, raw))
     return frame._row_product
 
 
 def _is_flat(frame: Frame) -> bool:
     """Whether every stored entry, after weighting, has squared modulus one."""
-    m = frame.matrix
-    if frame.row_weights is None and m.int_rows() is not None:
-        return all(x in (1, -1) for row in m.int_rows() for x in row)
-    weights = frame.row_weights or (Fraction(1),) * frame.d
-    return all(w * x.squared_modulus() == 1 for i, w in enumerate(weights) for x in m.row(i))
+    den, sq = rational_rows(frame.matrix, squared=True)
+    for row, w in zip(sq, frame.row_weights or (1,) * frame.d):
+        target = Fraction(den) / w  # w |x|^2 = 1 exactly when den |x|^2 = den / w
+        if target.denominator != 1 or row.count(target.numerator) != len(row):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,13 @@ def certify_etf(frame: Frame) -> EtfCertificate:
         return frame._certificate
     d, n = frame.d, frame.n
     g = gram(frame)
-    g_ints = g.int_rows()
+    den, values = rational_rows(g)
 
     norms = set()
     for j in range(n):
-        q = g.entry(j, j).rational_value()
-        if q is None:
+        if values[j][j] is None:
             raise FrameError(f"vector {j} has an irrational squared norm")
-        norms.add(q)
+        norms.add(Fraction(values[j][j], den))
     if len(norms) != 1:
         raise FrameError(f"unequal norms: squared norms {sorted(norms)}")
     beta = norms.pop()
@@ -165,33 +164,24 @@ def certify_etf(frame: Frame) -> EtfCertificate:
     alpha = alphas.pop()
     for i in range(d):
         for j in range(d):
-            if i != j and not raw.entry(i, j).is_zero():
+            if i != j and raw[i][j] != 0:
                 raise FrameError(f"not tight: rows {i} and {j} are not orthogonal")
     if alpha != Fraction(n) * beta / d:
         raise FrameError(f"not tight: scale {alpha} differs from n beta / d")
 
-    gamma_sqs = set()
-    if g_ints is not None:
-        for j in range(n):
-            row = g_ints[j]
-            gamma_sqs.update(x * x for x in row[j + 1 :])
-        if len(gamma_sqs) > 1:
-            raise FrameError(f"not equiangular: squared moduli {sorted(gamma_sqs)}")
-        gamma_sqs = {Fraction(x) for x in gamma_sqs}
-    else:
-        for j in range(n):
-            for j2 in range(j + 1, n):
-                sq = g.entry(j, j2).squared_modulus().rational_value()
-                if sq is None:
-                    raise FrameError(
-                        f"not equiangular: |<v{j}, v{j2}>|^2 is irrational"
-                    )
-                gamma_sqs.add(sq)
-                if len(gamma_sqs) > 1:
-                    raise FrameError(
-                        f"not equiangular: squared moduli {sorted(gamma_sqs)} at ({j}, {j2})"
-                    )
-    gamma_sq = gamma_sqs.pop() if gamma_sqs else Fraction(0)
+    den, sq = rational_rows(g, squared=True)
+    gamma = sq[0][1] if n > 1 else 0
+    for j in range(n):
+        row = sq[j][j + 1 :]
+        if gamma is not None and row.count(gamma) == len(row):
+            continue
+        for j2, s in enumerate(row, j + 1):
+            if s is None:
+                raise FrameError(f"not equiangular: |<v{j}, v{j2}>|^2 is irrational")
+            if s != gamma:
+                moduli = sorted({Fraction(gamma, den), Fraction(s, den)})
+                raise FrameError(f"not equiangular: squared moduli {moduli} at ({j}, {j2})")
+    gamma_sq = Fraction(gamma, den)
 
     if n > 1 and gamma_sq * d * (n - 1) != beta * beta * (n - d):
         raise FrameError(
@@ -234,13 +224,10 @@ def verify_naimark_pair(primary: Frame, complement: Frame) -> NaimarkPair:
     diag, raw = _row_product_diagonal(
         Frame(vstack(primary.matrix, complement.matrix), row_weights=weights)
     )
-    nonzero = raw.int_rows()
-    if nonzero is None:
-        nonzero = [[not x.is_zero() for x in raw.row(i)] for i in range(n)]
 
     def first_nonzero(rows, cols):
         # S S* is Hermitian, so the upper triangle decides every block.
-        return next(((i, j) for i in rows for j in cols if j > i and nonzero[i][j]), None)
+        return next(((i, j) for i in rows for j in cols if j > i and raw[i][j] != 0), None)
 
     alphas = set(diag[:dp])
     if len(alphas) != 1:
@@ -301,9 +288,9 @@ def gram_to_hadamard(frame: Frame) -> HadamardMatrix:
     h = scaled_identity(n, s, g.domain) - g.scale(c)
     if h != h.adjoint():
         raise FrameError("rescaled Gram matrix is not self-adjoint")
-    for j in range(n):
-        if h.entry(j, j) != 1:
-            raise FrameError("rescaled Gram matrix does not have a unit diagonal")
+    den, values = rational_rows(h)
+    if any(values[j][j] != den for j in range(n)):
+        raise FrameError("rescaled Gram matrix does not have a unit diagonal")
     return verify_hadamard(h)
 
 
@@ -316,19 +303,14 @@ def hadamard_to_gram(h: HadamardMatrix) -> tuple[ExactMatrix, int]:
     body = h.body
     if body != body.adjoint():
         raise FrameError("matrix is not self-adjoint")
-    for j in range(n):
-        if body.entry(j, j) != 1:
-            raise FrameError("diagonal entries must all be one")
+    den, values = rational_rows(body)
+    if any(values[j][j] != den for j in range(n)):
+        raise FrameError("diagonal entries must all be one")
     s = isqrt(n)
     if s * s != n:
         raise FrameError(f"sqrt({n}) is not an integer")
     g = scaled_identity(n, s, body.domain) - body
     if matmul(g, g) != g.scale(2 * s):
         raise FrameError("eigenvalue identity G^2 = 2 sqrt(n) G failed")
-    trace = Fraction(0)
-    for j in range(n):
-        q = g.entry(j, j).rational_value()
-        trace += q
-    if trace != n * (s - 1):
-        raise FrameError(f"trace {trace} differs from n (sqrt(n) - 1)")
+    # G / 2s is a projection whose trace n (s - 1) / 2s is fixed by the unit diagonal.
     return g, (n - s) // 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import HadamardError
-from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, matmul, scaled_identity
+from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, matmul, rational_rows, scaled_identity
 from .scalars import CycloElem
 
 
@@ -23,9 +23,6 @@ class HadamardMatrix:
     n: int
     body: ExactMatrix
     kind: str
-
-    def is_real(self) -> bool:
-        return self.kind == "real"
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,14 @@ class AbelianGroup:
         return self.index(tuple((x - y) % m for x, y, m in zip(a, b, self.orders)))
 
 
+def _first_mismatch(rows, value) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with rows[i][j] != value, or None."""
+    for i, row in enumerate(rows):
+        if row.count(value) != len(row):
+            return i, next(j for j, x in enumerate(row) if x != value)
+    return None
+
+
 def verify_hadamard(m: ExactMatrix) -> HadamardMatrix:
     """Certify flatness and orthogonality, classifying real vs complex."""
     if m.rows != m.cols:
@@ -82,27 +87,16 @@ def verify_hadamard(m: ExactMatrix) -> HadamardMatrix:
     if m.domain.kind != "cyclotomic":
         raise HadamardError("Hadamard matrices live over cyclotomic domains")
     n = m.rows
-    ints = m.int_rows()
-    if ints is not None:
-        for i, row in enumerate(ints):
-            for j, x in enumerate(row):
-                if x not in (1, -1):
-                    raise HadamardError(f"entry ({i}, {j}) is not unimodular")
-    else:
-        for i in range(n):
-            for j in range(n):
-                if m.entry(i, j).squared_modulus() != 1:
-                    raise HadamardError(f"entry ({i}, {j}) is not unimodular")
+    den, sq = rational_rows(m, squared=True)
+    at = _first_mismatch(sq, den)
+    if at:
+        raise HadamardError(f"entry ({at[0]}, {at[1]}) is not unimodular")
     product = matmul(m, m.adjoint())
     target = scaled_identity(n, n, m.domain)
     if product != target:
-        for i in range(n):
-            for j in range(n):
-                if product.entry(i, j) != target.entry(i, j):
-                    raise HadamardError(
-                        f"rows {i} and {j} fail the orthogonality identity"
-                    )
-    if m.is_rational_integer():
+        i, j = _first_mismatch(rational_rows(product - target)[1], 0)
+        raise HadamardError(f"rows {i} and {j} fail the orthogonality identity")
+    if m.int_rows() is not None:
         return HadamardMatrix(n, m.with_domain(RATIONAL), "real")
     return HadamardMatrix(n, m, "complex")
 
@@ -152,7 +146,7 @@ def dft(n: int) -> HadamardMatrix:
         raise HadamardError("size must be >= 1")
     dom = cyclo_domain(n)
     entries = [CycloElem.root(n, (j * k) % n) for j in range(n) for k in range(n)]
-    return verify_hadamard(ExactMatrix(dom, n, n, entries))
+    return verify_hadamard(ExactMatrix.from_entries(dom, n, n, entries))
 
 
 def kron(h1: HadamardMatrix, h2: HadamardMatrix) -> HadamardMatrix:
@@ -179,7 +173,7 @@ def char_table(group: AbelianGroup) -> HadamardMatrix:
             gd = group.digits(g)
             e = sum(x * y * w for x, y, w in zip(ad, gd, weights)) % m
             entries.append(CycloElem.root(m, e))
-    return verify_hadamard(ExactMatrix(dom, n, n, entries))
+    return verify_hadamard(ExactMatrix.from_entries(dom, n, n, entries))
 
 
 def hadamard_of_size(n: int) -> HadamardMatrix:

@@ -5,17 +5,21 @@ cyclotomic matrices lift both operands to the lcm of their orders, products
 of quadratic matrices require matching radicands (rational values mix with
 anything), and cyclotomic/quadratic products are rejected.
 
-All arithmetic is exact, and every product runs on one integer kernel.  Each
-operand is lowered once to integer coefficient planes over its domain's
-basis -- the power basis of Q(zeta_m) (one plane for Q), or 1, sqrt(t) --
-with one common denominator per matrix; an integer matrix is its own plane.
-Each entry's planes are packed into one integer (Kronecker substitution), the
-integer product accumulates every output entry's whole polynomial, and each
-output entry is unpacked, folded by x^m = 1, reduced once by the domain's
-modulus (Phi_m, or x^2 -> t) and divided by the two denominators.  When both
-packed operands hold only -1, 0 and 1 (rational matrices whose scaled entries
-are signs or zeros), large products take bitmask popcounts.  A per-entry
-Fraction loop in the test suite is the differential oracle for the kernel.
+A matrix is stored once, as integer coefficient planes over its domain's
+basis -- the power basis of Q(zeta_m), or 1, sqrt(t) -- with one common
+denominator: plane k holds den times each entry's k-th coordinate.  The form
+is canonical (den is the lcm of the reduced denominators, trailing all-zero
+planes are dropped), so a rational matrix has one plane, an integer matrix
+is its own plane and equality is plane equality.  Every operation works on
+the planes; scalars are built only by ``entry`` and ``row``, and a matrix
+built from scalars is lowered once.  ``rational_rows`` reads rational
+values, zero masks and squared moduli off the planes for the verifiers.
+
+Every product runs on one integer kernel: each entry's planes are packed
+into one integer (Kronecker substitution), and each output entry of the
+integer product is unpacked and reduced once (x^m = 1 then Phi_m, or
+x^2 -> t).  Large products of {-1, 0, 1} operands take bitmask popcounts.
+A per-entry Fraction loop in the test suite is the differential oracle.
 """
 
 from __future__ import annotations
@@ -24,15 +28,18 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 from .scalars import (
     CycloElem,
     QuadElem,
-    _cached_int_elem,
-    _lower,
+    _reduce_mod_cyclotomic,
+    _reduce_quadratic,
+    conjugate_exponents,
+    convolve,
     cyclo_from_ints,
+    euler_phi,
     pack,
     quad_from_ints,
     unpack,
@@ -45,31 +52,28 @@ class CycloDomain:
 
     kind = "cyclotomic"
 
-    def from_int(self, value: int):
-        return _cached_int_elem(self.order, value)
+    @property
+    def width(self) -> int:
+        """The number of basis elements, phi(m)."""
+        return euler_phi(self.order)
 
-    def coerce(self, value):
-        if isinstance(value, (int, Fraction)):
-            return CycloElem.from_rational(value, self.order)
-        if isinstance(value, CycloElem):
-            if value.order == self.order:
-                return value
-            if self.order % value.order == 0:
-                return value.lift(self.order)
-            q = value.rational_value()
-            if q is not None:
-                return CycloElem.from_rational(q, self.order)
-            raise DomainError(
-                f"cannot place an order-{value.order} element in an order-{self.order} domain"
-            )
-        raise DomainError(f"not a cyclotomic value: {value!r}")
-
-    def coefficients(self, x) -> tuple[Fraction, ...]:
+    def coefficients(self, x) -> tuple:
         """Coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1)."""
-        return (x if x.order == self.order else self.coerce(x)).coeffs
+        if isinstance(x, (int, Fraction)):
+            return (x,) + (0,) * (self.width - 1)
+        if isinstance(x, CycloElem):
+            if self.order % x.order == 0:
+                return x.lift(self.order).coeffs
+            if x.rational_value() is not None:
+                return self.coefficients(x.rational_value())
+        raise DomainError(f"cannot place {x!r} in an order-{self.order} domain")
 
     def from_ints(self, ints: list[int], den: int):
         return cyclo_from_ints(self.order, ints, den)
+
+    def reduce(self, ints: list[int]) -> list[int]:
+        """Coordinates of sum ints[e] zeta^e, reduced once modulo Phi_m."""
+        return _reduce_mod_cyclotomic(ints, self.order)
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, CycloDomain):
@@ -84,27 +88,25 @@ class QuadDomain:
 
     kind = "quadratic"
 
-    def from_int(self, value: int):
-        return QuadElem(self.radicand, value, 0)
+    @property
+    def width(self) -> int:
+        """The number of basis elements: 1, sqrt(t), or 1 alone when t = 1."""
+        return 1 if self.radicand == 1 else 2
 
-    def coerce(self, value):
-        if isinstance(value, (int, Fraction)):
-            return QuadElem(self.radicand, value, 0)
-        if isinstance(value, QuadElem):
-            if value.b == 0 or value.t == self.radicand:
-                return value
-            raise DomainError(
-                f"cannot place a sqrt({value.t}) element in a sqrt({self.radicand}) domain"
-            )
-        raise DomainError(f"not a quadratic value: {value!r}")
-
-    def coefficients(self, x) -> tuple[Fraction, ...]:
+    def coefficients(self, x) -> tuple:
         """Coordinates in the basis 1, sqrt(t)."""
-        x = self.coerce(x)  # rejects an entry over another radicand
-        return (x.a, x.b)
+        if isinstance(x, (int, Fraction)):
+            return (x, 0)
+        if isinstance(x, QuadElem) and (x.b == 0 or x.t == self.radicand):
+            return (x.a, x.b)
+        raise DomainError(f"cannot place {x!r} in a sqrt({self.radicand}) domain")
 
     def from_ints(self, ints: list[int], den: int):
         return quad_from_ints(self.radicand, ints, den)
+
+    def reduce(self, ints: list[int]) -> list[int]:
+        """Coordinates of sum ints[e] sqrt(t)^e (up to three terms), by x^2 -> t."""
+        return _reduce_quadratic(ints, self.radicand)
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, QuadDomain):
@@ -137,35 +139,55 @@ RATIONAL = cyclo_domain(1)
 
 
 class ExactMatrix:
-    """A dense rows x cols matrix of domain elements, stored row-major."""
+    """A dense rows x cols matrix over a domain, stored as canonical planes.
 
-    __slots__ = ("domain", "rows", "cols", "entries", "_lowered")
+    Entry (i, j) is sum_k planes[k][i][j] b_k / den over the domain's basis
+    b_0 = 1, b_1, ...  The constructor takes any den > 0 and integer planes
+    and brings them to canonical form; planes are shared, never mutated.
+    """
 
-    def __init__(self, domain: Domain, rows: int, cols: int, entries):
-        entries = tuple(entries)
+    __slots__ = ("domain", "rows", "cols", "den", "planes")
+
+    def __init__(self, domain: Domain, den: int, planes: list[list[list[int]]]):
+        if not (planes and planes[0] and planes[0][0]):
+            raise DomainError("matrix dimensions must be positive")
+        while len(planes) > 1 and not any(map(any, planes[-1])):
+            planes = planes[:-1]
+        g = gcd(den, *(x for p in planes for r in p for x in r)) if den != 1 else 1
+        if g != 1:
+            den //= g
+            planes = [[[x // g for x in r] for r in p] for p in planes]
+        self.domain = domain
+        self.rows = len(planes[0])
+        self.cols = len(planes[0][0])
+        self.den = den
+        self.planes = planes
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def from_entries(domain: Domain, rows: int, cols: int, entries) -> "ExactMatrix":
+        """Lower row-major scalars (ints, Fractions or domain elements) once."""
+        entries = list(entries)
         if rows < 1 or cols < 1:
             raise DomainError("matrix dimensions must be positive")
         if len(entries) != rows * cols:
             raise DomainError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        self.domain = domain
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-        self._lowered = None  # (den, planes) once computed; see lowered()
-
-    # -- constructors -------------------------------------------------
+        if all(type(x) is int for x in entries):  # its own plane: no coordinate tuple per entry
+            return from_flat(domain, cols, 1, [entries])
+        coords = [domain.coefficients(x) for x in entries]
+        den = lcm(*{c.denominator for v in coords for c in v})
+        return from_flat(domain, cols, den, [[c.numerator * (den // c.denominator) for c in p] for p in zip(*coords)])
 
     @staticmethod
     def from_rows(rows, domain: Domain = RATIONAL) -> "ExactMatrix":
         rows = [list(r) for r in rows]
-        nr = len(rows)
         nc = len(rows[0])
         if any(len(r) != nc for r in rows):
             raise DomainError("ragged rows")
-        entries = [domain.coerce(x) for r in rows for x in r]
-        return ExactMatrix(domain, nr, nc, entries)
+        return ExactMatrix.from_entries(domain, len(rows), nc, [x for r in rows for x in r])
 
     @staticmethod
     def identity(n: int, domain: Domain = RATIONAL) -> "ExactMatrix":
@@ -173,100 +195,65 @@ class ExactMatrix:
 
     @staticmethod
     def ones(rows: int, cols: int, domain: Domain = RATIONAL) -> "ExactMatrix":
-        return ExactMatrix(domain, rows, cols, [domain.from_int(1)] * (rows * cols))
+        return ExactMatrix(domain, 1, [[[1] * cols for _ in range(rows)]])
 
     # -- access -------------------------------------------------------
 
     def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self.domain.from_ints([p[i][j] for p in self.planes], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def lowered(self) -> tuple[int, list[list[list[int]]]]:
-        """(den, planes), computed once: plane k holds den times each entry's
-        k-th coordinate over the domain's basis as integer rows.
-
-        den is the lcm of the coordinates' denominators, and trailing all-zero
-        planes are dropped, so a rational matrix has exactly one plane.
-        """
-        if self._lowered is None:
-            coords = [self.domain.coefficients(x) for x in self.entries]
-            den, flat = _lower([c for v in coords for c in v])
-            width = len(coords[0])
-            planes = [flat[k::width] for k in range(width)]
-            while len(planes) > 1 and not any(planes[-1]):
-                planes.pop()
-            cols = self.cols
-            self._lowered = den, [[p[i : i + cols] for i in range(0, len(p), cols)] for p in planes]
-        return self._lowered
+        return tuple(self.entry(i, j) for j in range(self.cols))
 
     def int_rows(self) -> list[list[int]] | None:
         """Rows as plain ints if every entry is a rational integer, else None."""
-        den, planes = self.lowered()
-        return planes[0] if den == 1 and len(planes) == 1 else None
+        return self.planes[0] if self.den == 1 and len(self.planes) == 1 else None
 
-    def is_rational_integer(self) -> bool:
-        return self.int_rows() is not None
+    def _map(self, domain: Domain, den: int, fn) -> "ExactMatrix":
+        """Apply ``fn`` to each entry's integer coordinates (a tuple with one
+        value per plane) and read the results over ``den``."""
+        return from_flat(domain, self.cols, den, zip(*[fn(c) for rs in zip(*self.planes) for c in zip(*rs)]))
 
     # -- rearrangement ------------------------------------------------
 
     def with_domain(self, domain: Domain) -> "ExactMatrix":
-        return ExactMatrix(domain, self.rows, self.cols, [domain.coerce(x) for x in self.entries])
+        """The same values over another domain; raises if they do not fit."""
+        if domain == self.domain:
+            return self
+        if len(self.planes) == 1:
+            return ExactMatrix(domain, self.den, self.planes)  # rational values fit anywhere
+        if domain.kind == self.domain.kind == "cyclotomic" and domain.order % self.domain.order == 0:
+            pad = [0] * (domain.order // self.domain.order - 1)  # zeta_m^e = zeta_M^(e M / m)
+            return self._map(domain, self.den, lambda c: domain.reduce([x for e in c for x in [e, *pad]]))
+        raise DomainError(f"cannot place {self.domain} entries in {domain}")
 
     def transpose(self) -> "ExactMatrix":
-        entries = [self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)]
-        out = ExactMatrix(self.domain, self.cols, self.rows, entries)
-        if self._lowered is not None:
-            den, planes = self._lowered
-            out._lowered = den, [[list(col) for col in zip(*p)] for p in planes]
-        return out
+        return ExactMatrix(self.domain, self.den, [[list(c) for c in zip(*p)] for p in self.planes])
 
     def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose."""
-        if len(self.lowered()[1]) == 1:
-            return self.transpose()  # rational entries are self-conjugate
-        entries = [
-            self.entries[j * self.cols + i].conjugate()
-            for i in range(self.cols)
-            for j in range(self.rows)
-        ]
-        return ExactMatrix(self.domain, self.cols, self.rows, entries)
-
-    def submatrix(self, row_indices, col_indices) -> "ExactMatrix":
-        entries = [self.entry(i, j) for i in row_indices for j in col_indices]
-        return ExactMatrix(self.domain, len(row_indices), len(col_indices), entries)
+        """Conjugate transpose: zeta^e -> zeta^(m - e), one reduction per entry."""
+        t = self.transpose()
+        if len(t.planes) == 1 or t.domain.kind == "quadratic":
+            return t  # rational and real quadratic entries are self-conjugate
+        m = t.domain.order
+        return t._map(t.domain, t.den, lambda c: t.domain.reduce(conjugate_exponents(c, m)))
 
     def take_rows(self, row_indices) -> "ExactMatrix":
-        return self.submatrix(list(row_indices), range(self.cols))
+        rows = list(row_indices)
+        return ExactMatrix(self.domain, self.den, [[p[i] for i in rows] for p in self.planes])
 
     def drop_row(self, index: int) -> "ExactMatrix":
-        keep = [i for i in range(self.rows) if i != index]
-        return self.take_rows(keep)
+        return self.take_rows(i for i in range(self.rows) if i != index)
 
     # -- arithmetic ---------------------------------------------------
-
-    def _unified(self, other: "ExactMatrix") -> tuple["ExactMatrix", "ExactMatrix", Domain]:
-        domain = self.domain.unify(other.domain)
-        a = self if self.domain == domain else self.with_domain(domain)
-        b = other if other.domain == domain else other.with_domain(domain)
-        return a, b, domain
 
     def _entrywise(self, other, op, name: str):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DomainError(f"shape mismatch in {name}")
-        a, b, domain = self._unified(other)
-        ia, ib = a.int_rows(), b.int_rows()
-        if ia is not None and ib is not None:
-            entries = [domain.from_int(op(x, y)) for ra, rb in zip(ia, ib) for x, y in zip(ra, rb)]
-        else:
-            entries = [op(x, y) for x, y in zip(a.entries, b.entries)]
-        return ExactMatrix(domain, a.rows, a.cols, entries)
+        domain, den, (pa, pb) = _common((self, other))
+        return ExactMatrix(domain, den, [[list(map(op, x, y)) for x, y in zip(a, b)] for a, b in zip(pa, pb)])
 
     def __add__(self, other):
         return self._entrywise(other, operator.add, "addition")
@@ -275,41 +262,75 @@ class ExactMatrix:
         return self._entrywise(other, operator.sub, "subtraction")
 
     def scale(self, value) -> "ExactMatrix":
-        """Multiply every entry by a scalar from the same domain (or a rational)."""
-        c = self.domain.coerce(value)
-        return ExactMatrix(self.domain, self.rows, self.cols, [c * x for x in self.entries])
+        """Multiply every entry by a rational number."""
+        return self.scale_rows([value] * self.rows)
 
     def scale_rows(self, factors) -> "ExactMatrix":
-        factors = list(factors)
+        """Multiply row i by the rational number factors[i]."""
+        factors = [Fraction(f) for f in factors]
         if len(factors) != self.rows:
             raise DomainError("one factor per row required")
-        out = []
-        for i in range(self.rows):
-            c = self.domain.coerce(factors[i])
-            out.extend(c * x for x in self.row(i))
-        return ExactMatrix(self.domain, self.rows, self.cols, out)
+        den = lcm(*[f.denominator for f in factors])
+        mults = [f.numerator * (den // f.denominator) for f in factors]
+        planes = [[[c * x for x in r] for c, r in zip(mults, p)] for p in self.planes]
+        return ExactMatrix(self.domain, self.den * den, planes)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        sa, sb = self.int_rows(), other.int_rows()
-        if sa is not None and sb is not None:
-            return sa == sb
+        if len(self.planes) == len(other.planes) == 1:
+            return self.den == other.den and self.planes == other.planes
         if self.domain.kind != other.domain.kind:
-            # Only rational-valued matrices are comparable across domain kinds.
-            return NotImplemented
-        a, b, _ = self._unified(other)
-        return all(x == y for x, y in zip(a.entries, b.entries))
+            return NotImplemented  # only rational-valued matrices compare across domain kinds
+        _, _, (pa, pb) = _common((self, other))
+        return pa == pb
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
-
     def __repr__(self):
         return f"ExactMatrix({self.domain}, {self.rows}x{self.cols})"
+
+
+def from_flat(domain: Domain, cols: int, den: int, flat) -> ExactMatrix:
+    """The matrix whose plane k holds the row-major integers flat[k] over den."""
+    return ExactMatrix(domain, den, [[list(p[i : i + cols]) for i in range(0, len(p), cols)] for p in flat])
+
+
+def _common(mats) -> tuple[Domain, int, list]:
+    """(domain, den, planes): each matrix's planes over the unified domain and
+    the lcm of the denominators, padded with zero planes to one count."""
+    domain = mats[0].domain
+    for m in mats[1:]:
+        domain = domain.unify(m.domain)
+    mats = [m.with_domain(domain) for m in mats]
+    den = lcm(*[m.den for m in mats])
+    width = max(len(m.planes) for m in mats)
+    out = []
+    for m in mats:
+        f = den // m.den
+        planes = m.planes if f == 1 else [[[f * x for x in r] for r in p] for p in m.planes]
+        out.append(planes + [[[0] * m.cols for _ in range(m.rows)]] * (width - len(planes)))
+    return domain, den, out
+
+
+def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list[int | None]]]:
+    """(den, rows): rows[i][j] is den times entry (i, j) -- or, when
+    ``squared``, times its squared modulus -- if that value is rational, and
+    None if it is not.  A zero entry reads 0, so this is also the zero mask.
+    """
+    if squared:
+        domain, den = m.domain, m.den * m.den
+        if len(m.planes) == 1:
+            m = ExactMatrix(domain, den, [[[x * x for x in r] for r in m.planes[0]]])
+        elif domain.kind == "quadratic":  # a real field: |x|^2 = x^2
+            m = m._map(domain, den, lambda c: domain.reduce(convolve(c, c)))
+        else:  # x times its conjugate in Z[x]/(x^m - 1), reduced once
+            m = m._map(domain, den, lambda c: domain.reduce(convolve(c, conjugate_exponents(c, domain.order))))
+    if len(m.planes) == 1:
+        return m.den, m.planes[0]
+    return m.den, [[c[0] if not any(c[1:]) else None for c in zip(*rs)] for rs in zip(*m.planes)]
 
 
 def _pack_planes(planes: list[list[list[int]]], k: int) -> list[list[int]]:
@@ -354,69 +375,55 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Exact matrix product over the unified domain, by one integer kernel.
 
-    Both operands are lowered to integer coefficient planes over the
-    domain's basis with one common denominator each; every entry's planes
-    are packed into one integer (Kronecker substitution), so the integer
-    product accumulates each output entry's whole polynomial.  Each output
-    entry is then unpacked, reduced once by the domain's modulus and divided
-    by the product of the two denominators.
+    Every entry's planes are packed into one integer (Kronecker
+    substitution), so the integer product accumulates each output entry's
+    whole polynomial.  Each output entry is then unpacked and reduced once
+    by the domain's modulus; the denominator is the product of the two.
     """
     if a.cols != b.rows:
         raise DomainError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    a, b, domain = a._unified(b)
-    den_a, planes_a = a.lowered()
-    den_b, planes_b = b.lowered()
-    width = len(planes_a) + len(planes_b) - 1
+    domain = a.domain.unify(b.domain)
+    a, b = a.with_domain(domain), b.with_domain(domain)
+    width = len(a.planes) + len(b.planes) - 1
     k = 0  # one plane each: the entries are the integers themselves
     if width > 1:
-        bound = a.cols * min(len(planes_a), len(planes_b))  # terms in one output slot
-        bound *= max(abs(x) for p in planes_a for r in p for x in r)
-        bound *= max(abs(x) for p in planes_b for r in p for x in r)
+        bound = a.cols * min(len(a.planes), len(b.planes))  # terms in one output slot
+        bound *= max(abs(x) for p in a.planes for r in p for x in r)
+        bound *= max(abs(x) for p in b.planes for r in p for x in r)
         k = bound.bit_length() + 1
-    rows = _int_matmul(_pack_planes(planes_a, k), _pack_planes(planes_b, k))
-    den = den_a * den_b
-    if width == 1 and den == 1:
-        out = ExactMatrix(domain, a.rows, b.cols, [domain.from_int(x) for r in rows for x in r])
-        out._lowered = 1, [rows]
-        return out
-    entries = [domain.from_ints(unpack(x, k, width), den) for r in rows for x in r]
-    return ExactMatrix(domain, a.rows, b.cols, entries)
+    rows = _int_matmul(_pack_planes(a.planes, k), _pack_planes(b.planes, k))
+    den = a.den * b.den
+    if width == 1:
+        return ExactMatrix(domain, den, [rows])
+    return from_flat(domain, b.cols, den, zip(*[domain.reduce(unpack(x, k, width)) for r in rows for x in r]))
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; block (i, j) is a(i, j) * b."""
-    a, b, domain = a._unified(b)
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    entries = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            brow = b.row(p)
-            for j in range(a.cols):
-                x = a.entry(i, j)
-                if x.is_zero():
-                    entries.extend([domain.from_int(0)] * b.cols)
-                else:
-                    entries.extend(x * y for y in brow)
-    return ExactMatrix(domain, rows, cols, entries)
+    """Kronecker product; block (i, j) is a(i, j) * b.
+
+    Every product a(i, j) b(p, q) is one entry of the outer product of the
+    flattened operands, taken by the matmul kernel, then laid out in blocks.
+    """
+    def flat(m, cols):
+        return from_flat(m.domain, cols, m.den, [[x for r in p for x in r] for p in m.planes])
+
+    outer = matmul(flat(a, 1), flat(b, b.rows * b.cols))
+    ca, cb = a.cols, b.cols
+    planes = [
+        [[x for j in range(ca) for x in o[i * ca + j][p * cb : (p + 1) * cb]] for i in range(a.rows) for p in range(b.rows)]
+        for o in outer.planes
+    ]
+    return ExactMatrix(outer.domain, outer.den, planes)
 
 
 def vstack(*mats: ExactMatrix) -> ExactMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DomainError("column counts differ in vertical stack")
-    domain = mats[0].domain
-    for m in mats[1:]:
-        domain = domain.unify(m.domain)
-    entries = []
-    for m in mats:
-        m = m if m.domain == domain else m.with_domain(domain)
-        entries.extend(m.entries)
-    return ExactMatrix(domain, sum(m.rows for m in mats), cols, entries)
+    domain, den, planes = _common(mats)
+    return ExactMatrix(domain, den, [[r for p in ps for r in p] for ps in zip(*planes)])
 
 
 def scaled_identity(n: int, value, domain: Domain = RATIONAL) -> ExactMatrix:
-    c = domain.coerce(value)
-    zero = domain.from_int(0)
-    entries = [c if i == j else zero for i in range(n) for j in range(n)]
-    return ExactMatrix(domain, n, n, entries)
+    c = ExactMatrix.from_entries(domain, 1, 1, [value])
+    return ExactMatrix(domain, c.den, [[[p[0][0] if i == j else 0 for j in range(n)] for i in range(n)] for p in c.planes])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd, verify_qsd
 from .errors import DesignError, FrameError
 from .frames import Frame, certify_etf, gram
-from .matrices import RATIONAL, ExactMatrix, quad_domain
+from .matrices import RATIONAL, ExactMatrix, quad_domain, rational_rows
 from .scalars import QuadElem, rational_sqrt
 
 
@@ -91,19 +91,18 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
     t = 1 if (delta.b == 0 and eps.b == 0) else max(delta.t, eps.t)
     domain = RATIONAL if t == 1 else quad_domain(t)
     x_rows = design.incidence.int_rows()  # b x v
-    one = domain.from_int(1)
     rows = []
     for i in range(p.v):
-        row = [one]
+        row = [1]
         for j in range(p.b):
             value = delta + eps * x_rows[j][i]  # (X^T)(i, j) = X(j, i)
-            row.append(domain.coerce(value if t > 1 else value.rational_value()))
+            row.append(value if t > 1 else value.rational_value())
         rows.append(row)
-    frame = Frame(ExactMatrix(domain, p.v, p.b + 1, [x for row in rows for x in row]))
+    frame = Frame(ExactMatrix.from_entries(domain, p.v, p.b + 1, [x for row in rows for x in row]))
     certify_etf(frame)
-    g = gram(frame)
+    den, g = rational_rows(gram(frame))
     for j in range(1, p.b + 1):
-        if g.entry(0, j) != domain.coerce(w):
+        if g[0][j] != w * den:
             raise FrameError(f"first-column inner product at {j} is not +w")
     link = QsdEtfLink(w, p.k, delta, eps, branch, p, cert.x, cert.y)
     return frame, link
@@ -155,7 +154,7 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
         raise FrameError("regular simplices are excluded here (n = d + 1)")
     if d <= 1:
         raise FrameError("need d > 1")
-    if not cert.flat or not frame.matrix.is_rational_integer():
+    if not cert.flat or frame.matrix.int_rows() is None:
         raise FrameError("extraction applies to real flat frames only")
     signed, _, _ = canonical_sign(frame.matrix)
     s_rows = signed.int_rows()

@@ -125,6 +125,15 @@ def unpack(n: int, k: int, length: int) -> list[int]:
     return out
 
 
+def conjugate_exponents(ints, m: int) -> list[int]:
+    """The conjugate of sum ints[e] zeta_m^e in Z[x]/(x^m - 1): zeta^e -> zeta^(m - e)
+    needs no reduction there."""
+    conj = [0] * m
+    for e, c in enumerate(ints):
+        conj[-e % m] = c
+    return conj
+
+
 def convolve(a: list[int], b: list[int]) -> list[int]:
     """Coefficients of the product of two integer polynomials: one big-integer
     product of their packings, with slots wide enough for every coefficient."""
@@ -185,28 +194,17 @@ class CycloElem:
         return CycloElem.from_terms({0: q}, order)
 
     @staticmethod
-    def one(order: int = 1) -> "CycloElem":
-        return _cached_int_elem(order, 1)
-
-    @staticmethod
     def root(order: int, exponent: int = 1) -> "CycloElem":
         """The root of unity zeta_order ** exponent."""
         return CycloElem.from_terms({exponent: 1}, order)
 
     # -- structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def rational_value(self) -> Fraction | None:
         """The value as a Fraction if the element is rational, else None."""
         if any(c != 0 for c in self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    def is_real(self) -> bool:
-        """Whether the element lies in the real subring (fixed by conjugation)."""
-        return self == self.conjugate()
 
     def lift(self, order: int) -> "CycloElem":
         """Re-express at a multiple of the current order; the value is unchanged."""
@@ -219,28 +217,12 @@ class CycloElem:
             {e * k: c for e, c in enumerate(self.coeffs) if c != 0}, order
         )
 
-    def _conjugate_ints(self) -> tuple[int, list[int], list[int]]:
-        """(den, ints, conj): den * coeffs, and the conjugate's coefficients in
-        Z[x]/(x^m - 1), where zeta^e -> zeta^(m - e) needs no reduction."""
-        den, ints = _lower(self.coeffs)
-        conj = [0] * self.order
-        for e, c in enumerate(ints):
-            conj[-e % self.order] = c
-        return den, ints, conj
-
     def conjugate(self) -> "CycloElem":
         """Complex conjugate: the image of zeta under zeta -> zeta**(order-1)."""
         if self.order <= 2 or not any(self.coeffs[1:]):
             return self  # rational values are self-conjugate
-        den, _, conj = self._conjugate_ints()
-        return cyclo_from_ints(self.order, conj, den)
-
-    def squared_modulus(self) -> "CycloElem":
-        q = self.rational_value()
-        if q is not None:
-            return CycloElem.from_rational(q * q, self.order)
-        den, ints, conj = self._conjugate_ints()
-        return cyclo_from_ints(self.order, convolve(ints, conj), den * den)
+        den, ints = _lower(self.coeffs)
+        return cyclo_from_ints(self.order, conjugate_exponents(ints, self.order), den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -258,21 +240,6 @@ class CycloElem:
         a, b = self._pair(other)
         return CycloElem(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloElem(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElem.from_rational(other, self.order)
-        if not isinstance(other, CycloElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -283,8 +250,6 @@ class CycloElem:
         da, ia = _lower(a.coeffs)
         db, ib = _lower(b.coeffs)
         return cyclo_from_ints(a.order, convolve(ia, ib), da * db)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -355,17 +320,11 @@ class QuadElem:
         s, t = split_square(q.numerator * q.denominator)
         return QuadElem(t, 0, Fraction(s, q.denominator))
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def rational_value(self) -> Fraction | None:
         return self.a if self.b == 0 else None
 
     def conjugate(self) -> "QuadElem":
         return self
-
-    def squared_modulus(self) -> "QuadElem":
-        return self * self
 
     def _common_t(self, other: "QuadElem") -> int:
         if self.b == 0:
@@ -382,8 +341,6 @@ class QuadElem:
         t = self._common_t(other)
         return QuadElem(t, self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadElem(self.t, -self.a, -self.b)
 
@@ -394,9 +351,6 @@ class QuadElem:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -406,8 +360,6 @@ class QuadElem:
         da, ia = _lower((self.a, self.b))
         db, ib = _lower((other.a, other.b))
         return quad_from_ints(self._common_t(other), convolve(ia, ib), da * db)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -428,10 +380,17 @@ class QuadElem:
         return f"{self.a} + {self.b}*sqrt({self.t})"
 
 
-def quad_from_ints(t: int, ints: list[int], den: int = 1) -> QuadElem:
-    """The element (sum ints[e] sqrt(t)^e) / den for up to three terms, reduced by x^2 -> t."""
+def _reduce_quadratic(ints: list[int], t: int) -> list[int]:
+    """Integer coordinates over 1, sqrt(t) of sum ints[e] sqrt(t)^e, for up to
+    three terms, by x^2 -> t; over 1 alone when t = 1."""
     a = ints[0] + (t * ints[2] if len(ints) > 2 else 0)
     b = ints[1] if len(ints) > 1 else 0
+    return [a + b] if t == 1 else [a, b]
+
+
+def quad_from_ints(t: int, ints: list[int], den: int = 1) -> QuadElem:
+    """The element (sum ints[e] sqrt(t)^e) / den for up to three terms."""
+    a, b = (_reduce_quadratic(ints, t) + [0])[:2]
     return QuadElem(t, Fraction(a, den), Fraction(b, den))
 
 

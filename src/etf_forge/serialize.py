@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from .designs import Design
 from .errors import DesignError, DomainError, FrameError, InputError
 from .frames import EtfCertificate, Frame, NaimarkPair, verify_naimark_pair
-from .matrices import ExactMatrix, cyclo_domain, quad_domain
+from .matrices import ExactMatrix, cyclo_domain, from_flat, quad_domain
 from .qsd_bridge import FeasibilityReport
-from .scalars import CycloElem, QuadElem
+from .scalars import split_square
 
 MATRIX_SCHEMA = "etf-forge/matrix/v1"
 DESIGN_SCHEMA = "etf-forge/design/v1"
@@ -53,44 +54,87 @@ def _domain_from_obj(obj):
     value = obj[key]
     if type(value) is not int or value < 1:
         raise InputError(f"domain {key} must be a positive integer, got {value!r}")
+    if kind == "quadratic" and split_square(value)[0] != 1:
+        raise InputError(f"domain radicand must be square-free, got {value}")
     return cyclo_domain(value) if kind == "cyclotomic" else quad_domain(value)
 
 
-def _entry_obj(x) -> list:
-    if isinstance(x, CycloElem):
-        return [[e, c.numerator, c.denominator] for e, c in enumerate(x.coeffs) if c != 0]
-    if isinstance(x, QuadElem):
-        return [x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator]
-    raise DomainError(f"cannot serialize entry {x!r}")
-
-
 def matrix_to_obj(m: ExactMatrix) -> dict:
+    """The v1 document, written straight from the planes; equal entries share
+    one entry object."""
+    den, quadratic, memo, entries = m.den, m.domain.kind == "quadratic", {}, []
+
+    def frac(x):
+        g = gcd(x, den)
+        return [x // g, den // g]
+
+    for rs in zip(*m.planes):
+        for c in zip(*rs):
+            obj = memo.get(c)
+            if obj is None:
+                if quadratic:
+                    obj = frac(c[0]) + frac(c[1] if len(c) > 1 else 0)
+                else:
+                    obj = [[e, *frac(x)] for e, x in enumerate(c) if x]
+                memo[c] = obj
+            entries.append(obj)
     return {
         "schema": MATRIX_SCHEMA,
         "domain": _domain_obj(m.domain),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [_entry_obj(x) for x in m.entries],
+        "entries": entries,
     }
 
 
+def _entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
+    """(den, flat planes) of v1 entries: den the lcm of the term denominators
+    and plane k the row-major k-th integer coordinates over the domain's
+    basis.  A cyclotomic exponent may be any integer; it is reduced mod Phi_m."""
+    if domain.kind == "cyclotomic":
+        size = domain.order
+    else:  # a + b sqrt(t) as the terms a sqrt(t)^0 and b sqrt(t)^1
+        size = 2
+        entries = [((0, a_num, a_den), (1, b_num, b_den)) for a_num, a_den, b_num, b_den in entries]
+    dens = set()
+    for entry in entries:
+        for _, num, d in entry:
+            if type(num) is not int or type(d) is not int:
+                raise TypeError(f"a term needs an integer numerator and denominator, got {num!r}, {d!r}")
+            dens.add(d)
+    if 0 in dens:
+        raise ZeroDivisionError("a term has denominator 0")
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    width = domain.width
+    flat = [[] for _ in range(width)]
+    for entry in entries:
+        acc = [0] * size
+        for e, num, d in entry:
+            acc[e % size] += num * scale[d]
+        if any(acc[width:]):
+            acc = domain.reduce(acc)
+        for p, c in zip(flat, acc):
+            p.append(c)
+    return den, flat
+
+
 def matrix_from_obj(obj) -> ExactMatrix:
-    """Parse a matrix document; a malformed one raises ``InputError``."""
+    """Parse a matrix document straight to planes; a malformed one raises
+    ``InputError``."""
     if not isinstance(obj, dict):
         raise InputError(f"not a matrix document: a JSON {type(obj).__name__}")
     if obj.get("schema") != MATRIX_SCHEMA:
         raise InputError(f"not a matrix document: schema {obj.get('schema')!r}")
     try:
         domain = _domain_from_obj(obj["domain"])
-        entries = []
-        for raw in obj["entries"]:
-            if domain.kind == "cyclotomic":
-                terms = {e: Fraction(num, den) for e, num, den in raw}
-                entries.append(CycloElem.from_terms(terms, domain.order))
-            else:
-                a_num, a_den, b_num, b_den = raw
-                entries.append(QuadElem(domain.radicand, Fraction(a_num, a_den), Fraction(b_num, b_den)))
-        return ExactMatrix(domain, int(obj["rows"]), int(obj["cols"]), entries)
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}")
+        den, flat = _entry_planes(entries, domain)
+        return from_flat(domain, cols, den, flat)
     except (DomainError, TypeError, ValueError, ZeroDivisionError, KeyError) as exc:
         raise InputError(f"malformed matrix document: {type(exc).__name__}: {exc}") from None
 

@@ -125,3 +125,38 @@ def test_catalog_find_rejects_empty_and_ambiguous_prefixes(tmp_path):
         catalog.find("ab")
     with pytest.raises(CatalogError, match="no record"):
         catalog.find("cd")
+
+
+def test_re_adding_a_recorded_recipe_leaves_the_payload_untouched(tmp_path):
+    catalog = Catalog(tmp_path / "cat")
+    record = catalog.add(kirkman_recipe())
+    target = catalog.root / record.payload / "primary.json"
+    target.write_text("marker")
+    before = target.stat().st_mtime_ns
+    again = catalog.add(kirkman_recipe())
+    assert again == record
+    assert target.read_text() == "marker" and target.stat().st_mtime_ns == before
+    assert sorted(p.name for p in (catalog.root / "payloads").iterdir()) == [record.id]
+
+
+def test_concurrent_adds_of_one_recipe_record_it_once(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    from etf_forge.serialize import dump
+
+    dump(kirkman_recipe(), tmp_path / "recipe.json")
+    cat = tmp_path / "cat"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "etf_forge.cli", "catalog", "--catalog", str(cat),
+            "add", str(tmp_path / "recipe.json")]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(4)]
+    outputs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0] * 4, outputs
+    assert len({out for out, _ in outputs}) == 1
+    lines = (cat / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == [recipe_id(kirkman_recipe())]
+    assert [p.name for p in (cat / "payloads").iterdir()] == [recipe_id(kirkman_recipe())]
+    assert Catalog(cat).audit() == []

@@ -251,6 +251,10 @@ def _malformed_matrix_files(tmp_path, capsys):
         "zero_denominator": dict(obj, entries=[[[0, 1, 0]]] + obj["entries"][1:]),
         "non_list_entry": dict(obj, entries=[5] + obj["entries"][1:]),
         "top_level_array": [obj],
+        # rows and cols must be JSON integers: int() would accept these.
+        "float_rows": dict(obj, rows=obj["rows"] + 0.5),
+        "string_rows": dict(obj, rows=str(obj["rows"])),
+        "bool_rows": dict(obj, rows=True, cols=obj["rows"] * obj["cols"]),
     }
     for name, doc in cases.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -304,7 +308,7 @@ def test_malformed_matrix_documents_exit_2_in_a_child_process(tmp_path, capsys):
 
     _malformed_matrix_files(tmp_path, capsys)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for name in ("zero_denominator", "non_list_entry", "top_level_array"):
+    for name in ("zero_denominator", "non_list_entry", "top_level_array", "float_rows", "string_rows", "bool_rows"):
         proc = subprocess.run(
             [sys.executable, "-m", "etf_forge.cli", "verify", "etf", str(tmp_path / f"{name}.json")],
             capture_output=True, text=True, env=env,
@@ -325,3 +329,14 @@ def test_catalog_show_lookup_failures_are_exit_2(tmp_path, capsys):
         code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), "show", prefix)
         _assert_input_error(code, err)
         assert reason in err and stdout == ""
+
+
+def test_non_square_free_radicand_is_exit_2(tmp_path, capsys):
+    # 1 + sqrt(12) cannot be held over the basis 1, sqrt(12) of a square-free field.
+    doc = {"schema": "etf-forge/matrix/v1", "domain": {"kind": "quadratic", "radicand": 12},
+           "rows": 1, "cols": 2, "entries": [[1, 1, 1, 1], [1, 1, 0, 1]]}
+    path = tmp_path / "r12.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "verify", "etf", str(path))
+    _assert_input_error(code, err)
+    assert "square-free" in err and stdout == ""

@@ -1,12 +1,13 @@
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from etf_forge.errors import DomainError
-from etf_forge.frames import Frame, gram
+from etf_forge.errors import DomainError, EtfForgeError
+from etf_forge.frames import Frame, certify_etf, gram, verify_naimark_pair, welch_bound_sq
 from etf_forge.matrices import (
     RATIONAL,
     ExactMatrix,
@@ -14,6 +15,7 @@ from etf_forge.matrices import (
     kron,
     matmul,
     quad_domain,
+    rational_rows,
     scaled_identity,
     vstack,
 )
@@ -60,10 +62,15 @@ def fraction_mul(x, y, domain):
     return fraction_reduce(acc, m)
 
 
+def all_entries(mat):
+    """Row-major scalar entries."""
+    return [x for i in range(mat.rows) for x in mat.row(i)]
+
+
 def oracle_entries(mat, domain):
     if domain.kind == "quadratic":
-        return [(x.a, x.b) for x in mat.entries]
-    return [fraction_coeffs(x, domain.order) for x in mat.entries]
+        return [(x.a, x.b) for x in all_entries(mat)]
+    return [fraction_coeffs(x, domain.order) for x in all_entries(mat)]
 
 
 def oracle_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -82,7 +89,142 @@ def oracle_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 out.append(QuadElem(domain.radicand, *acc))
             else:
                 out.append(CycloElem(domain.order, tuple(acc)))
-    return ExactMatrix(domain, a.rows, b.cols, out)
+    return ExactMatrix.from_entries(domain, a.rows, b.cols, out)
+
+
+# -- the per-entry verifier oracle ------------------------------------
+#
+# Each verifier's checks taken one boxed entry at a time: every entry of a
+# kernel product is read as a scalar, its Fraction coordinates are scanned
+# for rationality and zeros, and a squared modulus is the Fraction product
+# of the entry with its conjugate.  Each returns the verifier's result or
+# its failure message, so the plane reads in matrices.rational_rows share no
+# code with it.
+
+
+def entry_coords(mat):
+    dom = mat.domain
+    return [[(x.a, x.b) if dom.kind == "quadratic" else fraction_coeffs(x, dom.order) for x in mat.row(i)]
+            for i in range(mat.rows)]
+
+
+def rational_value(c):
+    return c[0] if not any(c[1:]) else None
+
+
+def squared_modulus(c, domain):
+    if domain.kind == "quadratic":
+        return fraction_mul(c, c, domain)
+    m = domain.order
+    conj = [Fraction(0)] * m
+    for e, x in enumerate(c):
+        conj[-e % m] += x
+    return fraction_mul(c, fraction_reduce(conj, m), domain)
+
+
+def oracle_row_diagonal(frame):
+    m = frame.matrix
+    raw = entry_coords(matmul(m, m.adjoint()))
+    weights = frame.row_weights or (1,) * m.rows
+    diag = []
+    for i in range(m.rows):
+        q = rational_value(raw[i][i])
+        if q is None:
+            return f"row {i} has an irrational squared norm", raw
+        diag.append(weights[i] * q)
+    return diag, raw
+
+
+def oracle_certify(frame):
+    """certify_etf, entry by entry: (beta, alpha, gamma_sq, flat) or the failure."""
+    d, n, dom = frame.d, frame.n, frame.domain
+    g = entry_coords(gram(frame))
+    norms = set()
+    for j in range(n):
+        q = rational_value(g[j][j])
+        if q is None:
+            return f"vector {j} has an irrational squared norm"
+        norms.add(q)
+    if len(norms) != 1:
+        return f"unequal norms: squared norms {sorted(norms)}"
+    beta = norms.pop()
+    if beta <= 0:
+        return "zero vectors are not allowed"
+    diag, raw = oracle_row_diagonal(frame)
+    if isinstance(diag, str):
+        return diag
+    if len(set(diag)) != 1:
+        return f"not tight: row squared norms {sorted(set(diag))}"
+    alpha = diag[0]
+    for i in range(d):
+        for j in range(d):
+            if i != j and any(raw[i][j]):
+                return f"not tight: rows {i} and {j} are not orthogonal"
+    if alpha != Fraction(n) * beta / d:
+        return f"not tight: scale {alpha} differs from n beta / d"
+    gamma_sqs = set()
+    for j in range(n):
+        for j2 in range(j + 1, n):
+            sq = rational_value(squared_modulus(g[j][j2], dom))
+            if sq is None:
+                return f"not equiangular: |<v{j}, v{j2}>|^2 is irrational"
+            gamma_sqs.add(sq)
+            if len(gamma_sqs) > 1:
+                return f"not equiangular: squared moduli {sorted(gamma_sqs)} at ({j}, {j2})"
+    gamma_sq = gamma_sqs.pop() if gamma_sqs else Fraction(0)
+    if n > 1 and gamma_sq * d * (n - 1) != beta * beta * (n - d):
+        return f"coherence equality violated: gamma^2 = {gamma_sq}, bound requires {beta * beta * welch_bound_sq(d, n)}"
+
+    def unimodular(w, c):
+        sq = rational_value(squared_modulus(c, dom))
+        return sq is not None and w * sq == 1
+
+    weights = frame.row_weights or (1,) * d
+    flat = all(unimodular(w, c) for w, row in zip(weights, entry_coords(frame.matrix)) for c in row)
+    return beta, alpha, gamma_sq, flat
+
+
+def oracle_naimark(primary, complement):
+    """verify_naimark_pair, entry by entry: alpha or the failure."""
+    dp, n = primary.d, primary.n
+    weights = (primary.row_weights or (1,) * dp) + (complement.row_weights or (1,) * (n - dp))
+    diag, raw = oracle_row_diagonal(Frame(vstack(primary.matrix, complement.matrix), row_weights=weights))
+    if isinstance(diag, str):
+        return diag
+
+    def first_nonzero(rows, cols):
+        return next(((i, j) for i in rows for j in cols if j > i and any(raw[i][j])), None)
+
+    alpha = diag[0]
+    if len(set(diag[:dp])) != 1:
+        return "primary is not tight: unequal row norms"
+    if first_nonzero(range(dp), range(dp)):
+        return "primary is not tight: rows not orthogonal"
+    for i in range(dp, n):
+        if diag[i] != alpha:
+            return f"complement row {i - dp} has squared norm {diag[i]}, expected {alpha}"
+    at = first_nonzero(range(dp, n), range(dp, n))
+    if at:
+        return f"complement rows {at[0] - dp} and {at[1] - dp} are not orthogonal"
+    at = first_nonzero(range(dp), range(dp, n))
+    if at:
+        return f"cross block P C* is nonzero at ({at[0]}, {at[1] - dp})"
+    return alpha
+
+
+def oracle_hadamard(mat):
+    """verify_hadamard, entry by entry: the kind or the failure."""
+    n, dom = mat.rows, mat.domain
+    for i, row in enumerate(entry_coords(mat)):
+        for j, c in enumerate(row):
+            if rational_value(squared_modulus(c, dom)) != 1:
+                return f"entry ({i}, {j}) is not unimodular"
+    product = entry_coords(matmul(mat, mat.adjoint()))
+    for i in range(n):
+        for j in range(n):
+            if rational_value(product[i][j]) != (n if i == j else 0):
+                return f"rows {i} and {j} fail the orthogonality identity"
+    return "real" if mat.int_rows() is not None else "complex"
 
 
 # -- the numeric-embedding oracle -------------------------------------
@@ -119,7 +261,7 @@ def rand_cyclo_entry(rng, order):
 
 def rand_cyclo_matrix(rng, rows, cols, order):
     entries = [rand_cyclo_entry(rng, order) for _ in range(rows * cols)]
-    return ExactMatrix(cyclo_domain(order), rows, cols, entries)
+    return ExactMatrix.from_entries(cyclo_domain(order), rows, cols, entries)
 
 
 def rand_quad_matrix(rng, rows, cols, t):
@@ -127,7 +269,7 @@ def rand_quad_matrix(rng, rows, cols, t):
         QuadElem(t, Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))), Fraction(rng.randint(-4, 4), rng.choice((1, 5))))
         for _ in range(rows * cols)
     ]
-    return ExactMatrix(quad_domain(t), rows, cols, entries)
+    return ExactMatrix.from_entries(quad_domain(t), rows, cols, entries)
 
 
 def test_matmul_matches_naive_oracle_over_z12():
@@ -156,8 +298,8 @@ def test_kernel_on_dense_reduced_roots_at_prime_orders():
     for m in (13, 31):
         dense = CycloElem.root(m, m - 1)
         assert sum(1 for c in dense.coeffs if c) == m - 1
-        a = ExactMatrix(cyclo_domain(m), 2, 3, [dense, dense * 2, CycloElem.root(m, 1)] * 2)
-        b = ExactMatrix(cyclo_domain(m), 3, 2, [dense, dense, dense * -1, CycloElem.root(m, 3), dense, 1 + dense])
+        a = ExactMatrix.from_entries(cyclo_domain(m), 2, 3, [dense, dense * 2, CycloElem.root(m, 1)] * 2)
+        b = ExactMatrix.from_entries(cyclo_domain(m), 3, 2, [dense, dense, dense * -1, CycloElem.root(m, 3), dense, dense + 1])
         p = matmul(a, b)
         assert p == oracle_matmul(a, b)
         assert_numeric_product(a, b, p)
@@ -171,8 +313,8 @@ def test_kernel_slots_hold_worst_case_aligned_sums():
         (quad_domain(6), QuadElem(6, 7, 7)),
     ):
         for sign in (1, -1):
-            a = ExactMatrix(domain, 1, 40, [x] * 40)
-            b = ExactMatrix(domain, 40, 1, [x * sign] * 40)
+            a = ExactMatrix.from_entries(domain, 1, 40, [x] * 40)
+            b = ExactMatrix.from_entries(domain, 40, 1, [x * sign] * 40)
             p = matmul(a, b)
             assert p == oracle_matmul(a, b)
             assert_numeric_product(a, b, p)
@@ -200,7 +342,7 @@ def test_kernel_over_q_sqrt_6_and_rationals():
         r = rand_quad_matrix(rng, 5, 2, 1)  # rational values mix with sqrt(6)
         assert matmul(a, r) == oracle_matmul(a, r)
     q = rand_cyclo_matrix(rng, 6, 6, 1)
-    assert any(x.rational_value().denominator > 1 for x in q.entries)
+    assert any(x.rational_value().denominator > 1 for x in all_entries(q))
     assert matmul(q, q) == oracle_matmul(q, q)
 
 
@@ -217,8 +359,8 @@ def test_weighted_row_grams_match_the_oracle():
                 for e, c in enumerate(m.entry(i, j).coeffs):
                     acc[-e % order] += c
                 conjugates.append(CycloElem(order, fraction_reduce(acc, order)))
-        adjoint = ExactMatrix(m.domain, m.cols, m.rows, conjugates)
-        scaled = ExactMatrix(
+        adjoint = ExactMatrix.from_entries(m.domain, m.cols, m.rows, conjugates)
+        scaled = ExactMatrix.from_entries(
             m.domain, m.rows, m.cols,
             [CycloElem(order, tuple(w * c for c in x.coeffs)) for i, w in enumerate(weights) for x in m.row(i)],
         )
@@ -291,6 +433,9 @@ def test_dimension_mismatch():
     a = ExactMatrix.from_rows([[1, 2]])
     with pytest.raises(DomainError):
         matmul(a, a)
+    for empty in (lambda: ExactMatrix.identity(1).drop_row(0), lambda: ExactMatrix.from_entries(RATIONAL, 0, 0, [])):
+        with pytest.raises(DomainError, match="dimensions must be positive"):
+            empty()
 
 
 def test_mixed_kind_rejected():
@@ -321,7 +466,7 @@ def test_adjoint_conjugates_and_transposes():
     i = CycloElem.root(4)
     a = ExactMatrix.from_rows([[i, 1], [0, i * i]], cyclo_domain(4))
     adj = a.adjoint()
-    assert adj.entry(0, 0) == -i
+    assert adj.entry(0, 0) == i * -1
     assert adj.entry(1, 0) == 1
     assert adj.entry(0, 1) == 0
     assert adj.entry(1, 1) == -1
@@ -332,7 +477,7 @@ def test_kron_block_structure():
     b = ExactMatrix.from_rows([[1, 1], [1, -1]])
     k = kron(a, b)
     assert k.rows == k.cols == 4
-    assert k.row_lists()[0] == [v.rational_value() for v in k.row(0)] == [1, 1, -1, -1]
+    assert [v.rational_value() for v in k.row(0)] == [1, 1, -1, -1]
     assert [v.rational_value() for v in k.row(3)] == [0, 0, 2, -2]
 
 
@@ -343,6 +488,7 @@ def test_vstack_and_equality_across_kinds():
     assert s == ExactMatrix.identity(2)
     q = ExactMatrix.from_rows([[1, 0], [0, 1]], quad_domain(2))
     assert s == q  # both rational-valued, so comparable across kinds
+    assert s != s.scale(Fraction(1, 2)) and q.scale(Fraction(1, 2)) == s.scale(Fraction(1, 2))
 
 
 def test_scale_rows():
@@ -359,3 +505,181 @@ def test_int_rows_cache_detects_non_integers():
     assert b.int_rows() is None
     c = ExactMatrix.from_rows([[3, -2]])
     assert c.int_rows() == [[3, -2]]
+
+
+# -- the plane-based verifiers against the per-entry oracle -----------
+
+
+def harmonic_pair(orders, subset):
+    from etf_forge.constructions import harmonic_etf, verify_difference_set
+    from etf_forge.hadamard import AbelianGroup
+
+    pair = harmonic_etf(verify_difference_set(AbelianGroup(orders), subset))
+    return pair.primary, pair.complement
+
+
+def row_split(h, rows):
+    """(rows of h, the other rows) as unweighted frames."""
+    rest = [i for i in range(h.rows) if i not in rows]
+    return Frame(h.take_rows(rows)), Frame(h.take_rows(rest))
+
+
+def replace_row(frame, i, row):
+    m = frame.matrix
+    rows = [list(m.row(k)) for k in range(m.rows)]
+    rows[i] = list(row)
+    return Frame(ExactMatrix.from_rows(rows, m.domain), row_weights=frame.row_weights)
+
+
+def sts15_frame():
+    from etf_forge.designs import Design, verify_qsd
+    from etf_forge.qsd_bridge import etf_from_qsd
+
+    points = range(1, 16)
+    lines = sorted({tuple(sorted((a, b, a ^ b))) for a in points for b in points if a < b})
+    return etf_from_qsd(verify_qsd(Design(15, [[x - 1 for x in line] for line in lines])), "plus")[0]
+
+
+@functools.lru_cache(maxsize=None)
+def verifier_inputs():
+    """VERIFIER_INPUTS name -> (frames to certify, pairs to verify, matrices to verify as Hadamard)."""
+    from etf_forge.designs import all_pairs_design, complement_design, verify_qsd
+    from etf_forge.hadamard import dft, sylvester
+    from etf_forge.qsd_bridge import etf_from_qsd
+
+    from test_frames import flat_frame, simplex_frame, steiner_complement, steiner_frame
+
+    half = Fraction(1, 2)
+    fractional = etf_from_qsd(verify_qsd(complement_design(all_pairs_design(6))), "plus")[0]
+    h4 = dft(4).body
+    o3 = row_split(dft(3).body, [1, 2])
+    o4 = harmonic_pair((4, 4), (1, 2, 3, 4, 8, 12))
+    o8 = row_split(dft(8).body, list(range(1, 8)))
+    o13 = harmonic_pair((13,), (0, 1, 3, 9))
+    o31 = harmonic_pair((31,), (1, 5, 11, 24, 25, 27))
+    r2 = QuadElem(2, 0, 1)
+    return {
+        "rational-integer": ([flat_frame(), steiner_frame(), steiner_complement()],
+                             [(steiner_frame(), steiner_complement())], [sylvester(2).body]),
+        "rational-fraction": ([fractional, Frame(simplex_frame().matrix.scale(half))],
+                              [(Frame(ExactMatrix.ones(1, 4).scale(half)), Frame(simplex_frame().matrix.scale(half)))],
+                              [ExactMatrix.from_rows([[1, 0], [0, 1]]).scale(half)]),
+        "order-3": ([o3[0]], [o3[::-1]], [dft(3).body]),
+        "order-4": ([o4[0], o4[1]], [o4], [h4]),
+        "order-8": ([o8[0]], [o8], [dft(8).body]),
+        "order-13": ([o13[0], o13[1]], [o13], [dft(13).body]),
+        "order-31": ([o31[0]], [o31], []),
+        "q-sqrt-6": ([sts15_frame()], [], []),
+        # One failing input per identity, each named with its index.
+        "fail-unimodular": ([], [], [replace_row(Frame(h4), 1, [1, h4.entry(1, 1), 0, h4.entry(1, 3)]).matrix]),
+        "fail-orthogonality": ([], [], [h4.take_rows([0, 1, 2, 1])]),
+        "fail-squared-moduli": ([Frame(h4.take_rows([0, 1]))], [], []),
+        "fail-irrational-modulus": ([Frame(dft(7).body.take_rows([1, 2]))], [], []),
+        "fail-irrational-norm": ([Frame(ExactMatrix.from_rows([[r2 + 1, 1], [1, -1]], quad_domain(2)))], [], []),
+        "fail-complement-rows": ([], [(o13[0], replace_row(o13[1], 2, o13[1].matrix.row(1)))], []),
+        "fail-cross-block": ([], [(o13[0], replace_row(o13[1], 0, o13[0].matrix.row(0)))], []),
+        # An irrational off-diagonal entry is nonzero, so it must fail like a rational one.
+        "fail-irrational-rows": ([Frame(ExactMatrix.from_rows([[1] * 4, list(dft(8).body.row(1))[:4]], cyclo_domain(8)))],
+                                 [], []),
+        "fail-irrational-cross-block": ([], [(Frame(ExactMatrix.from_rows([[1, 1]], quad_domain(2))),
+                                              Frame(ExactMatrix.from_rows([[r2, 0]], quad_domain(2))))], []),
+    }
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EtfForgeError as exc:
+        return str(exc)
+
+
+VERIFIER_INPUTS = (
+    "rational-integer", "rational-fraction", "order-3", "order-4", "order-8", "order-13", "order-31", "q-sqrt-6",
+    "fail-unimodular", "fail-orthogonality", "fail-squared-moduli", "fail-irrational-modulus",
+    "fail-irrational-norm", "fail-complement-rows", "fail-cross-block", "fail-irrational-rows",
+    "fail-irrational-cross-block",
+)
+
+
+@pytest.mark.parametrize("name", VERIFIER_INPUTS)
+def test_plane_verifiers_match_the_per_entry_oracle(name):
+    from etf_forge.hadamard import verify_hadamard
+
+    frames, pairs, hadamards = verifier_inputs()[name]
+    for frame in frames:
+        cert = outcome(certify_etf, frame)
+        got = cert if isinstance(cert, str) else (cert.beta, cert.alpha, cert.gamma_sq, cert.flat)
+        assert got == oracle_certify(frame)
+    for primary, complement in pairs:
+        pair = outcome(verify_naimark_pair, primary, complement)
+        assert (pair if isinstance(pair, str) else pair.alpha) == oracle_naimark(primary, complement)
+    for mat in hadamards:
+        h = outcome(verify_hadamard, mat)
+        assert (h if isinstance(h, str) else h.kind) == oracle_hadamard(mat)
+    if name.startswith("fail-"):
+        results = [outcome(certify_etf, f) for f in frames] + [outcome(verify_naimark_pair, *p) for p in pairs]
+        results += [outcome(verify_hadamard, m) for m in hadamards]
+        assert len(results) == 1 and isinstance(results[0], str)
+
+
+def test_failing_inputs_name_their_identity_and_index():
+    expected = {
+        "fail-unimodular": "entry (1, 2) is not unimodular",
+        "fail-orthogonality": "rows 1 and 3 fail the orthogonality identity",
+        "fail-squared-moduli": "not equiangular: squared moduli [Fraction(0, 1), Fraction(2, 1)] at (0, 2)",
+        "fail-irrational-modulus": "not equiangular: |<v0, v1>|^2 is irrational",
+        "fail-irrational-norm": "vector 0 has an irrational squared norm",
+        "fail-complement-rows": "complement rows 1 and 2 are not orthogonal",
+        "fail-cross-block": "cross block P C* is nonzero at (0, 0)",
+        "fail-irrational-rows": "not tight: rows 0 and 1 are not orthogonal",
+        "fail-irrational-cross-block": "cross block P C* is nonzero at (0, 0)",
+    }
+    from etf_forge.hadamard import verify_hadamard
+
+    inputs = verifier_inputs()
+    assert tuple(inputs) == VERIFIER_INPUTS
+    for name, message in expected.items():
+        frames, pairs, hadamards = inputs[name]
+        got = [outcome(certify_etf, f) for f in frames] + [outcome(verify_naimark_pair, *p) for p in pairs]
+        got += [outcome(verify_hadamard, m) for m in hadamards]
+        assert got == [message], name
+
+
+def test_rational_rows_reads_values_zeros_and_squared_moduli():
+    i = CycloElem.root(4)
+    m = ExactMatrix.from_rows([[Fraction(1, 2), i, 0], [i + 1, Fraction(-3, 4), 2]], cyclo_domain(4))
+    den, values = rational_rows(m)
+    assert (den, values) == (4, [[2, None, 0], [None, -3, 8]])
+    den, sq = rational_rows(m, squared=True)
+    assert [[Fraction(x, den) for x in row] for row in sq] == [[Fraction(1, 4), 1, 0], [2, Fraction(9, 16), 4]]
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, cyclo_domain(3), cyclo_domain(4), cyclo_domain(8), cyclo_domain(13),
+                                    quad_domain(6)], ids=str)
+def test_plane_operations_match_entrywise_scalars(domain):
+    rng = random.Random(str(domain))
+
+    def rand(rows, cols):
+        if domain.kind == "quadratic":
+            return rand_quad_matrix(rng, rows, cols, domain.radicand)
+        return rand_cyclo_matrix(rng, rows, cols, domain.order)
+
+    a, b, c = rand(3, 4), rand(3, 4), rand(2, 4)
+    assert ExactMatrix.from_entries(domain, 3, 4, all_entries(a)) == a
+    factors = [Fraction(2, 3), -5, Fraction(1, 7)]
+    total, scaled, adj = a + b, a.scale_rows(factors), a.adjoint()
+    for i in range(3):
+        for j in range(4):
+            x = a.entry(i, j)
+            assert total.entry(i, j) == x + b.entry(i, j)
+            assert abs(embed((a - b).entry(i, j)) - (embed(x) - embed(b.entry(i, j)))) < 1e-9
+            assert scaled.entry(i, j) == x * factors[i]
+            assert adj.entry(j, i) == x.conjugate()
+    assert all_entries(vstack(a, c)) == all_entries(a) + all_entries(c)
+    assert all_entries(a.take_rows([2, 0])) == list(a.row(2) + a.row(0))
+    k = kron(a, c)
+    for i, j, p, q in ((0, 0, 0, 0), (2, 3, 1, 2), (1, 2, 0, 3)):
+        assert k.entry(i * 2 + p, j * 4 + q) == a.entry(i, j) * c.entry(p, q)
+    if domain.kind == "cyclotomic":
+        lifted = a.with_domain(cyclo_domain(2 * domain.order))
+        assert all_entries(lifted) == all_entries(a) and lifted == a

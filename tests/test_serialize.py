@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from etf_forge.designs import all_pairs_design, fano_plane, round_robin_resolution
-from etf_forge.errors import DesignError, DomainError
+from etf_forge.errors import DesignError, DomainError, InputError
 from etf_forge.frames import Frame, certify_etf
 from etf_forge.hadamard import dft
 from etf_forge.matrices import ExactMatrix, quad_domain
@@ -48,6 +48,26 @@ def test_matrix_round_trip_quadratic():
         dom,
     )
     round_trip_matrix(m)
+
+
+def test_matrix_round_trip_needs_a_square_free_radicand():
+    doc = {"schema": "etf-forge/matrix/v1", "domain": {"kind": "quadratic", "radicand": 12},
+           "rows": 1, "cols": 2, "entries": [[1, 1, 1, 1], [1, 2, -3, 5]]}
+    with pytest.raises(InputError, match="square-free"):
+        matrix_from_obj(doc)
+    doc["domain"]["radicand"] = 3
+    assert matrix_to_obj(matrix_from_obj(doc)) == doc
+    round_trip_matrix(matrix_from_obj(doc))
+
+
+def test_matrix_parse_reduces_any_exponent_and_sums_terms():
+    # zeta_3^2 = -1 - zeta_3, zeta_3^4 = zeta_3, and 1/2 + 1/2 = 1.
+    doc = {"schema": "etf-forge/matrix/v1", "domain": {"kind": "cyclotomic", "order": 3},
+           "rows": 1, "cols": 3, "entries": [[[2, 1, 1]], [[4, 1, 1], [-3, 1, 2], [0, 1, 2]], [[1, 1, 2], [1, 1, 2]]]}
+    m = matrix_from_obj(doc)
+    z = dft(3).body.entry(1, 1)
+    assert list(m.row(0)) == [z * z, z + 1, z]
+    assert matrix_to_obj(m)["entries"] == [[[0, -1, 1], [1, -1, 1]], [[0, 1, 1], [1, 1, 1]], [[1, 1, 1]]]
 
 
 def test_matrix_entries_shape():
