@@ -8,7 +8,8 @@ identical ids.  Appends take an exclusive lock on ``catalog.lock``; readers
 need no lock.  A payload is written to a temporary directory under
 ``payloads/`` and moved into place under the lock, together with its record
 line, so a crash never leaves a recorded payload half written and a recorded
-payload is never rewritten.
+payload is never rewritten.  A staging directory carries its writer's pid
+and is removed under the lock once that process is gone.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class Catalog:
             return recorded
         self.payloads.mkdir(parents=True, exist_ok=True)
         # The staging directory is gone once moved into place, hence the ignore.
-        with tempfile.TemporaryDirectory(prefix=".staging-", dir=self.payloads, ignore_cleanup_errors=True) as staging:
+        with tempfile.TemporaryDirectory(prefix=f".staging-{os.getpid()}-", dir=self.payloads, ignore_cleanup_errors=True) as staging:
             record = CatalogRecord(
                 id=rid,
                 kind=artifact.kind,
@@ -150,6 +151,13 @@ class Catalog:
                     recorded = self._recorded(rid)
                     if recorded is not None:
                         return recorded
+                    for path in self.payloads.glob(".staging-*-*"):  # left by a killed add?
+                        try:
+                            os.kill(int(path.name.split("-")[1]), 0)
+                        except ProcessLookupError:
+                            shutil.rmtree(path, ignore_errors=True)
+                        except (PermissionError, ValueError, OverflowError):
+                            pass  # another user's process, or no pid in the name
                     # A payload directory without a record is left by a crash
                     # between the move and the append; no record points to it.
                     shutil.rmtree(self.payloads / rid, ignore_errors=True)
@@ -161,12 +169,12 @@ class Catalog:
         return record
 
     def audit(self) -> list[str]:
-        """Re-verify every payload; returns the ids that fail."""
+        """Re-verify every payload; returns the ids that fail, unreadable files included."""
         failures = []
         for record in self.records():
             try:
                 self._audit_one(record)
-            except EtfForgeError:
+            except (EtfForgeError, OSError):
                 failures.append(record.id)
         return failures
 

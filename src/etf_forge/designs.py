@@ -61,7 +61,7 @@ def verify_bibd(x: ExactMatrix) -> DesignParams:
     r = col_sums.pop()
     if not v > k > 0:
         raise DesignError(f"need v > k > 0, got v={v}, k={k}")
-    xtx = matmul(x.transpose(), x).int_rows()
+    xtx = matmul(x.adjoint(), x).int_rows()
     pair_counts = {c for j, row in enumerate(xtx) for c in row[j + 1 :]}
     if len(pair_counts) != 1:
         raise DesignError(f"pair counts are not constant: {sorted(pair_counts)}")
@@ -265,7 +265,7 @@ def verify_qsd(design: Design) -> QsdCertificate:
     if p.b <= p.v:
         raise DesignError(f"quasi-symmetric designs need b > v, got b={p.b}, v={p.v}")
     # Block intersection sizes are the off-diagonal entries of X X^T.
-    xxt = matmul(design.incidence, design.incidence.transpose()).int_rows()
+    xxt = matmul(design.incidence, design.incidence.adjoint()).int_rows()
     sizes = {s for i, row in enumerate(xxt) for s in row[i + 1 :]}
     if len(sizes) != 2:
         raise DesignError(
@@ -347,13 +347,10 @@ def verify_srg(a: ExactMatrix) -> SrgParams:
     deg = degrees.pop()
     if deg == 0 or deg == n - 1:
         raise DesignError("complete and empty graphs are excluded")
-    sq = matmul(a, a).int_rows()
-    common_adj = set()
-    common_non = set()
+    sq = matmul(a, a.adjoint()).int_rows()  # A A* = A^2: A is symmetric, and so is A^2
+    common_adj, common_non = set(), set()
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+        for j in range(i + 1, n):
             (common_adj if rows[i][j] else common_non).add(sq[i][j])
     if len(common_adj) != 1 or len(common_non) != 1:
         raise DesignError("common-neighbor counts are not constant")

@@ -78,11 +78,8 @@ def welch_bound_sq(d: int, n: int) -> Fraction:
 def gram(frame: Frame) -> ExactMatrix:
     """The n x n matrix of pairwise inner products, weights included."""
     if frame._gram is None:
-        m = frame.matrix
-        if frame.row_weights is None:
-            g = matmul(m.adjoint(), m)
-        else:
-            g = matmul(m.adjoint(), m.scale_rows(frame.row_weights))
+        m = frame.matrix  # unweighted, the Gram matrix takes one triangle
+        g = matmul(m.adjoint(), m if frame.row_weights is None else m.scale_rows(frame.row_weights))
         object.__setattr__(frame, "_gram", g)
     return frame._gram
 
@@ -310,7 +307,7 @@ def hadamard_to_gram(h: HadamardMatrix) -> tuple[ExactMatrix, int]:
     if s * s != n:
         raise FrameError(f"sqrt({n}) is not an integer")
     g = scaled_identity(n, s, body.domain) - body
-    if matmul(g, g) != g.scale(2 * s):
+    if matmul(g, g.adjoint()) != g.scale(2 * s):  # g is self-adjoint
         raise FrameError("eigenvalue identity G^2 = 2 sqrt(n) G failed")
     # G / 2s is a projection whose trace n (s - 1) / 2s is fixed by the unit diagonal.
     return g, (n - s) // 2

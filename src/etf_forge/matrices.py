@@ -15,11 +15,11 @@ the planes; scalars are built only by ``entry`` and ``row``, and a matrix
 built from scalars is lowered once.  ``rational_rows`` reads rational
 values, zero masks and squared moduli off the planes for the verifiers.
 
-Every product runs on one integer kernel: each entry's planes are packed
-into one integer (Kronecker substitution), and each output entry of the
-integer product is unpacked and reduced once (x^m = 1 then Phi_m, or
-x^2 -> t).  Large products of {-1, 0, 1} operands take bitmask popcounts.
-A per-entry Fraction loop in the test suite is the differential oracle.
+Every product runs on one integer kernel: each entry's planes are packed into one
+integer (Kronecker substitution), and each output entry of the integer product is
+unpacked and reduced once (x^m = 1 then Phi_m, or x^2 -> t).  {-1, 0, 1} operands
+take bitmask popcounts at any size, and a matrix times its ``adjoint()`` takes one
+triangle.  A per-entry Fraction loop in the test suite is the differential oracle.
 """
 
 from __future__ import annotations
@@ -144,9 +144,10 @@ class ExactMatrix:
     Entry (i, j) is sum_k planes[k][i][j] b_k / den over the domain's basis
     b_0 = 1, b_1, ...  The constructor takes any den > 0 and integer planes
     and brings them to canonical form; planes are shared, never mutated.
+    ``adjoint_of`` is the matrix whose ``adjoint()`` made this one, else None.
     """
 
-    __slots__ = ("domain", "rows", "cols", "den", "planes")
+    __slots__ = ("domain", "rows", "cols", "den", "planes", "adjoint_of")
 
     def __init__(self, domain: Domain, den: int, planes: list[list[list[int]]]):
         if not (planes and planes[0] and planes[0][0]):
@@ -162,6 +163,7 @@ class ExactMatrix:
         self.cols = len(planes[0][0])
         self.den = den
         self.planes = planes
+        self.adjoint_of = None
 
     # -- constructors -------------------------------------------------
 
@@ -231,12 +233,13 @@ class ExactMatrix:
         return ExactMatrix(self.domain, self.den, [[list(c) for c in zip(*p)] for p in self.planes])
 
     def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose: zeta^e -> zeta^(m - e), one reduction per entry."""
+        """Conjugate transpose: zeta^e -> zeta^(m - e), one reduction per entry;
+        its ``adjoint_of`` lets ``matmul`` of the two take one triangle."""
         t = self.transpose()
-        if len(t.planes) == 1 or t.domain.kind == "quadratic":
-            return t  # rational and real quadratic entries are self-conjugate
-        m = t.domain.order
-        return t._map(t.domain, t.den, lambda c: t.domain.reduce(conjugate_exponents(c, m)))
+        if len(t.planes) > 1 and t.domain.kind == "cyclotomic":  # other entries are real
+            t = t._map(t.domain, t.den, lambda c: t.domain.reduce(conjugate_exponents(c, t.domain.order)))
+        t.adjoint_of = self
+        return t
 
     def take_rows(self, row_indices) -> "ExactMatrix":
         rows = list(row_indices)
@@ -340,36 +343,35 @@ def _pack_planes(planes: list[list[list[int]]], k: int) -> list[list[int]]:
     return [[pack(e, k) for e in zip(*rs)] for rs in zip(*planes)]
 
 
-def _sign_masks(vectors) -> tuple[list[int], list[int]]:
-    """Bitmasks of the +1 and of the -1 positions of each {-1, 0, 1} vector."""
-    pos, neg = [], []
-    for v in vectors:
-        p = n = 0
-        for t, x in enumerate(v):
-            if x == 1:
-                p |= 1 << t
-            elif x == -1:
-                n |= 1 << t
-        pos.append(p)
-        neg.append(n)
-    return pos, neg
+_SIGN_CODE = {0: 0, 1: 1, -1: 2}.__getitem__  # raises KeyError off {-1, 0, 1}
+_NEGATIVE, _NONZERO = bytes.maketrans(b"\x00\x01\x02", b"001"), bytes.maketrans(b"\x00\x01\x02", b"011")
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Exact integer product; bitmask popcount route for {-1,0,1} matrices."""
-    columns = list(zip(*b))
-    small = all(-1 <= x <= 1 for r in a for x in r) and all(-1 <= x <= 1 for r in b for x in r)
-    if not (small and len(a) * len(b) * len(columns) > 200_000):
-        return [[sum(map(operator.mul, r, c)) for c in columns] for r in a]
-    a_pos, a_neg = _sign_masks(a)
-    b_pos, b_neg = _sign_masks(columns)
-    return [
-        [
-            (p & bp).bit_count() + (n & bn).bit_count() - (p & bn).bit_count() - (n & bp).bit_count()
-            for bp, bn in zip(b_pos, b_neg)
-        ]
-        for p, n in zip(a_pos, a_neg)
-    ]
+def _sign_masks(vectors) -> tuple[list[int], list[int], bool] | None:
+    """(support, negative) bitmasks of equal-length vectors and whether no
+    entry is zero; None when an entry is outside {-1, 0, 1}."""
+    try:
+        codes = [bytes(map(_SIGN_CODE, v)) for v in vectors]
+    except KeyError:
+        return None
+    support = [int(c.translate(_NONZERO), 2) for c in codes]
+    negative = [int(c.translate(_NEGATIVE), 2) for c in codes]
+    return support, negative, not any(0 in c for c in codes)
+
+
+def _int_matmul(a: list[list[int]], columns, upper: bool) -> list[list[int]]:
+    """Exact integer products of the rows of ``a`` with ``columns``, or only
+    the entries j >= i when ``upper`` (row i then starts at column i).
+    {-1, 0, 1} operands take bitmask popcounts."""
+    signs_a = _sign_masks(a)
+    signs_b = signs_a if columns is a else signs_a and _sign_masks(columns)
+    if not signs_b:
+        return [[sum(map(operator.mul, r, c)) for c in columns[i if upper else 0 :]] for i, r in enumerate(a)]
+    (sa, na, full_a), (sb, nb, full_b), n = signs_a, signs_b, len(columns[0])
+    if full_a and full_b:  # a product of signs is +1 unless they differ
+        return [[n - 2 * (x ^ y).bit_count() for y in nb[i if upper else 0 :]] for i, x in enumerate(na)]
+    return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(sb[i if upper else 0 :], nb[i if upper else 0 :])]
+            for i, (s, x) in enumerate(zip(sa, na))]
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -379,9 +381,12 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     substitution), so the integer product accumulates each output entry's
     whole polynomial.  Each output entry is then unpacked and reduced once
     by the domain's modulus; the denominator is the product of the two.
+    When one operand is the other's ``adjoint()``, the product is Hermitian:
+    only entries j >= i are computed, and (j, i) is the conjugate of (i, j).
     """
     if a.cols != b.rows:
         raise DomainError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    hermitian = b.adjoint_of is a or a.adjoint_of is b
     domain = a.domain.unify(b.domain)
     a, b = a.with_domain(domain), b.with_domain(domain)
     width = len(a.planes) + len(b.planes) - 1
@@ -391,11 +396,17 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         bound *= max(abs(x) for p in a.planes for r in p for x in r)
         bound *= max(abs(x) for p in b.planes for r in p for x in r)
         k = bound.bit_length() + 1
-    rows = _int_matmul(_pack_planes(a.planes, k), _pack_planes(b.planes, k))
-    den = a.den * b.den
+    packed = _pack_planes(a.planes, k)  # with real entries, the columns of a* are the rows of a
+    rows = _int_matmul(packed, packed if hermitian and width == 1 else list(zip(*_pack_planes(b.planes, k))), hermitian)
+    if width > 1:
+        rows = [[domain.reduce(unpack(x, k, width)) for x in r] for r in rows]
+    if hermitian:  # row i starts at column i; entry (i, j < i) is the conjugate of entry (j, i)
+        conj = width > 1 and domain.kind == "cyclotomic"
+        for i, r in enumerate(rows):  # in place: the rows above row i are already whole
+            r[:0] = [domain.reduce(conjugate_exponents(rows[j][i], domain.order)) if conj else rows[j][i] for j in range(i)]
     if width == 1:
-        return ExactMatrix(domain, den, [rows])
-    return from_flat(domain, b.cols, den, zip(*[domain.reduce(unpack(x, k, width)) for r in rows for x in r]))
+        return ExactMatrix(domain, a.den * b.den, [rows])
+    return from_flat(domain, b.cols, a.den * b.den, zip(*[c for r in rows for c in r]))
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -238,7 +238,10 @@ class CycloElem:
         if not isinstance(other, CycloElem):
             return NotImplemented
         a, b = self._pair(other)
-        return CycloElem(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        (da, ia), (db, ib) = _lower(a.coeffs), _lower(b.coeffs)
+        den = lcm(da, db)  # integer coordinates over one denominator; Fraction(c) beats Fraction(c, 1)
+        sums = [den // da * x + den // db * y for x, y in zip(ia, ib)]
+        return CycloElem(a.order, tuple((Fraction(c, den) if den > 1 else Fraction(c)) if c else _ZERO for c in sums))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -270,4 +270,7 @@ def dump(obj, path) -> None:
 
 def load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise InputError(f"{path} is not valid JSON: {exc}") from None

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from etf_forge.catalog import Catalog, recipe_id
-from etf_forge.errors import CatalogError
+from etf_forge.errors import CatalogError, InputError
 from etf_forge.recipes import recipe, replay
 from etf_forge.serialize import load
 
@@ -160,3 +160,41 @@ def test_concurrent_adds_of_one_recipe_record_it_once(tmp_path):
     assert [json.loads(line)["id"] for line in lines] == [recipe_id(kirkman_recipe())]
     assert [p.name for p in (cat / "payloads").iterdir()] == [recipe_id(kirkman_recipe())]
     assert Catalog(cat).audit() == []
+
+
+@pytest.mark.parametrize("damage", ["invalid_json", "missing"])
+def test_catalog_audit_lists_unreadable_payload_files_and_audits_the_rest(tmp_path, damage):
+    catalog = Catalog(tmp_path / "cat")
+    bad = catalog.add(kirkman_recipe())
+    good = catalog.add(recipe("simplex", hadamard={"generator": "sylvester", "e": 2}, drop_row=0))
+    target = catalog.root / bad.payload / "primary.json"
+    if damage == "missing":
+        target.unlink()
+    else:
+        target.write_text('{"schema": ')
+        with pytest.raises(InputError, match="primary.json is not valid JSON"):
+            load(target)
+    assert catalog.audit() == [bad.id]
+    assert [r.id for r in catalog.records()] == [bad.id, good.id]
+
+
+def test_add_removes_only_staging_directories_of_exited_processes(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0  # reaped: its pid names no process now
+    payloads = tmp_path / "cat" / "payloads"
+    names = {
+        "exited": f".staging-{child.pid}-a1b2",
+        "live": f".staging-{os.getpid()}-c3d4",
+        "no_pid": ".staging-e5f6",
+        "unparsed": ".staging-g7-h8",
+    }
+    for name in names.values():
+        (payloads / name).mkdir(parents=True)
+        (payloads / name / "primary.json").write_text("partial")
+    record = Catalog(tmp_path / "cat").add(kirkman_recipe())
+    left = sorted(p.name for p in payloads.iterdir())
+    assert left == sorted([record.id, names["live"], names["no_pid"], names["unparsed"]])

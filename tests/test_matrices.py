@@ -404,17 +404,103 @@ def test_int_fast_path_matches_naive_oracle():
 
 
 def test_bitmask_route_matches_loop_route():
-    # Force both sides of the {-1,0,1} size threshold on the same data.
+    # The popcount route has no size threshold: a 70 x 70 product and its
+    # 8 x 8 corner both take it, and both match the Fraction oracle.
     rng = random.Random(41)
     rows = [[rng.choice((-1, 0, 1)) for _ in range(70)] for _ in range(70)]
     a = ExactMatrix.from_rows(rows)
     small = ExactMatrix.from_rows([r[:8] for r in rows[:8]])
-    big = matmul(a, a)  # above the popcount threshold
+    big = matmul(a, a)
     for i in range(8):
         for j in range(8):
             acc = sum(rows[i][t] * rows[t][j] for t in range(70))
             assert big.entry(i, j).rational_value() == acc
+    assert big == oracle_matmul(a, a)
     assert matmul(small, small) == oracle_matmul(small, small)
+
+
+@pytest.fixture
+def triangles(monkeypatch):
+    """The row counts of the products that take only the upper triangle."""
+    import etf_forge.matrices as matrices
+
+    calls = []
+    kernel = matrices._int_matmul
+
+    def spy(a, columns, upper):
+        if upper:
+            calls.append(len(a))
+        return kernel(a, columns, upper)
+
+    monkeypatch.setattr(matrices, "_int_matmul", spy)
+    return calls
+
+
+def unlinked(m: ExactMatrix) -> ExactMatrix:
+    """An equal matrix that records no adjoint source."""
+    return ExactMatrix(m.domain, m.den, m.planes)
+
+
+def _sign_matrix(rng, rows, cols, zeros):
+    return ExactMatrix.from_rows([[rng.choice((-1, 0, 1) if zeros else (-1, 1)) for _ in range(cols)] for _ in range(rows)])
+
+
+def _hermitian_cases():
+    rng = random.Random(2024)
+    lifted = ExactMatrix.from_entries(
+        cyclo_domain(12), 3, 4, [rand_cyclo_entry(rng, rng.choice((3, 4))) for _ in range(12)]
+    )
+    return {
+        "q_signs_and_zeros": _sign_matrix(rng, 4, 6, True),
+        "q_full_support": _sign_matrix(rng, 5, 7, False),
+        "q_large_integers": ExactMatrix.from_rows([[rng.randint(-40, 40) for _ in range(5)] for _ in range(3)]),
+        "q_fractions": rand_cyclo_matrix(rng, 4, 3, 1),
+        **{f"order_{m}": rand_cyclo_matrix(rng, 3, 4, m) for m in (3, 4, 8, 13, 31)},
+        "order_12_lifted_from_3_and_4": lifted,
+        "order_4_lifted_to_8": rand_cyclo_matrix(rng, 3, 3, 4).with_domain(cyclo_domain(8)),
+        "q_sqrt_6": rand_quad_matrix(rng, 3, 4, 6),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hermitian_cases()))
+def test_hermitian_products_take_one_triangle_and_match_the_oracle(name, triangles):
+    a = _hermitian_cases()[name]
+    star = a.adjoint()
+    assert star.adjoint_of is a and a.adjoint_of is None
+    for x, y in ((star, a), (a, star)):
+        want = oracle_matmul(x, y)
+        assert matmul(x, y) == want  # the triangle route
+        assert triangles == [x.rows]
+        triangles.clear()
+        assert matmul(unlinked(x), unlinked(y)) == want  # the full route on equal operands
+        assert triangles == []
+    near = [[list(r) for r in p] for p in star.planes]
+    near[0][-1][0] += 1
+    near = ExactMatrix(star.domain, star.den, near)  # a* except at one entry
+    assert matmul(a, near) == oracle_matmul(a, near) != want
+    assert triangles == []
+
+
+def test_weighted_row_grams_take_the_full_route(triangles):
+    rng = random.Random(8)
+    for m in (rand_cyclo_matrix(rng, 3, 4, 13), _sign_matrix(rng, 3, 4, False)):
+        scaled = m.scale_rows((Fraction(1, 2), 3, Fraction(2, 7)))
+        assert matmul(m.adjoint(), scaled) == oracle_matmul(m.adjoint(), scaled)
+    assert triangles == []
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 70])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_popcount_route_matches_the_oracle(size, zeros, triangles):
+    rng = random.Random(size)
+    inner = min(size, 8)  # keeps the 70 x 70 products cheap for the oracle
+    a = _sign_matrix(rng, size, inner, zeros)
+    b = _sign_matrix(rng, inner, size, zeros)
+    assert matmul(a, b) == oracle_matmul(a, b)
+    assert matmul(b, a) == oracle_matmul(b, a)
+    for x, y in ((a, a.adjoint()), (b.adjoint(), b)):
+        assert matmul(x, y) == oracle_matmul(x, y) == matmul(unlinked(x), unlinked(y))
+    assert triangles == [size, size]
 
 
 def test_identity_product():

@@ -229,12 +229,18 @@ def test_rational_sqrt():
 def fraction_cyclo_mul(x, y):
     """Fraction oracle: exponent-space convolution, then long division by Phi_m."""
     m = x.order
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
     acc = [Fraction(0)] * m
     for i, c in enumerate(x.coeffs):
         for j, d in enumerate(y.coeffs):
             acc[(i + j) % m] += c * d
+    return fraction_cyclo_reduce(acc, m)
+
+
+def fraction_cyclo_reduce(acc, m):
+    """Fraction long division of sum acc[e] x^e (e < m) by Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    acc = list(acc)
     for i in range(m - 1, deg - 1, -1):
         c = acc[i]
         for j in range(deg + 1):
@@ -267,6 +273,32 @@ def test_cyclo_mul_matches_fraction_and_numeric_oracles(m):
             sq = x * x.conjugate()
             assert sq.coeffs == fraction_cyclo_mul(x, x.conjugate())
             assert abs(embed(sq) - abs(embed(x)) ** 2) < 1e-9
+
+
+def fraction_cyclo_add(x, y):
+    """Fraction oracle: both operands spread to the lcm order and reduced by long
+    division, then added coordinate by coordinate."""
+    m = math.lcm(x.order, y.order)
+    acc = [Fraction(0)] * m
+    for z in (x, y):
+        for e, c in enumerate(z.coeffs):
+            acc[e * (m // z.order)] += c
+    return fraction_cyclo_reduce(acc, m)
+
+
+@pytest.mark.parametrize("m", [1, 4, 13, 31])
+def test_cyclo_add_matches_the_fraction_oracle(m):
+    rng = random.Random(100 + m)
+    integral = CycloElem.from_terms({e: rng.randint(-9, 9) for e in range(m)}, m)
+    for other_order in (m, 1, 3, 4):  # the same order, then mixed orders
+        for _ in range(4):
+            x, y = rand_elem(rng, m, m), rand_elem(rng, other_order, 3)
+            for u, v in ((x, y), (y, x), (integral, y), (x, integral), (x, x * -1)):
+                s = u + v
+                assert s.order == math.lcm(u.order, v.order)
+                assert s.coeffs == fraction_cyclo_add(u, v)
+                assert abs(embed(s) - embed(u) - embed(v)) < 1e-9
+    assert (x + Fraction(2, 3)).coeffs == fraction_cyclo_add(x, CycloElem.from_rational(Fraction(2, 3)))
 
 
 def test_dense_reduced_root_products():

@@ -30,3 +30,26 @@ def test_verifiers_and_io_stay_on_the_planes():
             elif isinstance(node, ast.Name) and node.id in ("squared_modulus", "from_terms"):
                 found.append(f"{name}:{node.lineno} {node.id}")
     assert found == []
+
+
+def test_hermitian_products_are_spelled_with_adjoint():
+    # matmul takes one triangle only when one operand is the other's
+    # adjoint() (which records its source); a product of a matrix with itself
+    # or with its transpose() records nothing and computes both triangles.
+    def is_transpose_of(node, other):
+        return (
+            isinstance(node, ast.Call) and not node.args
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "transpose"
+            and ast.dump(node.func.value) == ast.dump(other)
+        )
+
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and len(node.args) == 2):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            x, y = node.args
+            if name == "matmul" and (ast.dump(x) == ast.dump(y) or is_transpose_of(y, x) or is_transpose_of(x, y)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
