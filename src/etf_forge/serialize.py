@@ -11,6 +11,7 @@ are 1-based; parallel classes hold 0-based indices into the block list.
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -29,10 +30,19 @@ CERTIFICATE_SCHEMA = "etf-forge/certificate/v1"
 FEASIBILITY_SCHEMA = "etf-forge/feasibility/v1"
 RECIPE_SCHEMA = "etf-forge/recipe/v1"
 PAIR_SCHEMA = "etf-forge/pair/v1"
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Sorted keys, no spaces, one trailing newline.  A matrix document whose
+    entries share objects (as ``matrix_to_obj``'s do) encodes each one once."""
+    entries = obj.get("entries") if type(obj) is dict and obj.get("schema") == MATRIX_SCHEMA else None
+    distinct = {id(e): e for e in entries} if type(entries) is list else None
+    if distinct is None or len(distinct) == len(entries):
+        return _encode(obj) + "\n"
+    text = {i: _encode(e) for i, e in distinct.items()}
+    joined = "[" + ",".join([text[i] for i in map(id, entries)]) + "]"
+    return "{" + ",".join(f"{_encode(k)}:{joined if k == 'entries' else _encode(v)}" for k, v in sorted(obj.items())) + "}\n"
 
 
 def _frac_pair(q: Fraction) -> list[int]:
@@ -90,7 +100,22 @@ def matrix_to_obj(m: ExactMatrix) -> dict:
 def _entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
     """(den, flat planes) of v1 entries: den the lcm of the term denominators
     and plane k the row-major k-th integer coordinates over the domain's
-    basis.  A cyclotomic exponent may be any integer; it is reduced mod Phi_m."""
+    basis.  The rational-integer form, each entry one term [0, n, 1] of JSON
+    integers, is read in two comprehensions; any other document takes the
+    general path."""
+    if domain.kind == "cyclotomic" and domain.order == 1:
+        try:
+            form = {(e, d, type(e), type(n), type(d)) for ((e, n, d),) in entries}
+        except (TypeError, ValueError):
+            form = None
+        if form == {(0, 1, int, int, int)}:
+            return 1, [[n for ((_, n, _),) in entries]]
+    return _general_entry_planes(entries, domain)
+
+
+def _general_entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
+    """``_entry_planes`` for any valid v1 entries: terms in any order, any
+    integer exponent (reduced mod Phi_m), unreduced fractions, zero entries."""
     if domain.kind == "cyclotomic":
         size = domain.order
     else:  # a + b sqrt(t) as the terms a sqrt(t)^0 and b sqrt(t)^1
@@ -98,9 +123,9 @@ def _entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
         entries = [((0, a_num, a_den), (1, b_num, b_den)) for a_num, a_den, b_num, b_den in entries]
     dens = set()
     for entry in entries:
-        for _, num, d in entry:
-            if type(num) is not int or type(d) is not int:
-                raise TypeError(f"a term needs an integer numerator and denominator, got {num!r}, {d!r}")
+        for e, num, d in entry:
+            if type(e) is not int or type(num) is not int or type(d) is not int:
+                raise TypeError(f"a term needs an integer exponent, numerator and denominator, got {[e, num, d]!r}")
             dens.add(d)
     if 0 in dens:
         raise ZeroDivisionError("a term has denominator 0")
@@ -131,6 +156,8 @@ def matrix_from_obj(obj) -> ExactMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         if type(rows) is not int or type(cols) is not int:
             raise TypeError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"rows and cols must be at least 1, got {rows} and {cols}")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}")
         den, flat = _entry_planes(entries, domain)
@@ -163,21 +190,28 @@ def design_to_obj(design: Design) -> dict:
     return obj
 
 
+def _json_ints(values) -> tuple[int, ...]:
+    """The values, each a JSON integer: int() would read 1.9, "1" and true as 1."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise TypeError(f"expected integers, got {list(values)!r}")
+    return values
+
+
 def design_from_obj(obj) -> Design:
     if not isinstance(obj, dict):
         raise InputError(f"not a design document: a JSON {type(obj).__name__}")
     if obj.get("schema") != DESIGN_SCHEMA:
         raise InputError(f"not a design document: schema {obj.get('schema')!r}")
     try:
-        blocks = [tuple(int(x) - 1 for x in block) for block in obj["blocks"]]
+        blocks = [tuple(x - 1 for x in _json_ints(block)) for block in obj["blocks"]]
         classes = obj.get("parallel_classes")
-        classes = None if classes is None else [tuple(int(i) for i in c) for c in classes]
-        declared = (obj["v"], obj["k"], obj["lambda"], obj["r"], obj["b"])
-        declared_ints = tuple(int(x) for x in declared)
-    except (TypeError, ValueError, KeyError) as exc:
+        classes = None if classes is None else [_json_ints(c) for c in classes]
+        declared = _json_ints(obj[key] for key in ("v", "k", "lambda", "r", "b"))
+    except (TypeError, KeyError) as exc:
         raise InputError(f"malformed design document: {type(exc).__name__}: {exc}") from None
-    design = Design(declared_ints[0], blocks, classes)
-    if design.params.as_tuple() != declared_ints:
+    design = Design(declared[0], blocks, classes)
+    if design.params.as_tuple() != declared:
         raise DesignError(
             f"declared parameters {declared} disagree with the block list "
             f"{design.params.as_tuple()}"
@@ -269,8 +303,14 @@ def dump(obj, path) -> None:
 
 
 def load(path):
+    # The decoded tree is acyclic: a collection during the decode walks it and frees nothing.
+    enabled = gc.isenabled()
     with open(path) as fh:
+        gc.disable()
         try:
             return json.load(fh)
         except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise InputError(f"{path} is not valid JSON: {exc}") from None
+        finally:
+            if enabled:
+                gc.enable()

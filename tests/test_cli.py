@@ -291,9 +291,19 @@ def test_top_level_array_is_exit_2(tmp_path, capsys):
 
 def test_malformed_design_documents_exit_2(tmp_path, capsys):
     good = design_to_obj(all_pairs_design(6))
+    # int() would read each of 1.9, "1" and true as vertex 1 and certify the
+    # original design; a document must hold JSON integers.
+    assert good["blocks"][0] == [1, 2]
+    rest = good["blocks"][1:]
     for name, doc in (("array", [good]), ("blocks", dict(good, blocks=5)),
                       ("classes", dict(good, parallel_classes=4)),
-                      ("schema", dict(good, schema="etf-forge/matrix/v1"))):
+                      ("schema", dict(good, schema="etf-forge/matrix/v1")),
+                      ("float_vertex", dict(good, blocks=[[1.9, 2]] + rest)),
+                      ("string_vertex", dict(good, blocks=[["1", 2]] + rest)),
+                      ("bool_vertex", dict(good, blocks=[[True, 2]] + rest)),
+                      ("float_class", dict(good, parallel_classes=[[0.0]])),
+                      ("string_param", dict(good, v="6")),
+                      ("bool_param", dict(good, **{"lambda": True}))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         code, stdout, err = run(capsys, "verify", "qsd", str(path))
