@@ -136,7 +136,6 @@ def test_canonical_json_is_stable():
     assert a == b == '{"a":[1,2],"b":1}\n'
 
 
-
 def _small_documents() -> list[dict]:
     """Matrix documents over all three domains: flat integer frames, DFT and
     harmonic frames, QSD frames over Q and Q(sqrt 6), and a quadratic matrix."""
