@@ -14,14 +14,11 @@ and is removed under the lock once that process is gone.
 
 from __future__ import annotations
 
-import datetime
 import fcntl
-import hashlib
 import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import CatalogError, EtfForgeError, RecordLookupError
@@ -37,6 +34,7 @@ from .serialize import (
     matrix_to_obj,
     pair_to_obj,
 )
+from .value import Value
 
 ENV_VAR = "ETF_FORGE_CATALOG"
 DEFAULT_DIR = "etf-catalog"
@@ -49,6 +47,8 @@ def catalog_path(override=None) -> Path:
 
 
 def recipe_id(rec: dict) -> str:
+    import hashlib  # imported here: only the catalog commands hash a recipe
+
     return hashlib.sha256(canonical_json(rec).encode()).hexdigest()
 
 
@@ -74,8 +74,10 @@ def _params_summary(artifact: Artifact) -> dict:
     return summary
 
 
-@dataclass
-class CatalogRecord:
+class CatalogRecord(Value):
+    """CatalogRecord(id, kind, params, certificates, created_at, payload):
+    one line of ``records.jsonl``, the recipe's id and the path of its payload."""
+
     id: str
     kind: str
     params: dict
@@ -84,7 +86,7 @@ class CatalogRecord:
     payload: str
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self._fields}
 
     @staticmethod
     def from_obj(obj) -> "CatalogRecord":
@@ -129,6 +131,8 @@ class Catalog:
     def add(self, rec: dict) -> CatalogRecord:
         """Replay the recipe and re-certify; unless its id is already recorded,
         persist the payload and append the record.  Returns the record."""
+        import datetime  # imported here, like hashlib in recipe_id
+
         artifact = replay(rec)
         rid = recipe_id(rec)
         recorded = self._recorded(rid)

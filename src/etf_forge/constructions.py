@@ -18,7 +18,6 @@ Conventions that fix the golden outputs bit-for-bit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -27,10 +26,10 @@ from .errors import DesignError, FrameError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
 from .hadamard import AbelianGroup, HadamardMatrix, char_table
 from .matrices import ExactMatrix, kron, matmul, vstack
+from .value import Value
 
 
-@dataclass(frozen=True)
-class SteinerInputs:
+class SteinerInputs(Value):
     """Ingredients for a design-lifted frame.
 
     ``f`` has the size of the block size k; ``g`` has size r + 1.  ``column``
@@ -51,8 +50,7 @@ class SteinerInputs:
             raise FrameError(f"column must lie in 1..{self.lift.k}")
 
 
-@dataclass(frozen=True)
-class KirkmanInputs:
+class KirkmanInputs(Value):
     """Steiner ingredients over a resolvable design, plus the size v/k rotation."""
 
     steiner: SteinerInputs
@@ -67,8 +65,7 @@ class KirkmanInputs:
             raise FrameError(f"E must have size v / k = {p.v // p.k}, got {self.e.n}")
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
+class DifferenceSet(Value):
     """A verified difference set: constant difference counts off the identity."""
 
     group: AbelianGroup

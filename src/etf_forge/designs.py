@@ -9,7 +9,6 @@ labelings so downstream constructions are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -18,10 +17,10 @@ from math import isqrt
 from .errors import DesignError
 from .matrices import RATIONAL, ExactMatrix, matmul
 from .scalars import QuadElem
+from .value import Value
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(Value):
     """Verified parameters (v, k, lam, r, b) of a block design."""
 
     v: int
@@ -166,8 +165,7 @@ def fano_plane() -> Design:
     return Design(7, [tuple(x - 1 for x in block) for block in FANO_BLOCKS])
 
 
-@dataclass(frozen=True)
-class PermutationLift:
+class PermutationLift(Value):
     """The permutation matrix that lifts an incidence matrix.
 
     ``slots`` maps each incidence one at (block i, vertex j) to its position
@@ -221,8 +219,7 @@ def complement_design(design: Design) -> Design:
     return Design(design.v, blocks)
 
 
-@dataclass(frozen=True)
-class QsdCertificate:
+class QsdCertificate(Value):
     """A quasi-symmetric design: exactly two block intersection sizes y > x.
 
     ``block_graph`` (adjacency at intersection size y) and ``design`` are
@@ -280,8 +277,7 @@ def verify_qsd(design: Design) -> QsdCertificate:
     return QsdCertificate(p, x, y, a, design)
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(Value):
     """Strongly regular graph parameters with exact eigenvalues.
 
     The eigenvalues other than the degree are roots of a quadratic with

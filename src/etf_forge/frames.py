@@ -12,17 +12,16 @@ and raise otherwise, because the missing factors are usually irrational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 from .errors import FrameError
 from .hadamard import HadamardMatrix, verify_hadamard
 from .matrices import Domain, ExactMatrix, matmul, rational_rows, scaled_identity, vstack
+from .value import Value
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(Value):
     """A d x n synthesis matrix; column j is the j-th vector.
 
     ``row_weights[i]`` is the square of the scale carried by stored row i
@@ -35,9 +34,12 @@ class Frame:
 
     matrix: ExactMatrix
     row_weights: tuple[Fraction, ...] | None = None
-    _gram: ExactMatrix | None = field(default=None, repr=False, compare=False)
-    _row_product: tuple | None = field(default=None, repr=False, compare=False)
-    _certificate: "EtfCertificate | None" = field(default=None, repr=False, compare=False)
+    _gram: ExactMatrix | None = None
+    _row_product: tuple | None = None
+    _certificate: "EtfCertificate | None" = None
+
+    __eq__ = object.__eq__  # by identity: the matrix is unhashable and the caches are per object
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         if self.matrix.cols < self.matrix.rows:
@@ -114,8 +116,7 @@ def _is_flat(frame: Frame) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EtfCertificate:
+class EtfCertificate(Value):
     """Exact witness that a frame is an equiangular tight frame."""
 
     d: int
@@ -191,8 +192,7 @@ def certify_etf(frame: Frame) -> EtfCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class NaimarkPair:
+class NaimarkPair(Value):
     """Two frames whose rows jointly fill a scaled unitary."""
 
     primary: Frame

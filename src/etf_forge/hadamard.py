@@ -8,16 +8,15 @@ in a construction cannot produce an unverified object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import HadamardError
 from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, matmul, rational_rows, scaled_identity
 from .scalars import CycloElem
+from .value import Value
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
+class HadamardMatrix(Value):
     """A verified Hadamard matrix; ``kind`` is "real" for +/-1 matrices."""
 
     n: int
@@ -25,8 +24,7 @@ class HadamardMatrix:
     kind: str
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """A finite abelian group as a product of cyclic factors.
 
     Elements are indexed in big-endian mixed-radix counting order: the first

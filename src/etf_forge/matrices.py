@@ -25,7 +25,6 @@ triangle.  A per-entry Fraction loop in the test suite is the differential oracl
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -44,10 +43,12 @@ from .scalars import (
     quad_from_ints,
     unpack,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CycloDomain:
+class CycloDomain(Value):
+    """CycloDomain(order): entries in Q(zeta_order), over the power basis."""
+
     order: int
 
     kind = "cyclotomic"
@@ -82,8 +83,9 @@ class CycloDomain:
         raise DomainError("cannot mix cyclotomic and quadratic matrices")
 
 
-@dataclass(frozen=True)
-class QuadDomain:
+class QuadDomain(Value):
+    """QuadDomain(radicand): entries a + b sqrt(radicand), over the basis 1, sqrt(radicand)."""
+
     radicand: int
 
     kind = "quadratic"

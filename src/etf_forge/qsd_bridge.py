@@ -12,7 +12,6 @@ are taken symbolically and integrality is decided by integer square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd, verify_qsd
@@ -20,10 +19,10 @@ from .errors import DesignError, FrameError
 from .frames import Frame, certify_etf, gram
 from .matrices import RATIONAL, ExactMatrix, quad_domain, rational_rows
 from .scalars import QuadElem, rational_sqrt
+from .value import Value
 
 
-@dataclass(frozen=True)
-class QsdEtfLink:
+class QsdEtfLink(Value):
     """The scalars tying a QSD to the frame it generates."""
 
     w: Fraction
@@ -126,8 +125,7 @@ def canonical_sign(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], tuple[
     return ExactMatrix.from_rows(rows, RATIONAL), row_signs, tuple(col_signs)
 
 
-@dataclass(frozen=True)
-class FlatEtfExtraction:
+class FlatEtfExtraction(Value):
     """The design and scalars read off a canonically signed real flat frame."""
 
     certificate: QsdCertificate
@@ -247,8 +245,7 @@ def qsd_params_from_rbibd(v_hat: int, k_hat: int, r_hat: int, b_hat: int):
     return tuple(int(s) for s in slots), int(w)
 
 
-@dataclass(frozen=True)
-class RadicalCheck:
+class RadicalCheck(Value):
     """Exact integrality/parity data for one square root."""
 
     radicand: Fraction
@@ -265,8 +262,7 @@ def _radical_check(radicand: Fraction) -> RadicalCheck:
     return RadicalCheck(radicand, True, value, value % 2 == 1)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Value):
     """Necessary-condition report for a real flat frame of n vectors in R^d.
 
     Passing requires sqrt(d(n-1)/(n-d)) and sqrt((n-d)(n-1)/d) to be odd
@@ -307,8 +303,7 @@ def flat_feasibility(d: int, n: int) -> FeasibilityReport:
     )
 
 
-@dataclass(frozen=True)
-class GerzonReport:
+class GerzonReport(Value):
     """One dimension-count bound check, with the violated side named."""
 
     d: int

@@ -17,7 +17,6 @@ Design sources: {"generator": "all-pairs", "v": int},
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .constructions import (
     SteinerInputs,
@@ -34,10 +33,10 @@ from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
 from .serialize import RECIPE_SCHEMA
+from .value import Value
 
 
-@dataclass
-class Artifact:
+class Artifact(Value):
     """The result of replaying a recipe: a frame or a complementary pair."""
 
     kind: str

@@ -101,16 +101,24 @@ def _entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
     """(den, flat planes) of v1 entries: den the lcm of the term denominators
     and plane k the row-major k-th integer coordinates over the domain's
     basis.  The rational-integer form, each entry one term [0, n, 1] of JSON
-    integers, is read in two comprehensions; any other document takes the
-    general path."""
+    integers or a zero written [], is read in two comprehensions, once each
+    [] is read as [0, 0, 1]; any other document takes the general path."""
     if domain.kind == "cyclotomic" and domain.order == 1:
-        try:
-            form = {(e, d, type(e), type(n), type(d)) for ((e, n, d),) in entries}
-        except (TypeError, ValueError):
-            form = None
-        if form == {(0, 1, int, int, int)}:
-            return 1, [[n for ((_, n, _),) in entries]]
+        ns = _one_term_numerators(entries)
+        if ns is None and type(entries) is list and [] in entries:
+            ns = _one_term_numerators([x if x != [] else ((0, 0, 1),) for x in entries])
+        if ns is not None:
+            return 1, [ns]
     return _general_entry_planes(entries, domain)
+
+
+def _one_term_numerators(entries) -> list[int] | None:
+    """The n of entries that are each the one term [0, n, 1] of JSON integers, else None."""
+    try:
+        form = {(e, d, type(e), type(n), type(d)) for ((e, n, d),) in entries}
+    except (TypeError, ValueError):
+        return None
+    return [n for ((_, n, _),) in entries] if form == {(0, 1, int, int, int)} else None
 
 
 def _general_entry_planes(entries, domain) -> tuple[int, list[list[int]]]:

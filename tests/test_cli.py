@@ -326,6 +326,26 @@ def test_malformed_matrix_documents_exit_2_in_a_child_process(tmp_path, capsys):
         _assert_input_error(proc.returncode, proc.stderr)
 
 
+def test_cli_import_loads_no_catalog_or_introspection_stdlib():
+    # Every CLI child pays for what `import etf_forge.cli` loads.  `dataclasses`
+    # (with `inspect`, `ast`, `dis` and `tokenize`) is not used at all, and
+    # `hashlib` and `datetime` are imported only by the catalog calls that need them.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                              capture_output=True, text=True, env=env, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import etf_forge.cli") - loaded("pass")
+    assert "etf_forge.cli" in added and "etf_forge.catalog" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "datetime"} == set()
+
+
 def test_catalog_show_lookup_failures_are_exit_2(tmp_path, capsys):
     cat = tmp_path / "cat"
     cat.mkdir()

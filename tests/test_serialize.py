@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 
 from etf_forge import serialize
-from etf_forge.constructions import harmonic_etf, kirkman_etf, standard_kirkman_inputs, verify_difference_set
-from etf_forge.designs import all_pairs_design, fano_plane, round_robin_resolution
+from etf_forge.constructions import (
+    SteinerInputs,
+    harmonic_etf,
+    kirkman_etf,
+    standard_kirkman_inputs,
+    steiner_etf,
+    verify_difference_set,
+)
+from etf_forge.designs import all_pairs_design, fano_plane, lift_permutation, round_robin_resolution
 from etf_forge.errors import DesignError, DomainError, InputError
 from etf_forge.frames import Frame, certify_etf
-from etf_forge.hadamard import AbelianGroup, dft, sylvester
+from etf_forge.hadamard import AbelianGroup, dft, hadamard_of_size, sylvester
 from etf_forge.matrices import ExactMatrix, quad_domain
 from etf_forge.qsd_bridge import etf_from_qsd, flat_feasibility, qsd_from_flat_etf
 from etf_forge.scalars import QuadElem
@@ -156,6 +163,13 @@ def kirkman_u12_documents() -> list[dict]:
     return [matrix_to_obj(pair.primary.matrix), matrix_to_obj(pair.complement.matrix)]
 
 
+@pytest.fixture(scope="module")
+def steiner_v24_document() -> dict:
+    """The 276 x 576 all-pairs(24) Steiner primary: 145,728 of its entries are zeros, written []."""
+    lift = lift_permutation(all_pairs_design(24))
+    return matrix_to_obj(steiner_etf(SteinerInputs(lift, sylvester(1), hadamard_of_size(24))).matrix)
+
+
 def _planes_or_error(parse, entries, domain):
     """(den, planes), or the error that ``matrix_from_obj`` turns into InputError."""
     try:
@@ -174,31 +188,36 @@ def _assert_paths_agree(doc) -> None:
             matrix_from_obj(doc)
 
 
-def test_integer_fast_path_agrees_with_the_general_path(kirkman_u12_documents, monkeypatch):
-    docs = _small_documents() + kirkman_u12_documents
+def test_integer_fast_path_agrees_with_the_general_path(kirkman_u12_documents, steiner_v24_document, monkeypatch):
+    large = kirkman_u12_documents + [steiner_v24_document]
+    docs = _small_documents() + large
     assert {d["domain"]["kind"] for d in docs} == {"cyclotomic", "quadratic"}
     assert {d["domain"].get("order") for d in docs} >= {1, 5, 12, 13}
     for doc in docs:
         _assert_paths_agree(doc)
         _assert_paths_agree(json.loads(canonical_json(doc)))
-    # The u = 12 documents are in the integer form, so the general path must not run.
+    # The u = 12 and all-pairs(24) documents are in the integer form, zeros
+    # included, so the general path must not run.
     calls = []
     monkeypatch.setattr(serialize, "_general_entry_planes", lambda *a: calls.append(a))
-    for doc in kirkman_u12_documents:
-        assert matrix_from_obj(doc).rows in (276, 300)
+    for doc in large:
+        for copy in (doc, json.loads(canonical_json(doc))):
+            assert matrix_from_obj(copy).rows in (276, 300)
     assert calls == []
 
 
 MUTATED_ENTRIES = [True, 1.0, "1", None, [], [[0, 0, 1]], [[0, 2, 2]], [[0, 1, -1]], [[3, 1, 1]],
                    [[0, 1, 1], [0, 1, 1]], [[0, 1, 0]], [[0, 2**70, 1]], [[True, 1, 1]], [[0, True, 1]],
-                   [[0, 1, True]], [[0.0, 1, 1]], [[0, 1.0, 1]], [[0, 1, 1.0]], [0, 1, 1], [[0, 1]]]
+                   [[0, 1, True]], [[0.0, 1, 1]], [[0, 1.0, 1]], [[0, 1, 1.0]], [0, 1, 1], [[0, 1]],
+                   0, False, "", {}, [[]], [[], []]]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mutated_integer_documents_take_the_same_verdict_on_both_paths(seed):
     rng = random.Random(seed)
     kirkman = kirkman_etf(standard_kirkman_inputs(2, e=sylvester(1)))
-    for m in (ExactMatrix.from_rows(FLAT_6x16), kirkman.primary.matrix, kirkman.complement.matrix):
+    steiner = steiner_etf(SteinerInputs(lift_permutation(all_pairs_design(4)), sylvester(1), sylvester(2)))
+    for m in (ExactMatrix.from_rows(FLAT_6x16), kirkman.primary.matrix, kirkman.complement.matrix, steiner.matrix):
         doc = json.loads(canonical_json(matrix_to_obj(m)))
         for value in MUTATED_ENTRIES:
             entries = list(doc["entries"])

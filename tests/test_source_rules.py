@@ -53,3 +53,17 @@ def test_hermitian_products_are_spelled_with_adjoint():
             if name == "matmul" and (ast.dump(x) == ast.dump(y) or is_transpose_of(y, x) or is_transpose_of(x, y)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_dataclasses_import():
+    # Loading `dataclasses` and generating each class's methods cost every CLI
+    # child tens of milliseconds; value classes derive from `value.Value`.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
