@@ -92,11 +92,13 @@ class Design:
     @cached_property
     def incidence(self) -> ExactMatrix:
         rows = []
-        for block in self.blocks:
+        for i, block in enumerate(self.blocks):
             row = [0] * self.v
             for vertex in block:
                 if not 0 <= vertex < self.v:
                     raise DesignError(f"vertex {vertex} out of range")
+                if row[vertex]:
+                    raise DesignError(f"block {i} repeats vertex {vertex}")
                 row[vertex] = 1
             rows.append(row)
         return ExactMatrix.from_rows(rows, RATIONAL)

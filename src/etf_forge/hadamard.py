@@ -8,11 +8,11 @@ in a construction cannot produce an unverified object.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from .errors import HadamardError
 from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, matmul, rational_rows, scaled_identity
-from .scalars import CycloElem
 from .value import Value
 
 
@@ -40,10 +40,7 @@ class AbelianGroup(Value):
 
     @property
     def size(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return prod(self.orders)
 
     def digits(self, index: int) -> tuple[int, ...]:
         out = []
@@ -54,20 +51,12 @@ class AbelianGroup(Value):
             raise HadamardError("element index out of range")
         return tuple(reversed(out))
 
-    def index(self, digits) -> int:
-        digits = tuple(digits)
-        if len(digits) != len(self.orders):
-            raise HadamardError("digit count does not match the factor count")
-        i = 0
-        for d, m in zip(digits, self.orders):
-            if not 0 <= d < m:
-                raise HadamardError(f"digit {d} out of range for a factor of order {m}")
-            i = i * m + d
-        return i
-
     def subtract(self, i: int, j: int) -> int:
-        a, b = self.digits(i), self.digits(j)
-        return self.index(tuple((x - y) % m for x, y, m in zip(a, b, self.orders)))
+        """The index of element i minus element j."""
+        out = 0
+        for x, y, m in zip(self.digits(i), self.digits(j), self.orders):
+            out = out * m + (x - y) % m
+        return out
 
 
 def _first_mismatch(rows, value) -> tuple[int, int] | None:
@@ -138,13 +127,19 @@ def paley_one(q: int) -> HadamardMatrix:
     return verify_hadamard(ExactMatrix.from_rows(rows, RATIONAL))
 
 
+def _roots_of_unity(m: int, exponents: list[list[int]]) -> ExactMatrix:
+    """The matrix of zeta_m ** exponents[i][j] (each in 0..m-1), read off the
+    planes of the m roots, each reduced once modulo Phi_m."""
+    dom = cyclo_domain(m)
+    roots = [dom.reduce([0] * e + [1]) for e in range(m)]
+    return ExactMatrix(dom, 1, [[list(map(plane.__getitem__, row)) for row in exponents] for plane in zip(*roots)])
+
+
 def dft(n: int) -> HadamardMatrix:
     """The discrete Fourier matrix F(j, k) = zeta_n**(j k), 0-based."""
     if n < 1:
         raise HadamardError("size must be >= 1")
-    dom = cyclo_domain(n)
-    entries = [CycloElem.root(n, (j * k) % n) for j in range(n) for k in range(n)]
-    return verify_hadamard(ExactMatrix.from_entries(dom, n, n, entries))
+    return verify_hadamard(_roots_of_unity(n, [[j * k % n for k in range(n)] for j in range(n)]))
 
 
 def kron(h1: HadamardMatrix, h2: HadamardMatrix) -> HadamardMatrix:
@@ -161,17 +156,9 @@ def char_table(group: AbelianGroup) -> HadamardMatrix:
     the doubling-construction matrix of the same size.
     """
     m = lcm(*group.orders)
-    n = group.size
-    weights = [m // mi for mi in group.orders]
-    dom = cyclo_domain(m)
-    entries = []
-    for a in range(n):
-        ad = group.digits(a)
-        for g in range(n):
-            gd = group.digits(g)
-            e = sum(x * y * w for x, y, w in zip(ad, gd, weights)) % m
-            entries.append(CycloElem.root(m, e))
-    return verify_hadamard(ExactMatrix.from_entries(dom, n, n, entries))
+    digits = [group.digits(g) for g in range(group.size)]
+    weighted = [[x * (m // mi) for x, mi in zip(d, group.orders)] for d in digits]
+    return verify_hadamard(_roots_of_unity(m, [[sum(map(mul, a, g)) % m for g in digits] for a in weighted]))
 
 
 def hadamard_of_size(n: int) -> HadamardMatrix:

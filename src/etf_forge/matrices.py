@@ -11,8 +11,9 @@ denominator: plane k holds den times each entry's k-th coordinate.  The form
 is canonical (den is the lcm of the reduced denominators, trailing all-zero
 planes are dropped), so a rational matrix has one plane, an integer matrix
 is its own plane and equality is plane equality.  Every operation works on
-the planes; scalars are built only by ``entry`` and ``row``, and a matrix
-built from scalars is lowered once.  ``rational_rows`` reads rational
+the planes; scalars are built only by ``entry`` and ``row``, and the
+constructions write their planes directly (``from_entries`` lowers scalars
+once, for callers that hold them).  ``rational_rows`` reads rational
 values, zero masks and squared moduli off the planes for the verifiers.
 
 Every product runs on one integer kernel: each entry's planes are packed into one
@@ -33,6 +34,7 @@ from .errors import DomainError
 from .scalars import (
     CycloElem,
     QuadElem,
+    _lower,
     _reduce_mod_cyclotomic,
     _reduce_quadratic,
     conjugate_exponents,
@@ -438,5 +440,8 @@ def vstack(*mats: ExactMatrix) -> ExactMatrix:
 
 
 def scaled_identity(n: int, value, domain: Domain = RATIONAL) -> ExactMatrix:
-    c = ExactMatrix.from_entries(domain, 1, 1, [value])
-    return ExactMatrix(domain, c.den, [[[p[0][0] if i == j else 0 for j in range(n)] for i in range(n)] for p in c.planes])
+    """value times the n x n identity, for a rational value or a domain element."""
+    den, ints = _lower(domain.coefficients(value))
+    while len(ints) > 1 and not ints[-1]:  # no all-zero planes to build
+        ints.pop()
+    return ExactMatrix(domain, den, [[[c if i == j else 0 for j in range(n)] for i in range(n)] for c in ints])

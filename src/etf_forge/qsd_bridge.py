@@ -13,6 +13,7 @@ are taken symbolically and integrality is decided by integer square roots.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd, verify_qsd
 from .errors import DesignError, FrameError
@@ -89,15 +90,12 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
 
     t = 1 if (delta.b == 0 and eps.b == 0) else max(delta.t, eps.t)
     domain = RATIONAL if t == 1 else quad_domain(t)
-    x_rows = design.incidence.int_rows()  # b x v
-    rows = []
-    for i in range(p.v):
-        row = [1]
-        for j in range(p.b):
-            value = delta + eps * x_rows[j][i]  # (X^T)(i, j) = X(j, i)
-            row.append(value if t > 1 else value.rational_value())
-        rows.append(row)
-    frame = Frame(ExactMatrix.from_entries(domain, p.v, p.b + 1, [x for row in rows for x in row]))
+    coords = [(delta.a, eps.a), (delta.b, eps.b)][: domain.width]  # over 1, sqrt(t)
+    den = lcm(*[c.denominator for pair in coords for c in pair])
+    x_t = list(zip(*design.incidence.int_rows()))  # the rows of X^T
+    values = [(int(d * den), int((d + e) * den)) for d, e in coords]  # plane k at an entry x of X^T: den (d + e x)
+    planes = [[[den if k == 0 else 0, *map(v.__getitem__, row)] for row in x_t] for k, v in enumerate(values)]
+    frame = Frame(ExactMatrix(domain, den, planes))
     certify_etf(frame)
     den, g = rational_rows(gram(frame))
     for j in range(1, p.b + 1):

@@ -218,7 +218,13 @@ def design_from_obj(obj) -> Design:
         declared = _json_ints(obj[key] for key in ("v", "k", "lambda", "r", "b"))
     except (TypeError, KeyError) as exc:
         raise InputError(f"malformed design document: {type(exc).__name__}: {exc}") from None
-    design = Design(declared[0], blocks, classes)
+    v = declared[0]
+    for i, block in enumerate(blocks, 1):
+        if min(block, default=0) < 0 or max(block, default=0) >= v:
+            raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")
+        if len(set(block)) != len(block):
+            raise InputError(f"design block {i} {[x + 1 for x in block]} repeats a vertex")
+    design = Design(v, blocks, classes)
     if design.params.as_tuple() != declared:
         raise DesignError(
             f"declared parameters {declared} disagree with the block list "

@@ -303,7 +303,11 @@ def test_malformed_design_documents_exit_2(tmp_path, capsys):
                       ("bool_vertex", dict(good, blocks=[[True, 2]] + rest)),
                       ("float_class", dict(good, parallel_classes=[[0.0]])),
                       ("string_param", dict(good, v="6")),
-                      ("bool_param", dict(good, **{"lambda": True}))):
+                      ("bool_param", dict(good, **{"lambda": True})),
+                      # A repeated vertex once collapsed into one incidence entry.
+                      ("repeated_vertex", dict(good, blocks=[[1, 1]] + rest)),
+                      ("zero_vertex", dict(good, blocks=[[0, 2]] + rest)),
+                      ("vertex_above_v", dict(good, blocks=[[1, 7]] + rest))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         code, stdout, err = run(capsys, "verify", "qsd", str(path))

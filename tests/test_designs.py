@@ -7,6 +7,7 @@ from etf_forge.designs import (
     all_pairs_design,
     complement_design,
     etf_params_from_srg,
+    FANO_BLOCKS,
     fano_plane,
     lift_permutation,
     round_robin_resolution,
@@ -49,6 +50,14 @@ def test_verify_bibd_on_golden_incidence():
 def test_verify_bibd_fano():
     params = fano_plane().params
     assert params.as_tuple() == (7, 3, 1, 3, 7)
+
+
+def test_design_rejects_a_repeated_vertex():
+    # The incidence row of (0, 1, 2, 2) equals that of (0, 1, 2), so the
+    # repeat would pass every identity unless it is refused.
+    blocks = [tuple(x - 1 for x in block) for block in FANO_BLOCKS]
+    with pytest.raises(DesignError, match="block 0 repeats vertex 2"):
+        Design(7, [blocks[0] + (2,)] + blocks[1:])
 
 
 def test_verify_bibd_rejects_all_ones():

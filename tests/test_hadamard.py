@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from etf_forge.errors import HadamardError
@@ -123,3 +125,37 @@ def test_hadamard_of_size_failures():
         hadamard_of_size(6)
     with pytest.raises(HadamardError, match="no Hadamard recipe"):
         hadamard_of_size(92)
+
+
+# The per-entry builders the plane builders replaced: one root of unity per
+# entry, lowered by from_entries.  They are the oracle for dft and char_table.
+def oracle_dft(n):
+    return ExactMatrix.from_entries(cyclo_domain(n), n, n, [CycloElem.root(n, j * k % n) for j in range(n) for k in range(n)])
+
+
+def oracle_char_table(group):
+    m = lcm(*group.orders)
+    weights = [m // mi for mi in group.orders]
+    entries = []
+    for a in range(group.size):
+        for g in range(group.size):
+            e = sum(x * y * w for x, y, w in zip(group.digits(a), group.digits(g), weights)) % m
+            entries.append(CycloElem.root(m, e))
+    return ExactMatrix.from_entries(cyclo_domain(m), group.size, group.size, entries)
+
+
+def assert_same_hadamard(h, oracle):
+    expected = verify_hadamard(oracle)
+    assert (h.n, h.kind) == (expected.n, expected.kind)
+    assert (h.body.domain, h.body.den, h.body.planes) == (expected.body.domain, expected.body.den, expected.body.planes)
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [31])
+def test_dft_planes_match_the_per_entry_oracle(n):
+    assert_same_hadamard(dft(n), oracle_dft(n))
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (3, 3), (4, 4), (2, 3, 5), (13,), (31,)])
+def test_char_table_planes_match_the_per_entry_oracle(orders):
+    group = AbelianGroup(orders)
+    assert_same_hadamard(char_table(group), oracle_char_table(group))

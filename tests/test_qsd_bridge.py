@@ -1,9 +1,11 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
 from etf_forge.constructions import kirkman_etf, standard_kirkman_inputs
 from etf_forge.designs import (
+    Design,
     DesignParams,
     QsdCertificate,
     all_pairs_design,
@@ -12,8 +14,8 @@ from etf_forge.designs import (
 )
 from etf_forge.errors import DesignError, FrameError
 from etf_forge.frames import Frame, certify_etf
-from etf_forge.hadamard import sylvester
-from etf_forge.matrices import ExactMatrix
+from etf_forge.hadamard import AbelianGroup, char_table, dft, sylvester
+from etf_forge.matrices import RATIONAL, ExactMatrix, quad_domain
 from etf_forge.qsd_bridge import (
     canonical_sign,
     etf_from_qsd,
@@ -25,7 +27,7 @@ from etf_forge.qsd_bridge import (
     qsd_gives_etf,
     qsd_params_from_rbibd,
 )
-from etf_forge.scalars import QuadElem
+from etf_forge.scalars import CycloElem, QuadElem
 
 from test_frames import SIMPLEX_3x4
 
@@ -320,3 +322,70 @@ def test_tensor_256_extraction_parameters():
     extraction = qsd_from_flat_etf(frames[-1])  # the (120, 256) frame
     assert extraction.certificate.as_tuple() == (120, 56, 55, 119, 255, 24, 28)
     assert extraction.w == 8
+
+
+# The per-entry builder etf_from_qsd replaced: one scalar delta + eps x per
+# entry of X^T, lowered by from_entries.  It is the oracle for the plane builder.
+def oracle_etf_from_qsd(cert, branch):
+    p = cert.params
+    _, delta, eps = qsd_frame_scalars(p, cert.x, cert.y, branch)
+    t = 1 if (delta.b == 0 and eps.b == 0) else max(delta.t, eps.t)
+    domain = RATIONAL if t == 1 else quad_domain(t)
+    x = cert.design.incidence.int_rows()
+    entries = []
+    for i in range(p.v):
+        entries.append(1)
+        for j in range(p.b):
+            value = delta + eps * x[j][i]
+            entries.append(value if t > 1 else value.rational_value())
+    return Frame(ExactMatrix.from_entries(domain, p.v, p.b + 1, entries))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_qsds():
+    """name -> QSD certificate: STS(15) = the lines of PG(3, 2), its complement,
+    and the QSDs under the u = 2 and u = 4 Kirkman flat pairs."""
+    points = range(1, 16)
+    lines = sorted({tuple(sorted((a - 1, b - 1, (a ^ b) - 1))) for a in points for b in points if a < b})
+    out = {"sts15": verify_qsd(Design(15, lines)),
+           "sts15-complement": verify_qsd(Design(15, [sorted(set(range(15)) - set(line)) for line in lines]))}
+    for u in (2, 4):
+        pair = kirkman_etf(standard_kirkman_inputs(u))
+        for role, frame in (("primary", pair.primary), ("complement", pair.complement)):
+            out[f"kirkman{u}-{role}"] = qsd_from_flat_etf(frame).certificate
+    return out
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("name", ["sts15", "sts15-complement", "kirkman2-primary", "kirkman2-complement",
+                                  "kirkman4-primary", "kirkman4-complement"])
+def test_etf_from_qsd_planes_match_the_per_entry_oracle(name, branch):
+    cert = oracle_qsds()[name]
+    frame, link = etf_from_qsd(cert, branch)
+    oracle = oracle_etf_from_qsd(cert, branch)
+    m, o = frame.matrix, oracle.matrix
+    assert (m.domain, m.den, m.planes) == (o.domain, o.den, o.planes)
+    assert certify_etf(frame) == certify_etf(oracle)
+    if name.startswith("sts15"):
+        assert m.domain == quad_domain(6)
+    if (name, branch) == ("kirkman2-primary", "minus"):
+        assert m.den == 3  # delta = -1/3
+    if branch == "plus" and name.startswith("kirkman"):
+        assert link.flat_branch and m.int_rows() is not None
+
+
+def test_constructions_build_a_bounded_number_of_scalars(monkeypatch):
+    # Each construction writes its planes; scalar objects appear only as its
+    # parameters, so their count must not grow with the size of the output.
+    cert = oracle_qsds()["kirkman4-complement"]
+    counts = []
+    for cls in (CycloElem, QuadElem):
+        def counting_init(self, *args, _init=cls.__init__):
+            counts.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    for build in (lambda: dft(31), lambda: char_table(AbelianGroup((4, 4))),
+                  lambda: etf_from_qsd(cert, "plus"), lambda: etf_from_qsd(cert, "minus")):
+        counts.clear()
+        build()
+        assert len(counts) <= 16

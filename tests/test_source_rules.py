@@ -32,6 +32,21 @@ def test_verifiers_and_io_stay_on_the_planes():
     assert found == []
 
 
+def test_constructions_write_planes():
+    # The Hadamard and QSD constructions write their integer planes directly;
+    # building one root of unity or one scalar per entry and lowering it
+    # again is the per-entry path they replaced.  from_rows of plain ints stays.
+    found = []
+    for name in ("hadamard.py", "qsd_bridge.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if called in ("root", "from_entries"):
+                    found.append(f"{name}:{node.lineno} {called}(")
+    assert found == []
+
+
 def test_hermitian_products_are_spelled_with_adjoint():
     # matmul takes one triangle only when one operand is the other's
     # adjoint() (which records its source); a product of a matrix with itself
