@@ -29,8 +29,8 @@ from .serialize import (
     certificate_to_obj,
     dump,
     load,
+    load_matrix,
     load_pair,
-    matrix_from_obj,
     matrix_to_obj,
     pair_to_obj,
 )
@@ -187,7 +187,7 @@ class Catalog:
         rec = load(payload_dir / "recipe.json")
         if recipe_id(rec) != record.id:
             raise CatalogError(f"recipe hash mismatch for {record.id}")
-        primary = Frame(matrix_from_obj(load(payload_dir / "primary.json")))
+        primary = Frame(load_matrix(payload_dir / "primary.json"))
         if certificate_to_obj(certify_etf(primary)) != record.certificates["primary"]:
             raise CatalogError(f"primary certificate drifted for {record.id}")
         if "complement" in record.certificates:

@@ -26,6 +26,7 @@ from .serialize import (
     design_from_obj,
     feasibility_to_obj,
     load,
+    load_matrix,
     load_pair,
     matrix_from_obj,
     matrix_to_csv,
@@ -106,11 +107,11 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     what = args.verify_cmd
     if what == "etf":
-        frame = Frame(matrix_from_obj(load(args.path)))
+        frame = Frame(load_matrix(args.path))
         _print(certificate_to_obj(certify_etf(frame)))
         return 0
     if what == "hadamard":
-        h = verify_hadamard(matrix_from_obj(load(args.path)))
+        h = verify_hadamard(load_matrix(args.path))
         _print({"n": h.n, "kind": h.kind, "verified": True})
         return 0
     if what == "bibd":
@@ -129,12 +130,12 @@ def cmd_verify(args) -> int:
         _print({"v": p.v, "k": p.k, "lambda": p.lam, "r": p.r, "b": p.b, "x": cert.x, "y": cert.y})
         return 0
     if what == "srg":
-        srg = verify_srg(matrix_from_obj(load(args.path)))
+        srg = verify_srg(load_matrix(args.path))
         _print({"b": srg.b, "a": srg.a, "c": srg.c, "mu": srg.mu})
         return 0
     if what == "naimark-pair":
         pair_dir = Path(args.path)
-        pair = load_pair(pair_dir, Frame(matrix_from_obj(load(pair_dir / "primary.json"))))
+        pair = load_pair(pair_dir, Frame(load_matrix(pair_dir / "primary.json")))
         _print({"alpha": [pair.alpha.numerator, pair.alpha.denominator],
                 "d": pair.primary.d, "n": pair.primary.n, "verified": True})
         return 0

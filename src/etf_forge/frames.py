@@ -80,7 +80,7 @@ def welch_bound_sq(d: int, n: int) -> Fraction:
 def gram(frame: Frame) -> ExactMatrix:
     """The n x n matrix of pairwise inner products, weights included."""
     if frame._gram is None:
-        m = frame.matrix  # unweighted, the Gram matrix takes one triangle
+        m = frame.matrix  # unweighted, a {-1, 0, 1} frame's Gram matrix takes one triangle
         g = matmul(m.adjoint(), m if frame.row_weights is None else m.scale_rows(frame.row_weights))
         object.__setattr__(frame, "_gram", g)
     return frame._gram

@@ -129,10 +129,10 @@ def paley_one(q: int) -> HadamardMatrix:
 
 def _roots_of_unity(m: int, exponents: list[list[int]]) -> ExactMatrix:
     """The matrix of zeta_m ** exponents[i][j] (each in 0..m-1), read off the
-    planes of the m roots, each reduced once modulo Phi_m."""
+    planes of the m roots, reduced once modulo Phi_m."""
     dom = cyclo_domain(m)
-    roots = [dom.reduce([0] * e + [1]) for e in range(m)]
-    return ExactMatrix(dom, 1, [[list(map(plane.__getitem__, row)) for row in exponents] for plane in zip(*roots)])
+    roots = dom.reduce([[int(i == e) for i in range(m)] for e in range(m)])  # plane k holds coordinate k of each root
+    return ExactMatrix(dom, 1, [[list(map(plane.__getitem__, row)) for row in exponents] for plane in roots])
 
 
 def dft(n: int) -> HadamardMatrix:

@@ -16,11 +16,15 @@ constructions write their planes directly (``from_entries`` lowers scalars
 once, for callers that hold them).  ``rational_rows`` reads rational
 values, zero masks and squared moduli off the planes for the verifiers.
 
-Every product runs on one integer kernel: each entry's planes are packed into one
-integer (Kronecker substitution), and each output entry of the integer product is
-unpacked and reduced once (x^m = 1 then Phi_m, or x^2 -> t).  {-1, 0, 1} operands
-take bitmask popcounts at any size, and a matrix times its ``adjoint()`` takes one
-triangle.  A per-entry Fraction loop in the test suite is the differential oracle.
+A product takes one of three integer routes.  {-1, 1} operands take one XOR
+popcount per entry; a {-1, 0, 1} matrix times its ``adjoint()`` computes one
+triangle (two AND popcounts per entry when an entry is zero).  Every other
+product is row-packed: each entry's planes are one integer (Kronecker
+substitution), each row of b is one integer with entry j at slot offset
+j * width, each output row is one big-integer multiply-accumulate unpacked a
+byte buffer at a time, and each row is reduced once (x^m = 1 then Phi_m, or
+x^2 -> t), a coefficient vector at a time.  A per-entry Fraction loop in the
+test suite is the differential oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import DomainError
@@ -35,14 +40,14 @@ from .scalars import (
     CycloElem,
     QuadElem,
     _lower,
-    _reduce_mod_cyclotomic,
-    _reduce_quadratic,
     conjugate_exponents,
     convolve,
     cyclo_from_ints,
+    cyclotomic_polynomial,
     euler_phi,
     pack,
     quad_from_ints,
+    slot_bits,
     unpack,
 )
 from .value import Value
@@ -74,9 +79,21 @@ class CycloDomain(Value):
     def from_ints(self, ints: list[int], den: int):
         return cyclo_from_ints(self.order, ints, den)
 
-    def reduce(self, ints: list[int]) -> list[int]:
-        """Coordinates of sum ints[e] zeta^e, reduced once modulo Phi_m."""
-        return _reduce_mod_cyclotomic(ints, self.order)
+    def reduce(self, slots) -> list[list[int]]:
+        """Coordinate vectors of the entries sum_e slots[e][i] zeta^e: x^m = 1
+        folds the exponents, then one division by Phi_m, a vector at a time."""
+        m, n = self.order, len(slots[0])
+        rem = [list(v) for v in slots[:m]] + [[0] * n for _ in range(m - len(slots))]
+        for e in range(m, len(slots)):
+            rem[e % m] = list(map(operator.add, rem[e % m], slots[e]))
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
+        for i in range(m - 1, deg - 1, -1):
+            if any(rem[i]):
+                for j, c in enumerate(phi[:deg]):
+                    if c:
+                        rem[i - deg + j] = list(map(operator.sub, rem[i - deg + j], map(c.__mul__, rem[i])))
+        return rem[:deg]
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, CycloDomain):
@@ -108,9 +125,12 @@ class QuadDomain(Value):
     def from_ints(self, ints: list[int], den: int):
         return quad_from_ints(self.radicand, ints, den)
 
-    def reduce(self, ints: list[int]) -> list[int]:
-        """Coordinates of sum ints[e] sqrt(t)^e (up to three terms), by x^2 -> t."""
-        return _reduce_quadratic(ints, self.radicand)
+    def reduce(self, slots) -> list[list[int]]:
+        """Coordinate vectors of the entries sum_e slots[e][i] sqrt(t)^e, for two
+        or three exponents, by x^2 -> t; over 1 alone when t = 1."""
+        t = self.radicand
+        a = list(map(operator.add, slots[0], map(t.__mul__, slots[2]))) if len(slots) > 2 else list(slots[0])
+        return [list(map(operator.add, a, slots[1]))] if t == 1 else [a, list(slots[1])]
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, QuadDomain):
@@ -158,7 +178,7 @@ class ExactMatrix:
             raise DomainError("matrix dimensions must be positive")
         while len(planes) > 1 and not any(map(any, planes[-1])):
             planes = planes[:-1]
-        g = gcd(den, *(x for p in planes for r in p for x in r)) if den != 1 else 1
+        g = gcd(den, *(gcd(*r) for p in planes for r in p)) if den != 1 else 1
         if g != 1:
             den //= g
             planes = [[[x // g for x in r] for r in p] for p in planes]
@@ -216,9 +236,9 @@ class ExactMatrix:
         return self.planes[0] if self.den == 1 and len(self.planes) == 1 else None
 
     def _map(self, domain: Domain, den: int, fn) -> "ExactMatrix":
-        """Apply ``fn`` to each entry's integer coordinates (a tuple with one
-        value per plane) and read the results over ``den``."""
-        return from_flat(domain, self.cols, den, zip(*[fn(c) for rs in zip(*self.planes) for c in zip(*rs)]))
+        """The matrix over ``den`` whose row i is ``fn`` of row i of every plane:
+        the row's exponent vectors, reduced once by ``domain``."""
+        return ExactMatrix(domain, den, [list(p) for p in zip(*[domain.reduce(fn(rs)) for rs in zip(*self.planes)])])
 
     # -- rearrangement ------------------------------------------------
 
@@ -229,19 +249,20 @@ class ExactMatrix:
         if len(self.planes) == 1:
             return ExactMatrix(domain, self.den, self.planes)  # rational values fit anywhere
         if domain.kind == self.domain.kind == "cyclotomic" and domain.order % self.domain.order == 0:
-            pad = [0] * (domain.order // self.domain.order - 1)  # zeta_m^e = zeta_M^(e M / m)
-            return self._map(domain, self.den, lambda c: domain.reduce([x for e in c for x in [e, *pad]]))
+            pad = [[0] * self.cols] * (domain.order // self.domain.order - 1)  # zeta_m^e = zeta_M^(e M / m)
+            return self._map(domain, self.den, lambda rs: [x for r in rs for x in (r, *pad)])
         raise DomainError(f"cannot place {self.domain} entries in {domain}")
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.domain, self.den, [[list(c) for c in zip(*p)] for p in self.planes])
 
     def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose: zeta^e -> zeta^(m - e), one reduction per entry;
-        its ``adjoint_of`` lets ``matmul`` of the two take one triangle."""
+        """Conjugate transpose: zeta^e -> zeta^(m - e), one reduction per row;
+        its ``adjoint_of`` lets ``matmul`` of two {-1, 0, 1} factors take one triangle."""
         t = self.transpose()
         if len(t.planes) > 1 and t.domain.kind == "cyclotomic":  # other entries are real
-            t = t._map(t.domain, t.den, lambda c: t.domain.reduce(conjugate_exponents(c, t.domain.order)))
+            m, zero = t.domain.order, [0] * t.cols
+            t = t._map(t.domain, t.den, lambda rs: [rs[-e % m] if -e % m < len(rs) else zero for e in range(m)])
         t.adjoint_of = self
         return t
 
@@ -332,23 +353,17 @@ def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list
         if len(m.planes) == 1:
             m = ExactMatrix(domain, den, [[[x * x for x in r] for r in m.planes[0]]])
         elif domain.kind == "quadratic":  # a real field: |x|^2 = x^2
-            m = m._map(domain, den, lambda c: domain.reduce(convolve(c, c)))
+            m = m._map(domain, den, lambda rs: list(zip(*[convolve(c, c) for c in zip(*rs)])))
         else:  # x times its conjugate in Z[x]/(x^m - 1), reduced once
-            m = m._map(domain, den, lambda c: domain.reduce(convolve(c, conjugate_exponents(c, domain.order))))
+            m = m._map(domain, den, lambda rs: list(zip(*[convolve(c, conjugate_exponents(c, domain.order)) for c in zip(*rs)])))
     if len(m.planes) == 1:
         return m.den, m.planes[0]
     return m.den, [[c[0] if not any(c[1:]) else None for c in zip(*rs)] for rs in zip(*m.planes)]
 
 
-def _pack_planes(planes: list[list[list[int]]], k: int) -> list[list[int]]:
-    """Each entry's plane values packed into one integer, k bits per slot."""
-    if len(planes) == 1:
-        return planes[0]
-    return [[pack(e, k) for e in zip(*rs)] for rs in zip(*planes)]
-
-
 _SIGN_CODE = {0: 0, 1: 1, -1: 2}.__getitem__  # raises KeyError off {-1, 0, 1}
 _NEGATIVE, _NONZERO = bytes.maketrans(b"\x00\x01\x02", b"001"), bytes.maketrans(b"\x00\x01\x02", b"011")
+_SIGNS = frozenset((-1, 1))
 
 
 def _sign_masks(vectors) -> tuple[list[int], list[int], bool] | None:
@@ -363,14 +378,14 @@ def _sign_masks(vectors) -> tuple[list[int], list[int], bool] | None:
     return support, negative, not any(0 in c for c in codes)
 
 
-def _int_matmul(a: list[list[int]], columns, upper: bool) -> list[list[int]]:
-    """Exact integer products of the rows of ``a`` with ``columns``, or only
-    the entries j >= i when ``upper`` (row i then starts at column i).
-    {-1, 0, 1} operands take bitmask popcounts."""
+def _int_matmul(a: list[list[int]], columns, upper: bool) -> list[list[int]] | None:
+    """Integer products of the rows of ``a`` with ``columns`` by bitmask
+    popcounts, or only the entries j >= i when ``upper`` (row i then starts at
+    column i); None when an entry is outside {-1, 0, 1}."""
     signs_a = _sign_masks(a)
     signs_b = signs_a if columns is a else signs_a and _sign_masks(columns)
     if not signs_b:
-        return [[sum(map(operator.mul, r, c)) for c in columns[i if upper else 0 :]] for i, r in enumerate(a)]
+        return None
     (sa, na, full_a), (sb, nb, full_b), n = signs_a, signs_b, len(columns[0])
     if full_a and full_b:  # a product of signs is +1 unless they differ
         return [[n - 2 * (x ^ y).bit_count() for y in nb[i if upper else 0 :]] for i, x in enumerate(na)]
@@ -378,39 +393,58 @@ def _int_matmul(a: list[list[int]], columns, upper: bool) -> list[list[int]]:
             for i, (s, x) in enumerate(zip(sa, na))]
 
 
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product over the unified domain, by one integer kernel.
+def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[int]]:
+    """The rows of the integer polynomial product of the planes, each as the
+    ``width`` coefficients of every output entry in turn.  Each row of b is
+    packed once, entry j at slot offset j * width, so row i of the product is
+    one C-level sum of a(i, t) times row t of b over the nonzero a(i, t)."""
+    la, lb = len(a.planes), len(b.planes)
+    width = la + lb - 1
+    bound = a.cols * min(la, lb)  # terms in one output slot, times the largest magnitudes
+    for planes in (a.planes, b.planes):
+        bound *= max(max(map(abs, set().union(*p))) for p in planes)
+    k = slot_bits(bound.bit_length() + 1)
+    if width == 1:
+        b_rows = [pack(r, k) for r in b.planes[0]]
+    else:  # an entry of b fills lb slots, its product with an entry of a fills width
+        pad = (0,) * (la - 1)
+        b_rows = [pack([x for e in zip(*rs) for x in (*e, *pad)], k) for rs in zip(*b.planes)]
+    a_rows = a.planes[0] if la == 1 else [[pack(e, k) for e in zip(*rs)] for rs in zip(*a.planes)]
+    length = b.cols * width
+    return [unpack(sum(map(operator.mul, filter(None, r), compress(b_rows, r))), k, length) for r in a_rows]
 
-    Every entry's planes are packed into one integer (Kronecker
-    substitution), so the integer product accumulates each output entry's
-    whole polynomial.  Each output entry is then unpacked and reduced once
-    by the domain's modulus; the denominator is the product of the two.
-    When one operand is the other's ``adjoint()``, the product is Hermitian:
-    only entries j >= i are computed, and (j, i) is the conjugate of (i, j).
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact matrix product over the unified domain, by one of three routes.
+
+    Products of {-1, 1} matrices take one XOR popcount per entry, and a
+    matrix times its ``adjoint()`` with entries in {-1, 0, 1} computes one
+    triangle by popcounts and mirrors it.  Every other product is
+    row-packed: each entry's planes are one polynomial (Kronecker
+    substitution), each row of the integer product is one big-integer
+    multiply-accumulate, and each output entry is reduced once by the
+    domain's modulus.  The denominator is the product of the two.
     """
     if a.cols != b.rows:
         raise DomainError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     hermitian = b.adjoint_of is a or a.adjoint_of is b
     domain = a.domain.unify(b.domain)
     a, b = a.with_domain(domain), b.with_domain(domain)
+    den = a.den * b.den
+    if len(a.planes) == len(b.planes) == 1:
+        pa, pb = a.planes[0], b.planes[0]
+        if hermitian:  # real entries: the columns of b are the rows of a
+            rows = _int_matmul(pa, pa, True)
+            for i, r in enumerate(rows or ()):  # in place: the rows above row i are already whole
+                r[:0] = [rows[j][i] for j in range(i)]
+        elif all(map(_SIGNS.issuperset, pa)) and all(map(_SIGNS.issuperset, pb)):
+            rows = _int_matmul(pa, list(zip(*pb)), False)
+        else:
+            rows = None
+        return ExactMatrix(domain, den, [rows or _row_packed_matmul(a, b)])
     width = len(a.planes) + len(b.planes) - 1
-    k = 0  # one plane each: the entries are the integers themselves
-    if width > 1:
-        bound = a.cols * min(len(a.planes), len(b.planes))  # terms in one output slot
-        bound *= max(abs(x) for p in a.planes for r in p for x in r)
-        bound *= max(abs(x) for p in b.planes for r in p for x in r)
-        k = bound.bit_length() + 1
-    packed = _pack_planes(a.planes, k)  # with real entries, the columns of a* are the rows of a
-    rows = _int_matmul(packed, packed if hermitian and width == 1 else list(zip(*_pack_planes(b.planes, k))), hermitian)
-    if width > 1:
-        rows = [[domain.reduce(unpack(x, k, width)) for x in r] for r in rows]
-    if hermitian:  # row i starts at column i; entry (i, j < i) is the conjugate of entry (j, i)
-        conj = width > 1 and domain.kind == "cyclotomic"
-        for i, r in enumerate(rows):  # in place: the rows above row i are already whole
-            r[:0] = [domain.reduce(conjugate_exponents(rows[j][i], domain.order)) if conj else rows[j][i] for j in range(i)]
-    if width == 1:
-        return ExactMatrix(domain, a.den * b.den, [rows])
-    return from_flat(domain, b.cols, a.den * b.den, zip(*[c for r in rows for c in r]))
+    rows = [domain.reduce([r[e::width] for e in range(width)]) for r in _row_packed_matmul(a, b)]
+    return ExactMatrix(domain, den, [list(p) for p in zip(*rows)])
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

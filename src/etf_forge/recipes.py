@@ -17,6 +17,7 @@ Design sources: {"generator": "all-pairs", "v": int},
 
 from __future__ import annotations
 
+from math import prod
 
 from .constructions import (
     SteinerInputs,
@@ -28,7 +29,7 @@ from .constructions import (
     verify_difference_set,
 )
 from .designs import Design, all_pairs_design, fano_plane, lift_permutation, round_robin_resolution, verify_qsd
-from .errors import EtfForgeError
+from .errors import EtfForgeError, InputError
 from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
@@ -96,8 +97,12 @@ def replay(rec: dict) -> Artifact:
         return Artifact(kind, rec, frame)
 
     if kind == "harmonic":
-        group = AbelianGroup(tuple(int(m) for m in inputs["group"]))
-        ds = verify_difference_set(group, tuple(int(i) for i in inputs["subset"]))
+        orders, subset = tuple(int(m) for m in inputs["group"]), tuple(int(i) for i in inputs["subset"])
+        if not orders or min(orders) < 2:
+            raise InputError(f"cyclic factor orders must all be >= 2, got {list(orders)}")
+        if any(not 0 <= i < prod(orders) for i in subset):
+            raise InputError(f"subset indices must lie in 0..{prod(orders) - 1}, got {list(subset)}")
+        ds = verify_difference_set(AbelianGroup(orders), subset)
         pair = harmonic_etf(ds)
         return Artifact(kind, rec, pair.primary, pair)
 

@@ -12,6 +12,8 @@ All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -99,8 +101,32 @@ def _lower(coeffs) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
+_SLOT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # signed machine integers of k bits
+_CODEC_MIN = 8  # below 8 slots the shift loop is the faster one
+
+
+def slot_bits(bits: int) -> int:
+    """The next of the slot widths 8, 16, 32 and 64, whose slots ``pack`` and
+    ``unpack`` move a byte buffer at a time; above 64, ``bits`` itself."""
+    return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else bits
+
+
+def _bias(k: int, length: int) -> int:
+    return int.from_bytes((bytes(k // 8 - 1) + b"\x80") * length, "little")  # 2^(k-1) in each slot
+
+
 def pack(ints, k: int) -> int:
-    """Kronecker substitution: the value of sum ints[i] x^i at x = 2^k."""
+    """Kronecker substitution: the value of sum ints[i] x^i at x = 2^k.  At a
+    byte width, values that fit their slots are written as one buffer of two's
+    complement slots; XOR with the bias 2^(k-1) per slot makes each slot its
+    value plus the bias, so subtracting the bias leaves the sum."""
+    fmt = _SLOT_FORMATS.get(k)
+    if fmt and len(ints) >= _CODEC_MIN:
+        try:
+            bias = _bias(k, len(ints))
+            return (int.from_bytes(struct.pack(f"{len(ints)}{fmt}", *ints), sys.byteorder) ^ bias) - bias
+        except struct.error:  # a value wider than its slot: the loop carries it
+            pass
     n = 0
     for c in reversed(ints):
         n = (n << k) + c
@@ -110,10 +136,19 @@ def pack(ints, k: int) -> int:
 def unpack(n: int, k: int, length: int) -> list[int]:
     """Inverse of ``pack`` for ``length`` signed slots of magnitude < 2^(k-1).
 
-    Slots of k = bound.bit_length() + 1 bits hold any magnitude <= bound.
+    Slots of k = bound.bit_length() + 1 bits hold any magnitude <= bound.  At
+    a byte width, n plus the bias has every slot in [0, 2^k), and XOR with
+    the bias turns it into one buffer of two's complement slots.
     """
     if length == 1:
         return [n]
+    fmt = _SLOT_FORMATS.get(k)
+    if fmt and length >= _CODEC_MIN:
+        bias = _bias(k, length)
+        try:
+            return memoryview(((n + bias) ^ bias).to_bytes(k // 8 * length, sys.byteorder)).cast(fmt).tolist()
+        except OverflowError:
+            raise ArithmeticError("a packed coefficient overflowed its slot") from None
     half, mask = 1 << (k - 1), (1 << k) - 1
     out = []
     for _ in range(length):
@@ -138,6 +173,7 @@ def convolve(a: list[int], b: list[int]) -> list[int]:
     """Coefficients of the product of two integer polynomials: one big-integer
     product of their packings, with slots wide enough for every coefficient."""
     k = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+    k = slot_bits(k) if len(a) + len(b) > _CODEC_MIN else k  # short products keep the loop
     return unpack(pack(a, k) * pack(b, k), k, len(a) + len(b) - 1)
 
 
@@ -383,18 +419,10 @@ class QuadElem:
         return f"{self.a} + {self.b}*sqrt({self.t})"
 
 
-def _reduce_quadratic(ints: list[int], t: int) -> list[int]:
-    """Integer coordinates over 1, sqrt(t) of sum ints[e] sqrt(t)^e, for up to
-    three terms, by x^2 -> t; over 1 alone when t = 1."""
-    a = ints[0] + (t * ints[2] if len(ints) > 2 else 0)
-    b = ints[1] if len(ints) > 1 else 0
-    return [a + b] if t == 1 else [a, b]
-
-
 def quad_from_ints(t: int, ints: list[int], den: int = 1) -> QuadElem:
-    """The element (sum ints[e] sqrt(t)^e) / den for up to three terms."""
-    a, b = (_reduce_quadratic(ints, t) + [0])[:2]
-    return QuadElem(t, Fraction(a, den), Fraction(b, den))
+    """The element (sum ints[e] sqrt(t)^e) / den for up to three terms, by x^2 -> t."""
+    a = ints[0] + (t * ints[2] if len(ints) > 2 else 0)
+    return QuadElem(t, Fraction(a, den), Fraction(ints[1] if len(ints) > 1 else 0, den))
 
 
 def rational_sqrt(value) -> Fraction | None:

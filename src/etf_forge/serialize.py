@@ -139,17 +139,11 @@ def _general_entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
         raise ZeroDivisionError("a term has denominator 0")
     den = lcm(*dens)
     scale = {d: den // d for d in dens}
-    width = domain.width
-    flat = [[] for _ in range(width)]
-    for entry in entries:
-        acc = [0] * size
+    flat = [[0] * len(entries) for _ in range(size)]  # flat[e][i]: entry i's term in zeta^e or sqrt(t)^e
+    for i, entry in enumerate(entries):
         for e, num, d in entry:
-            acc[e % size] += num * scale[d]
-        if any(acc[width:]):
-            acc = domain.reduce(acc)
-        for p, c in zip(flat, acc):
-            p.append(c)
-    return den, flat
+            flat[e % size][i] += num * scale[d]
+    return den, domain.reduce(flat) if any(map(any, flat[domain.width :])) else flat
 
 
 def matrix_from_obj(obj) -> ExactMatrix:
@@ -298,7 +292,7 @@ def load_pair(directory, primary: Frame) -> NaimarkPair:
             weights = tuple(Fraction(num, den) for num, den in declared["complement_row_weights"])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"pair.json complement_row_weights are not [num, den] pairs: {exc}") from None
-    complement = Frame(matrix_from_obj(load(directory / "complement.json")), row_weights=weights)
+    complement = Frame(load_matrix(directory / "complement.json"), row_weights=weights)
     pair = verify_naimark_pair(primary, complement)
     if declared is not None:
         expected = pair_to_obj(pair)
@@ -328,3 +322,15 @@ def load(path):
         finally:
             if enabled:
                 gc.enable()
+
+
+def load_matrix(path) -> ExactMatrix:
+    """The matrix document at ``path``; the collector stays paused until the
+    decoded tree, which it would walk and not free, is dropped."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return matrix_from_obj(load(path))
+    finally:
+        if enabled:
+            gc.enable()

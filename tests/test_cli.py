@@ -374,3 +374,22 @@ def test_non_square_free_radicand_is_exit_2(tmp_path, capsys):
     code, stdout, err = run(capsys, "verify", "etf", str(path))
     _assert_input_error(code, err)
     assert "square-free" in err and stdout == ""
+
+
+def test_malformed_harmonic_input_is_exit_2(tmp_path, capsys):
+    # An index outside the group or a cyclic factor of order below 2 is bad
+    # input, from the command line and from a replayed recipe alike.
+    import pytest
+
+    from etf_forge.errors import InputError
+    from etf_forge.recipes import recipe, replay
+
+    for group, subset, reason in (("4,4", "1,2,3,99", "0..15"), ("4,4", "1,2,-1", "0..15"),
+                                  ("4,1", "1,2", ">= 2"), ("", "1", ">= 2")):
+        code, stdout, err = run(capsys, "construct", "harmonic", "--group", group, "--subset", subset,
+                                "--out", str(tmp_path / "h"))
+        _assert_input_error(code, err)
+        assert reason in err and stdout == ""
+        rec = recipe("harmonic", group=[int(x) for x in group.split(",") if x], subset=[int(x) for x in subset.split(",")])
+        with pytest.raises(InputError, match=reason.replace(".", r"\.")):
+            replay(rec)

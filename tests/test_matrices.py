@@ -428,11 +428,28 @@ def triangles(monkeypatch):
     kernel = matrices._int_matmul
 
     def spy(a, columns, upper):
-        if upper:
+        rows = kernel(a, columns, upper)
+        if upper and rows is not None:
             calls.append(len(a))
-        return kernel(a, columns, upper)
+        return rows
 
     monkeypatch.setattr(matrices, "_int_matmul", spy)
+    return calls
+
+
+@pytest.fixture
+def row_packed(monkeypatch):
+    """The (rows, inner, cols) shapes of the products that take the row-packed route."""
+    import etf_forge.matrices as matrices
+
+    calls = []
+    kernel = matrices._row_packed_matmul
+
+    def spy(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return kernel(a, b)
+
+    monkeypatch.setattr(matrices, "_row_packed_matmul", spy)
     return calls
 
 
@@ -462,15 +479,20 @@ def _hermitian_cases():
     }
 
 
+_TRIANGLE_CASES = {"q_signs_and_zeros", "q_full_support"}  # entries in {-1, 0, 1}
+
+
 @pytest.mark.parametrize("name", sorted(_hermitian_cases()))
-def test_hermitian_products_take_one_triangle_and_match_the_oracle(name, triangles):
+def test_hermitian_products_take_one_triangle_and_match_the_oracle(name, triangles, row_packed):
+    # Only {-1, 0, 1} entries take the popcount triangle; every other
+    # Hermitian product takes the row-packed route in full.
     a = _hermitian_cases()[name]
     star = a.adjoint()
     assert star.adjoint_of is a and a.adjoint_of is None
     for x, y in ((star, a), (a, star)):
         want = oracle_matmul(x, y)
-        assert matmul(x, y) == want  # the triangle route
-        assert triangles == [x.rows]
+        assert matmul(x, y) == want
+        assert triangles == ([x.rows] if name in _TRIANGLE_CASES else [])
         triangles.clear()
         assert matmul(unlinked(x), unlinked(y)) == want  # the full route on equal operands
         assert triangles == []
@@ -479,6 +501,61 @@ def test_hermitian_products_take_one_triangle_and_match_the_oracle(name, triangl
     near = ExactMatrix(star.domain, star.den, near)  # a* except at one entry
     assert matmul(a, near) == oracle_matmul(a, near) != want
     assert triangles == []
+    # Of the five products, unlinked {-1, 1} operands take XOR popcounts, and
+    # unlinked ones with a zero the row-packed route; ``near`` has an entry 2.
+    assert len(row_packed) == {"q_full_support": 1, "q_signs_and_zeros": 3}.get(name, 5)
+
+
+def _row_packed_cases():
+    rng = random.Random(9)
+    signs = [1, -1, 0, 1, 1, -1, 1, 0, -1]  # nine slots: the row takes the byte codec
+    cases = {}
+    for k in (8, 16, 32, 64, 72):
+        top = 2 ** (k - 1) - 1 if k <= 64 else 2**70  # an outer product: every output entry is on the bound
+        assert k > 64 or top.bit_length() + 1 == k
+        cases[f"slot_edge_{k}"] = (ExactMatrix.from_rows([[top], [-top], [1], [0]]), ExactMatrix.from_rows([signs]))
+    zero = ExactMatrix(RATIONAL, 1, [[[0] * 5 for _ in range(3)]])
+    big = ExactMatrix.from_rows([[rng.randint(-10**30, 10**30) for _ in range(4)] for _ in range(5)])
+    cases.update({
+        "zero_left": (zero, big),
+        "zero_right": (rand_cyclo_matrix(rng, 2, 3, 13), zero.with_domain(cyclo_domain(13))),
+        "one_by_one": (ExactMatrix.from_rows([[7]]), ExactMatrix.from_rows([[-3]])),
+        "signs_and_zeros": (_sign_matrix(rng, 6, 9, True), _sign_matrix(rng, 9, 5, True)),
+        "large_integers": (big.transpose(), big),
+        "fractions": (rand_cyclo_matrix(rng, 4, 5, 1), rand_cyclo_matrix(rng, 5, 3, 1)),
+        **{f"order_{m}": (rand_cyclo_matrix(rng, 3, 4, m), rand_cyclo_matrix(rng, 4, 5, m)) for m in (3, 4, 8, 13, 31)},
+        "orders_3_and_4_lifted_to_12": (rand_cyclo_matrix(rng, 3, 4, 3), rand_cyclo_matrix(rng, 4, 2, 4)),
+        "order_4_lifted_to_8": (rand_cyclo_matrix(rng, 2, 3, 4).with_domain(cyclo_domain(8)), rand_cyclo_matrix(rng, 3, 3, 8)),
+        "rational_times_order_13": (big.take_rows(range(2)), rand_cyclo_matrix(rng, 4, 3, 13)),
+        "q_sqrt_6": (rand_quad_matrix(rng, 3, 4, 6), rand_quad_matrix(rng, 4, 2, 6)),
+        "q_sqrt_6_times_rationals": (rand_quad_matrix(rng, 3, 4, 6), rand_quad_matrix(rng, 4, 3, 1)),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_row_packed_cases()))
+def test_row_packed_route_matches_the_oracle(name, triangles, row_packed):
+    a, b = _row_packed_cases()[name]
+    assert matmul(a, b) == oracle_matmul(a, b)
+    assert row_packed == [(a.rows, a.cols, b.cols)] and triangles == []
+
+
+def test_non_hermitian_products_with_a_zero_are_row_packed(triangles, row_packed):
+    # The Kirkman rotation I_r (x) E times a {-1, 0, 1} block matrix, and the
+    # outer product behind kron, once took a popcount per output entry.
+    rng = random.Random(12)
+    e = _sign_matrix(rng, 4, 4, False)
+    rotation = kron(ExactMatrix.identity(3), e)
+    blocks = _sign_matrix(rng, 12, 20, True)
+    row_packed.clear()
+    assert matmul(rotation, blocks) == oracle_matmul(rotation, blocks)
+    assert kron(blocks, e) == oracle_kron(blocks, e)
+    assert row_packed == [(12, 12, 20), (240, 1, 16)] and triangles == []
+
+
+def oracle_kron(a, b):
+    return ExactMatrix.from_rows([[x * y for x in a.row(i // b.rows) for y in b.row(i % b.rows)]
+                                  for i in range(a.rows * b.rows)], a.domain)
 
 
 def test_weighted_row_grams_take_the_full_route(triangles):

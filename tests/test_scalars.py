@@ -337,6 +337,19 @@ def test_pack_unpack_round_trip_and_overflow():
         assert unpack(pack(ints, k), k, len(ints)) == ints
     with pytest.raises(ArithmeticError):
         unpack(pack([3, 1], 2), 2, 2)  # 3 does not fit a signed 2-bit slot
+    # The byte codec at 8, 16, 32 and 64 bits, for short and long sequences,
+    # at the slot edges, and the shift loop above 64 bits.
+    for k in (8, 16, 32, 64, 65, 100):
+        half = 1 << (k - 1)
+        for length in (2, 3, 8, 9, 40):
+            ints = [rng.choice((-half, half - 1, 0, rng.randrange(-half, half))) for _ in range(length)]
+            n = pack(ints, k)
+            assert n == sum(c << (k * i) for i, c in enumerate(ints))
+            assert unpack(n, k, length) == ints
+            for top in (half, -half - 1):  # one past the edge of the last slot
+                with pytest.raises(ArithmeticError):
+                    unpack(pack(ints[:-1] + [top], k), k, length)
+        assert pack([half] + [0] * 9, k) == half  # a value wider than its slot still packs exactly
     a, b = [rng.randint(-50, 50) for _ in range(30)], [rng.randint(-50, 50) for _ in range(25)]
     assert convolve(a, b) == naive_poly_mul(a, b)
 
