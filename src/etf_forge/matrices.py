@@ -43,10 +43,11 @@ from .scalars import (
     conjugate_exponents,
     convolve,
     cyclo_from_ints,
-    cyclotomic_polynomial,
     euler_phi,
     pack,
     quad_from_ints,
+    reduce_mod_cyclotomic,
+    reduce_quadratic,
     slot_bits,
     unpack,
 )
@@ -80,20 +81,8 @@ class CycloDomain(Value):
         return cyclo_from_ints(self.order, ints, den)
 
     def reduce(self, slots) -> list[list[int]]:
-        """Coordinate vectors of the entries sum_e slots[e][i] zeta^e: x^m = 1
-        folds the exponents, then one division by Phi_m, a vector at a time."""
-        m, n = self.order, len(slots[0])
-        rem = [list(v) for v in slots[:m]] + [[0] * n for _ in range(m - len(slots))]
-        for e in range(m, len(slots)):
-            rem[e % m] = list(map(operator.add, rem[e % m], slots[e]))
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        for i in range(m - 1, deg - 1, -1):
-            if any(rem[i]):
-                for j, c in enumerate(phi[:deg]):
-                    if c:
-                        rem[i - deg + j] = list(map(operator.sub, rem[i - deg + j], map(c.__mul__, rem[i])))
-        return rem[:deg]
+        """Coordinate vectors of the entries sum_e slots[e][i] zeta^e, reduced once modulo Phi_m."""
+        return reduce_mod_cyclotomic(slots, self.order)
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, CycloDomain):
@@ -126,11 +115,8 @@ class QuadDomain(Value):
         return quad_from_ints(self.radicand, ints, den)
 
     def reduce(self, slots) -> list[list[int]]:
-        """Coordinate vectors of the entries sum_e slots[e][i] sqrt(t)^e, for two
-        or three exponents, by x^2 -> t; over 1 alone when t = 1."""
-        t = self.radicand
-        a = list(map(operator.add, slots[0], map(t.__mul__, slots[2]))) if len(slots) > 2 else list(slots[0])
-        return [list(map(operator.add, a, slots[1]))] if t == 1 else [a, list(slots[1])]
+        """Coordinate vectors of the entries sum_e slots[e][i] sqrt(t)^e (up to three terms), by x^2 -> t."""
+        return reduce_quadratic(slots, self.radicand)
 
     def unify(self, other: "Domain") -> "Domain":
         if isinstance(other, QuadDomain):
@@ -363,33 +349,38 @@ def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list
 
 _SIGN_CODE = {0: 0, 1: 1, -1: 2}.__getitem__  # raises KeyError off {-1, 0, 1}
 _NEGATIVE, _NONZERO = bytes.maketrans(b"\x00\x01\x02", b"001"), bytes.maketrans(b"\x00\x01\x02", b"011")
-_SIGNS = frozenset((-1, 1))
 
 
-def _sign_masks(vectors) -> tuple[list[int], list[int], bool] | None:
+def _sign_masks(vectors, signs_only: bool) -> tuple[list[int], list[int], bool] | None:
     """(support, negative) bitmasks of equal-length vectors and whether no
-    entry is zero; None when an entry is outside {-1, 0, 1}."""
-    try:
-        codes = [bytes(map(_SIGN_CODE, v)) for v in vectors]
-    except KeyError:
-        return None
+    entry is zero; None at the first vector with an entry outside
+    {-1, 0, 1}, or with a zero when ``signs_only``."""
+    codes = []
+    for v in vectors:
+        try:
+            codes.append(bytes(map(_SIGN_CODE, v)))
+        except KeyError:
+            return None
+        if signs_only and 0 in codes[-1]:
+            return None
     support = [int(c.translate(_NONZERO), 2) for c in codes]
     negative = [int(c.translate(_NEGATIVE), 2) for c in codes]
     return support, negative, not any(0 in c for c in codes)
 
 
-def _int_matmul(a: list[list[int]], columns, upper: bool) -> list[list[int]] | None:
-    """Integer products of the rows of ``a`` with ``columns`` by bitmask
-    popcounts, or only the entries j >= i when ``upper`` (row i then starts at
-    column i); None when an entry is outside {-1, 0, 1}."""
-    signs_a = _sign_masks(a)
-    signs_b = signs_a if columns is a else signs_a and _sign_masks(columns)
+def _int_matmul(a: list[list[int]], b: list[list[int]], hermitian: bool) -> list[list[int]] | None:
+    """Integer products a b by bitmask popcounts, or None: when an entry is
+    outside {-1, 0, 1}, or is zero and the product is not ``hermitian``.
+    A hermitian b is the adjoint of a, so its columns are the rows of a, and
+    row i holds only the entries j >= i (two AND popcounts per entry)."""
+    signs_a = _sign_masks(a, not hermitian)
+    signs_b = signs_a if hermitian else signs_a and _sign_masks(list(zip(*b)), True)
     if not signs_b:
         return None
-    (sa, na, full_a), (sb, nb, full_b), n = signs_a, signs_b, len(columns[0])
+    (sa, na, full_a), (sb, nb, full_b), n = signs_a, signs_b, len(a[0])
     if full_a and full_b:  # a product of signs is +1 unless they differ
-        return [[n - 2 * (x ^ y).bit_count() for y in nb[i if upper else 0 :]] for i, x in enumerate(na)]
-    return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(sb[i if upper else 0 :], nb[i if upper else 0 :])]
+        return [[n - 2 * (x ^ y).bit_count() for y in nb[i if hermitian else 0 :]] for i, x in enumerate(na)]
+    return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(sb[i:], nb[i:])]
             for i, (s, x) in enumerate(zip(sa, na))]
 
 
@@ -432,15 +423,10 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     a, b = a.with_domain(domain), b.with_domain(domain)
     den = a.den * b.den
     if len(a.planes) == len(b.planes) == 1:
-        pa, pb = a.planes[0], b.planes[0]
-        if hermitian:  # real entries: the columns of b are the rows of a
-            rows = _int_matmul(pa, pa, True)
-            for i, r in enumerate(rows or ()):  # in place: the rows above row i are already whole
+        rows = _int_matmul(a.planes[0], b.planes[0], hermitian)
+        if rows and hermitian:  # row i starts at column i; entry (i, j < i) is the real entry (j, i)
+            for i, r in enumerate(rows):  # in place: the rows above row i are already whole
                 r[:0] = [rows[j][i] for j in range(i)]
-        elif all(map(_SIGNS.issuperset, pa)) and all(map(_SIGNS.issuperset, pb)):
-            rows = _int_matmul(pa, list(zip(*pb)), False)
-        else:
-            rows = None
         return ExactMatrix(domain, den, [rows or _row_packed_matmul(a, b)])
     width = len(a.planes) + len(b.planes) - 1
     rows = [domain.reduce([r[e::width] for e in range(width)]) for r in _row_packed_matmul(a, b)]

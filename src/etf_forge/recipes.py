@@ -17,8 +17,6 @@ Design sources: {"generator": "all-pairs", "v": int},
 
 from __future__ import annotations
 
-from math import prod
-
 from .constructions import (
     SteinerInputs,
     flat_regular_simplex,
@@ -29,7 +27,7 @@ from .constructions import (
     verify_difference_set,
 )
 from .designs import Design, all_pairs_design, fano_plane, lift_permutation, round_robin_resolution, verify_qsd
-from .errors import EtfForgeError, InputError
+from .errors import EtfForgeError, HadamardError, InputError
 from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
@@ -97,12 +95,14 @@ def replay(rec: dict) -> Artifact:
         return Artifact(kind, rec, frame)
 
     if kind == "harmonic":
-        orders, subset = tuple(int(m) for m in inputs["group"]), tuple(int(i) for i in inputs["subset"])
-        if not orders or min(orders) < 2:
-            raise InputError(f"cyclic factor orders must all be >= 2, got {list(orders)}")
-        if any(not 0 <= i < prod(orders) for i in subset):
-            raise InputError(f"subset indices must lie in 0..{prod(orders) - 1}, got {list(subset)}")
-        ds = verify_difference_set(AbelianGroup(orders), subset)
+        subset = tuple(int(i) for i in inputs["subset"])
+        try:
+            group = AbelianGroup(tuple(int(m) for m in inputs["group"]))
+        except HadamardError as exc:
+            raise InputError(str(exc)) from None
+        if any(not 0 <= i < group.size for i in subset):
+            raise InputError(f"subset indices must lie in 0..{group.size - 1}, got {list(subset)}")
+        ds = verify_difference_set(group, subset)
         pair = harmonic_etf(ds)
         return Artifact(kind, rec, pair.primary, pair)
 

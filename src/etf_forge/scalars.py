@@ -12,8 +12,8 @@ All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import operator
 import struct
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -73,24 +73,33 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(ints: list[int], m: int) -> list[int]:
-    """Integer remainder of sum ints[e] x^e modulo Phi_m, as phi(m) coefficients.
+def reduce_mod_cyclotomic(slots, m: int) -> list[list[int]]:
+    """Integer coordinate vectors of the elements sum_e slots[e][i] zeta_m^e
+    modulo Phi_m: phi(m) vectors, a vector at a time.
 
     Exponents at or above m first fold down by x^m = 1 (Phi_m divides
     x^m - 1), so only the degrees phi(m) .. m - 1 need a division step.
     """
-    rem = [0] * m
-    for e, c in enumerate(ints):
-        rem[e % m] += c
+    rem = [list(v) for v in slots[:m]] + [[0] * len(slots[0]) for _ in range(m - len(slots))]
+    for e in range(m, len(slots)):
+        rem[e % m] = list(map(operator.add, rem[e % m], slots[e]))
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     for i in range(m - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
-    del rem[deg:]
-    return rem
+        if any(v := rem[i]):
+            for j, c in enumerate(phi[:deg]):
+                if c:  # subtract c times v; most coefficients of Phi_m are +-1
+                    w = v if c * c == 1 else map(abs(c).__mul__, v)
+                    rem[i - deg + j] = list(map(operator.sub if c > 0 else operator.add, rem[i - deg + j], w))
+    return rem[:deg]
+
+
+def reduce_quadratic(slots, t: int) -> list[list[int]]:
+    """Integer coordinate vectors of the elements sum_e slots[e][i] sqrt(t)^e,
+    for up to three exponents, by x^2 -> t: over 1, sqrt(t), or 1 alone when t = 1."""
+    a = list(map(operator.add, slots[0], map(t.__mul__, slots[2]))) if len(slots) > 2 else list(slots[0])
+    b = list(slots[1]) if len(slots) > 1 else [0] * len(a)
+    return [list(map(operator.add, a, b))] if t == 1 else [a, b]
 
 
 def _lower(coeffs) -> tuple[int, list[int]]:
@@ -117,14 +126,15 @@ def _bias(k: int, length: int) -> int:
 
 def pack(ints, k: int) -> int:
     """Kronecker substitution: the value of sum ints[i] x^i at x = 2^k.  At a
-    byte width, values that fit their slots are written as one buffer of two's
-    complement slots; XOR with the bias 2^(k-1) per slot makes each slot its
-    value plus the bias, so subtracting the bias leaves the sum."""
+    byte width, values that fit their slots are written as one little-endian
+    buffer of two's complement slots, slot 0 lowest on any host; XOR with the
+    bias 2^(k-1) per slot makes each slot its value plus the bias, so
+    subtracting the bias leaves the sum."""
     fmt = _SLOT_FORMATS.get(k)
     if fmt and len(ints) >= _CODEC_MIN:
         try:
             bias = _bias(k, len(ints))
-            return (int.from_bytes(struct.pack(f"{len(ints)}{fmt}", *ints), sys.byteorder) ^ bias) - bias
+            return (int.from_bytes(struct.pack(f"<{len(ints)}{fmt}", *ints), "little") ^ bias) - bias
         except struct.error:  # a value wider than its slot: the loop carries it
             pass
     n = 0
@@ -146,7 +156,7 @@ def unpack(n: int, k: int, length: int) -> list[int]:
     if fmt and length >= _CODEC_MIN:
         bias = _bias(k, length)
         try:
-            return memoryview(((n + bias) ^ bias).to_bytes(k // 8 * length, sys.byteorder)).cast(fmt).tolist()
+            return list(struct.unpack(f"<{length}{fmt}", ((n + bias) ^ bias).to_bytes(k // 8 * length, "little")))
         except OverflowError:
             raise ArithmeticError("a packed coefficient overflowed its slot") from None
     half, mask = 1 << (k - 1), (1 << k) - 1
@@ -185,7 +195,7 @@ def _cached_int_elem(m: int, value: int) -> "CycloElem":
 
 def cyclo_from_ints(m: int, ints: list[int], den: int = 1) -> "CycloElem":
     """The element (sum ints[e] zeta_m^e) / den, reduced once modulo Phi_m."""
-    rem = _reduce_mod_cyclotomic(ints, m)
+    rem = [v[0] for v in reduce_mod_cyclotomic([[c] for c in ints], m)]
     if den == 1 and not any(rem[1:]):
         return _cached_int_elem(m, rem[0])
     return CycloElem(m, tuple(Fraction(c, den) if c else _ZERO for c in rem))
@@ -421,8 +431,8 @@ class QuadElem:
 
 def quad_from_ints(t: int, ints: list[int], den: int = 1) -> QuadElem:
     """The element (sum ints[e] sqrt(t)^e) / den for up to three terms, by x^2 -> t."""
-    a = ints[0] + (t * ints[2] if len(ints) > 2 else 0)
-    return QuadElem(t, Fraction(a, den), Fraction(ints[1] if len(ints) > 1 else 0, den))
+    a, b = [v[0] for v in reduce_quadratic([[c] for c in ints], t)] + [0] * (t == 1)
+    return QuadElem(t, Fraction(a, den), Fraction(b, den))
 
 
 def rational_sqrt(value) -> Fraction | None:

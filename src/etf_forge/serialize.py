@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -310,27 +311,28 @@ def dump(obj, path) -> None:
         fh.write(canonical_json(obj))
 
 
-def load(path):
-    # The decoded tree is acyclic: a collection during the decode walks it and frees nothing.
+@contextmanager
+def _collector_paused():
+    # A decoded document is acyclic: a collection while it is alive walks it and frees nothing.
     enabled = gc.isenabled()
-    with open(path) as fh:
-        gc.disable()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def load(path):
+    with open(path) as fh, _collector_paused():
         try:
             return json.load(fh)
         except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise InputError(f"{path} is not valid JSON: {exc}") from None
-        finally:
-            if enabled:
-                gc.enable()
 
 
 def load_matrix(path) -> ExactMatrix:
-    """The matrix document at ``path``; the collector stays paused until the
-    decoded tree, which it would walk and not free, is dropped."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    """The matrix document at ``path``, with the collector paused until its
+    decoded tree is dropped."""
+    with _collector_paused():
         return matrix_from_obj(load(path))
-    finally:
-        if enabled:
-            gc.enable()

@@ -403,20 +403,22 @@ def test_int_fast_path_matches_naive_oracle():
         assert matmul(a, b) == oracle_matmul(a, b)
 
 
-def test_bitmask_route_matches_loop_route():
-    # The popcount route has no size threshold: a 70 x 70 product and its
-    # 8 x 8 corner both take it, and both match the Fraction oracle.
+def test_bitmask_route_matches_loop_route(triangles):
+    # The popcount triangle has no size threshold: a 70 x 70 {-1, 0, 1}
+    # matrix times its adjoint and its 8 x 8 corner times its adjoint both
+    # take it, and both match the Fraction oracle.
     rng = random.Random(41)
     rows = [[rng.choice((-1, 0, 1)) for _ in range(70)] for _ in range(70)]
     a = ExactMatrix.from_rows(rows)
     small = ExactMatrix.from_rows([r[:8] for r in rows[:8]])
-    big = matmul(a, a)
+    big = matmul(a, a.adjoint())
     for i in range(8):
         for j in range(8):
-            acc = sum(rows[i][t] * rows[t][j] for t in range(70))
+            acc = sum(rows[i][t] * rows[j][t] for t in range(70))
             assert big.entry(i, j).rational_value() == acc
-    assert big == oracle_matmul(a, a)
-    assert matmul(small, small) == oracle_matmul(small, small)
+    assert big == oracle_matmul(a, a.adjoint())
+    assert matmul(small, small.adjoint()) == oracle_matmul(small, small.adjoint())
+    assert triangles == [70, 8]
 
 
 @pytest.fixture
@@ -427,9 +429,9 @@ def triangles(monkeypatch):
     calls = []
     kernel = matrices._int_matmul
 
-    def spy(a, columns, upper):
-        rows = kernel(a, columns, upper)
-        if upper and rows is not None:
+    def spy(a, b, hermitian):
+        rows = kernel(a, b, hermitian)
+        if hermitian and rows is not None:
             calls.append(len(a))
         return rows
 

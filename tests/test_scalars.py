@@ -9,12 +9,13 @@ from etf_forge.errors import DomainError
 from etf_forge.scalars import (
     CycloElem,
     QuadElem,
-    _reduce_mod_cyclotomic,
     convolve,
     cyclotomic_polynomial,
     euler_phi,
     pack,
     rational_sqrt,
+    reduce_mod_cyclotomic,
+    reduce_quadratic,
     split_square,
     unpack,
 )
@@ -320,13 +321,23 @@ def test_quad_mul_matches_closed_form_and_embedding():
 
 
 def test_integer_reduction_folds_then_divides_by_phi():
+    def reduce(ints, m):  # one element: one-entry coefficient vectors
+        return [v[0] for v in reduce_mod_cyclotomic([[c] for c in ints], m)]
+
     # x^13 = x^0 at m = 13, and x^12 = -(1 + ... + x^11).
-    assert _reduce_mod_cyclotomic([0] * 13 + [5], 13) == [5] + [0] * 11
-    assert _reduce_mod_cyclotomic([0] * 12 + [1], 13) == [-1] * 12
+    assert reduce([0] * 13 + [5], 13) == [5] + [0] * 11
+    assert reduce([0] * 12 + [1], 13) == [-1] * 12
     # Phi_12 = x^4 - x^2 + 1, so x^4 = x^2 - 1 and x^6 = -1.
-    assert _reduce_mod_cyclotomic([0, 0, 0, 0, 1], 12) == [-1, 0, 1, 0]
-    assert _reduce_mod_cyclotomic([0] * 6 + [3], 12) == [-3, 0, 0, 0]
-    assert _reduce_mod_cyclotomic([2, 7, -1], 1) == [8]
+    assert reduce([0, 0, 0, 0, 1], 12) == [-1, 0, 1, 0]
+    assert reduce([0] * 6 + [3], 12) == [-3, 0, 0, 0]
+    assert reduce([2, 7, -1], 1) == [8]
+    # A vector at a time: entry i of every coordinate vector is element i's.
+    assert reduce_mod_cyclotomic([[0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 3]], 12) == [
+        [-1, 1, -3], [0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    # x^2 -> t, and 1 alone when t = 1.
+    assert reduce_quadratic([[1, 2], [3, 4], [5, 6]], 6) == [[31, 38], [3, 4]]
+    assert reduce_quadratic([[1, 2], [3, 4]], 1) == [[4, 6]]
+    assert reduce_quadratic([[7]], 6) == [[7], [0]]
 
 
 def test_pack_unpack_round_trip_and_overflow():

@@ -275,3 +275,18 @@ def test_load_pauses_the_collector_only_inside_the_decode(tmp_path, monkeypatch)
     finally:
         gc.enable()
     assert states == [False] * 4
+
+
+def test_load_matrix_keeps_the_collector_paused_through_the_parse(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(canonical_json(matrix_to_obj(dft(3).body)))
+    bad.write_text(canonical_json({"schema": serialize.MATRIX_SCHEMA, "entries": []}))
+    states = []
+    parse = serialize.matrix_from_obj
+    monkeypatch.setattr(serialize, "matrix_from_obj", lambda obj: states.append(gc.isenabled()) or parse(obj))
+    assert serialize.load_matrix(good) == dft(3).body
+    assert gc.isenabled()
+    with pytest.raises(InputError, match="malformed matrix document"):
+        serialize.load_matrix(bad)
+    assert gc.isenabled()
+    assert states == [False, False]
