@@ -21,10 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .designs import Design, PermutationLift, lift_permutation
+from .designs import Design, PermutationLift, lift_permutation, round_robin_resolution
 from .errors import DesignError, FrameError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
-from .hadamard import AbelianGroup, HadamardMatrix, char_table
+from .hadamard import AbelianGroup, HadamardMatrix, char_table, hadamard_of_size, kron as kron_hadamard, sylvester
 from .matrices import ExactMatrix, kron, matmul, vstack
 from .value import Value
 
@@ -215,9 +215,6 @@ def standard_kirkman_inputs(u: int, e: HadamardMatrix | None = None) -> KirkmanI
     F is the size-2 Hadamard matrix, and G = E (x) F has size 2u = r + 1.
     The round-robin schedule supplies the resolvable design.
     """
-    from .hadamard import hadamard_of_size, kron as kron_hadamard, sylvester
-    from .designs import round_robin_resolution
-
     if e is None:
         e = hadamard_of_size(u)
     if e.n != u:

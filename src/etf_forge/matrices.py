@@ -1,9 +1,10 @@
 """Dense exact matrices over a cyclotomic or real quadratic scalar domain.
 
-A matrix carries a domain tag; all entries live in that domain.  Products of
-cyclotomic matrices lift both operands to the lcm of their orders, products
-of quadratic matrices require matching radicands (rational values mix with
-anything), and cyclotomic/quadratic products are rejected.
+A matrix carries a domain (``scalars.CycloDomain`` or ``QuadDomain``,
+re-exported here) whose methods hold every field rule used here: reduction,
+``unify`` (cyclotomic orders lift to their lcm, quadratic radicands must
+match unless one side is rational, the kinds never mix), ``lift`` and
+``conjugate``.
 
 A matrix is stored once, as integer coefficient planes over its domain's
 basis -- the power basis of Q(zeta_m), or 1, sqrt(t) -- with one common
@@ -11,10 +12,10 @@ denominator: plane k holds den times each entry's k-th coordinate.  The form
 is canonical (den is the lcm of the reduced denominators, trailing all-zero
 planes are dropped), so a rational matrix has one plane, an integer matrix
 is its own plane and equality is plane equality.  Every operation works on
-the planes; scalars are built only by ``entry`` and ``row``, and the
-constructions write their planes directly (``from_entries`` lowers scalars
-once, for callers that hold them).  ``rational_rows`` reads rational
-values, zero masks and squared moduli off the planes for the verifiers.
+the planes.  A scalar has an entry's form, so ``entry`` and ``row`` build
+scalars straight from the planes (``scalars.element``); ``from_entries``
+lowers a caller's scalars once.  ``rational_rows`` reads rational values,
+zero masks and squared moduli off the planes for the verifiers.
 
 A product takes one of three integer routes.  {-1, 1} operands take one XOR
 popcount per entry; a {-1, 0, 1} matrix times its ``adjoint()`` computes one
@@ -31,121 +32,23 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
+from itertools import compress, zip_longest
 from math import gcd, lcm
 
 from .errors import DomainError
-from .scalars import (
-    CycloElem,
-    QuadElem,
-    _lower,
-    conjugate_exponents,
+from .scalars import (  # the domains and their constructors are importable from here too
+    RATIONAL,
+    CycloDomain,
+    Domain,
+    QuadDomain,
     convolve,
-    cyclo_from_ints,
-    euler_phi,
+    cyclo_domain,
+    element,
     pack,
-    quad_from_ints,
-    reduce_mod_cyclotomic,
-    reduce_quadratic,
+    quad_domain,
     slot_bits,
     unpack,
 )
-from .value import Value
-
-
-class CycloDomain(Value):
-    """CycloDomain(order): entries in Q(zeta_order), over the power basis."""
-
-    order: int
-
-    kind = "cyclotomic"
-
-    @property
-    def width(self) -> int:
-        """The number of basis elements, phi(m)."""
-        return euler_phi(self.order)
-
-    def coefficients(self, x) -> tuple:
-        """Coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1)."""
-        if isinstance(x, (int, Fraction)):
-            return (x,) + (0,) * (self.width - 1)
-        if isinstance(x, CycloElem):
-            if self.order % x.order == 0:
-                return x.lift(self.order).coeffs
-            if x.rational_value() is not None:
-                return self.coefficients(x.rational_value())
-        raise DomainError(f"cannot place {x!r} in an order-{self.order} domain")
-
-    def from_ints(self, ints: list[int], den: int):
-        return cyclo_from_ints(self.order, ints, den)
-
-    def reduce(self, slots) -> list[list[int]]:
-        """Coordinate vectors of the entries sum_e slots[e][i] zeta^e, reduced once modulo Phi_m."""
-        return reduce_mod_cyclotomic(slots, self.order)
-
-    def unify(self, other: "Domain") -> "Domain":
-        if isinstance(other, CycloDomain):
-            m = self.order * other.order // gcd(self.order, other.order)
-            return cyclo_domain(m)
-        raise DomainError("cannot mix cyclotomic and quadratic matrices")
-
-
-class QuadDomain(Value):
-    """QuadDomain(radicand): entries a + b sqrt(radicand), over the basis 1, sqrt(radicand)."""
-
-    radicand: int
-
-    kind = "quadratic"
-
-    @property
-    def width(self) -> int:
-        """The number of basis elements: 1, sqrt(t), or 1 alone when t = 1."""
-        return 1 if self.radicand == 1 else 2
-
-    def coefficients(self, x) -> tuple:
-        """Coordinates in the basis 1, sqrt(t)."""
-        if isinstance(x, (int, Fraction)):
-            return (x, 0)
-        if isinstance(x, QuadElem) and (x.b == 0 or x.t == self.radicand):
-            return (x.a, x.b)
-        raise DomainError(f"cannot place {x!r} in a sqrt({self.radicand}) domain")
-
-    def from_ints(self, ints: list[int], den: int):
-        return quad_from_ints(self.radicand, ints, den)
-
-    def reduce(self, slots) -> list[list[int]]:
-        """Coordinate vectors of the entries sum_e slots[e][i] sqrt(t)^e (up to three terms), by x^2 -> t."""
-        return reduce_quadratic(slots, self.radicand)
-
-    def unify(self, other: "Domain") -> "Domain":
-        if isinstance(other, QuadDomain):
-            if self.radicand == other.radicand:
-                return self
-            if self.radicand == 1:
-                return other
-            if other.radicand == 1:
-                return self
-            raise DomainError(
-                f"incompatible radicands {self.radicand} and {other.radicand}"
-            )
-        raise DomainError("cannot mix cyclotomic and quadratic matrices")
-
-
-Domain = CycloDomain | QuadDomain
-
-
-@lru_cache(maxsize=None)
-def cyclo_domain(order: int) -> CycloDomain:
-    return CycloDomain(order)
-
-
-@lru_cache(maxsize=None)
-def quad_domain(radicand: int) -> QuadDomain:
-    return QuadDomain(radicand)
-
-
-RATIONAL = cyclo_domain(1)
 
 
 class ExactMatrix:
@@ -189,9 +92,9 @@ class ExactMatrix:
             )
         if all(type(x) is int for x in entries):  # its own plane: no coordinate tuple per entry
             return from_flat(domain, cols, 1, [entries])
-        coords = [domain.coefficients(x) for x in entries]
-        den = lcm(*{c.denominator for v in coords for c in v})
-        return from_flat(domain, cols, den, [[c.numerator * (den // c.denominator) for c in p] for p in zip(*coords)])
+        forms = [domain.lower(x) for x in entries]
+        den = lcm(*{d for d, _ in forms})
+        return from_flat(domain, cols, den, zip_longest(*[[c * (den // d) for c in ints] for d, ints in forms], fillvalue=0))
 
     @staticmethod
     def from_rows(rows, domain: Domain = RATIONAL) -> "ExactMatrix":
@@ -212,7 +115,7 @@ class ExactMatrix:
     # -- access -------------------------------------------------------
 
     def entry(self, i: int, j: int):
-        return self.domain.from_ints([p[i][j] for p in self.planes], self.den)
+        return element(self.domain, self.den, [p[i][j] for p in self.planes])
 
     def row(self, i: int) -> tuple:
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -234,21 +137,21 @@ class ExactMatrix:
             return self
         if len(self.planes) == 1:
             return ExactMatrix(domain, self.den, self.planes)  # rational values fit anywhere
-        if domain.kind == self.domain.kind == "cyclotomic" and domain.order % self.domain.order == 0:
-            pad = [[0] * self.cols] * (domain.order // self.domain.order - 1)  # zeta_m^e = zeta_M^(e M / m)
-            return self._map(domain, self.den, lambda rs: [x for r in rs for x in (r, *pad)])
-        raise DomainError(f"cannot place {self.domain} entries in {domain}")
+        if self.domain.unify(domain) != domain:
+            raise DomainError(f"cannot place {self.domain} entries in {domain}")
+        zero = [0] * self.cols
+        return self._map(domain, self.den, lambda rs: self.domain.lift(rs, zero, domain.order))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.domain, self.den, [[list(c) for c in zip(*p)] for p in self.planes])
 
     def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose: zeta^e -> zeta^(m - e), one reduction per row;
+        """Conjugate transpose, the domain's conjugate reduced once per row;
         its ``adjoint_of`` lets ``matmul`` of two {-1, 0, 1} factors take one triangle."""
         t = self.transpose()
-        if len(t.planes) > 1 and t.domain.kind == "cyclotomic":  # other entries are real
-            m, zero = t.domain.order, [0] * t.cols
-            t = t._map(t.domain, t.den, lambda rs: [rs[-e % m] if -e % m < len(rs) else zero for e in range(m)])
+        if len(t.planes) > 1:  # rational entries are real
+            zero = [0] * t.cols
+            t = t._map(t.domain, t.den, lambda rs: t.domain.conjugate(rs, zero))
         t.adjoint_of = self
         return t
 
@@ -338,10 +241,8 @@ def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list
         domain, den = m.domain, m.den * m.den
         if len(m.planes) == 1:
             m = ExactMatrix(domain, den, [[[x * x for x in r] for r in m.planes[0]]])
-        elif domain.kind == "quadratic":  # a real field: |x|^2 = x^2
-            m = m._map(domain, den, lambda rs: list(zip(*[convolve(c, c) for c in zip(*rs)])))
-        else:  # x times its conjugate in Z[x]/(x^m - 1), reduced once
-            m = m._map(domain, den, lambda rs: list(zip(*[convolve(c, conjugate_exponents(c, domain.order)) for c in zip(*rs)])))
+        else:  # x times its conjugate, reduced once
+            m = m._map(domain, den, lambda rs: list(zip(*[convolve(c, domain.conjugate(c, 0)) for c in zip(*rs)])))
     if len(m.planes) == 1:
         return m.den, m.planes[0]
     return m.den, [[c[0] if not any(c[1:]) else None for c in zip(*rs)] for rs in zip(*m.planes)]
@@ -461,7 +362,5 @@ def vstack(*mats: ExactMatrix) -> ExactMatrix:
 
 def scaled_identity(n: int, value, domain: Domain = RATIONAL) -> ExactMatrix:
     """value times the n x n identity, for a rational value or a domain element."""
-    den, ints = _lower(domain.coefficients(value))
-    while len(ints) > 1 and not ints[-1]:  # no all-zero planes to build
-        ints.pop()
+    den, ints = domain.lower(value)
     return ExactMatrix(domain, den, [[[c if i == j else 0 for j in range(n)] for i in range(n)] for c in ints])

@@ -88,7 +88,7 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
     if design is None:
         raise FrameError("this certificate is parameter-level; no incidence matrix to build from")
 
-    t = 1 if (delta.b == 0 and eps.b == 0) else max(delta.t, eps.t)
+    t = max(delta.t, eps.t)  # a rational scalar has t = 1
     domain = RATIONAL if t == 1 else quad_domain(t)
     coords = [(delta.a, eps.a), (delta.b, eps.b)][: domain.width]  # over 1, sqrt(t)
     den = lcm(*[c.denominator for pair in coords for c in pair])

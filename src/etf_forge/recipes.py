@@ -22,6 +22,8 @@ from .constructions import (
     flat_regular_simplex,
     harmonic_etf,
     kirkman_etf,
+    standard_kirkman_inputs,
+    steiner_etf,
     steiner_naimark,
     tensor_etf,
     verify_difference_set,
@@ -31,7 +33,7 @@ from .errors import EtfForgeError, HadamardError, InputError
 from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
-from .serialize import RECIPE_SCHEMA
+from .serialize import RECIPE_SCHEMA, checked_design
 from .value import Value
 
 
@@ -53,51 +55,72 @@ def recipe(kind: str, **inputs) -> dict:
     return {"schema": RECIPE_SCHEMA, "kind": kind, "inputs": inputs}
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} is not a JSON object: {value!r}")
+    return value
+
+
+def _ints(values, read=int) -> tuple:
+    """``read`` of each value of a recipe list: int(), as recipes have always
+    been read, or ``_ints`` for a list of lists.  What it cannot read is bad input."""
+    try:
+        return tuple(map(read, values))
+    except (TypeError, OverflowError):
+        raise InputError(f"recipe values {values!r} are not integers") from None
+
+
+def _int(value) -> int:
+    return _ints([value])[0]
+
+
 def hadamard_from_spec(spec) -> HadamardMatrix:
-    gen = spec.get("generator")
+    gen = _object(spec, "a Hadamard source").get("generator")
     if gen == "sylvester":
-        return sylvester(int(spec["e"]))
+        return sylvester(_int(spec["e"]))
     if gen == "paley":
-        return paley_one(int(spec["q"]))
+        return paley_one(_int(spec["q"]))
     if gen == "dft":
-        return dft(int(spec["n"]))
+        return dft(_int(spec["n"]))
     if gen == "size":
-        return hadamard_of_size(int(spec["n"]))
+        return hadamard_of_size(_int(spec["n"]))
     if gen == "kron":
         return kron(hadamard_from_spec(spec["left"]), hadamard_from_spec(spec["right"]))
-    raise EtfForgeError(f"unknown Hadamard generator {gen!r}")
+    raise InputError(f"unknown Hadamard generator {gen!r}")
 
 
 def design_from_spec(spec) -> Design:
-    gen = spec.get("generator")
+    gen = _object(spec, "a design source").get("generator")
     if gen == "all-pairs":
-        return all_pairs_design(int(spec["v"]))
+        return all_pairs_design(_int(spec["v"]))
     if gen == "round-robin":
-        return round_robin_resolution(int(spec["v"]))
+        return round_robin_resolution(_int(spec["v"]))
     if gen == "fano":
         return fano_plane()
     if gen == "blocks":
-        blocks = [tuple(int(x) - 1 for x in block) for block in spec["blocks"]]
-        return Design(int(spec["v"]), blocks, spec.get("parallel_classes"))
-    raise EtfForgeError(f"unknown design generator {gen!r}")
+        blocks = [tuple(x - 1 for x in block) for block in _ints(spec["blocks"], _ints)]
+        classes = spec.get("parallel_classes")
+        return checked_design(_int(spec["v"]), blocks, _ints(classes, _ints) if classes else None)
+    raise InputError(f"unknown design generator {gen!r}")
 
 
 def replay(rec: dict) -> Artifact:
-    """Re-run a recipe, certifying everything it builds."""
-    if rec.get("schema") != RECIPE_SCHEMA:
-        raise EtfForgeError(f"not a recipe document: schema {rec.get('schema')!r}")
+    """Re-run a recipe, certifying everything it builds.  A document that is
+    not a recipe, or holds a value of the wrong kind, raises InputError."""
+    if _object(rec, "a recipe").get("schema") != RECIPE_SCHEMA:
+        raise InputError(f"not a recipe document: schema {rec.get('schema')!r}")
     kind = rec.get("kind")
-    inputs = rec.get("inputs", {})
+    inputs = _object(rec.get("inputs", {}), "recipe inputs")
 
     if kind == "simplex":
         h = hadamard_from_spec(inputs["hadamard"])
-        frame = flat_regular_simplex(h, int(inputs.get("drop_row", 0)))
+        frame = flat_regular_simplex(h, _int(inputs.get("drop_row", 0)))
         return Artifact(kind, rec, frame)
 
     if kind == "harmonic":
-        subset = tuple(int(i) for i in inputs["subset"])
+        subset = _ints(inputs["subset"])
         try:
-            group = AbelianGroup(tuple(int(m) for m in inputs["group"]))
+            group = AbelianGroup(_ints(inputs["group"]))
         except HadamardError as exc:
             raise InputError(str(exc)) from None
         if any(not 0 <= i < group.size for i in subset):
@@ -112,20 +135,16 @@ def replay(rec: dict) -> Artifact:
             lift_permutation(design),
             hadamard_from_spec(inputs["f"]),
             hadamard_from_spec(inputs["g"]),
-            int(inputs.get("column", 1)),
+            _int(inputs.get("column", 1)),
         )
         if st.column == 1:
             pair = steiner_naimark(st)
             return Artifact(kind, rec, pair.primary, pair)
-        from .constructions import steiner_etf
-
         return Artifact(kind, rec, steiner_etf(st))
 
     if kind == "kirkman":
-        u = int(inputs["u"])
+        u = _int(inputs["u"])
         e = hadamard_from_spec(inputs["e"]) if "e" in inputs else hadamard_of_size(u)
-        from .constructions import standard_kirkman_inputs
-
         pair = kirkman_etf(standard_kirkman_inputs(u, e=e))
         return Artifact(kind, rec, pair.primary, pair)
 
@@ -143,4 +162,4 @@ def replay(rec: dict) -> Artifact:
         frame, link = etf_from_qsd(cert, inputs.get("branch", "plus"))
         return Artifact(kind, rec, frame, link=link)
 
-    raise EtfForgeError(f"unknown recipe kind {kind!r}")
+    raise InputError(f"unknown recipe kind {kind!r}")

@@ -1,11 +1,20 @@
-"""Exact scalar arithmetic for the two number domains used by the library.
+"""Exact scalars, and the two kinds of field they and the matrices live in.
 
-``CycloElem`` represents elements of the cyclotomic field Q(zeta_m) in the
-canonical reduced form modulo the m-th cyclotomic polynomial, so equality is
-a decidable coefficient-vector comparison and every certification test is
-tolerance-free.  ``QuadElem`` represents elements a + b*sqrt(t) of a real
-quadratic field Q(sqrt(t)) with t square-free (t = 1 means the element is
-rational).
+A domain is a field with a basis: ``CycloDomain(m)`` is Q(zeta_m) over the
+power basis 1, zeta, ..., zeta^(phi(m) - 1), and ``QuadDomain(t)`` is the
+real field Q(sqrt(t)) over 1, sqrt(t), with t square-free (t = 1 is Q).
+Each domain is the one home of its field's rules -- ``reduce`` (exponent
+slots to coordinates, mod Phi_m or by x^2 -> t), ``unify``, ``conjugate``
+and ``lift`` -- and they act on slots, one per exponent, that hold a
+matrix row's integer vectors or a scalar's integers alike.
+
+``CycloElem`` and ``QuadElem`` hold what one matrix entry holds: a domain,
+a denominator and integer coordinates, in lowest terms and without trailing
+zeros, so equality in a field compares integers and every certification
+test is tolerance-free.  ``element`` builds one straight from a matrix's
+planes.  The integer kernels under both live here too: the reductions of
+coefficient vectors and Kronecker substitution (``pack``, ``unpack``,
+``convolve``).
 
 All values are immutable; every operation returns a new value.
 """
@@ -16,12 +25,11 @@ import operator
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
 from .errors import DomainError
-
-_ZERO = Fraction(0)
-
+from .value import Value
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (inputs here are small)."""
@@ -105,8 +113,6 @@ def reduce_quadratic(slots, t: int) -> list[list[int]]:
 def _lower(coeffs) -> tuple[int, list[int]]:
     """(den, ints) with den the lcm of the denominators and ints = den * coeffs."""
     den = lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return 1, [c.numerator for c in coeffs]
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
@@ -170,15 +176,6 @@ def unpack(n: int, k: int, length: int) -> list[int]:
     return out
 
 
-def conjugate_exponents(ints, m: int) -> list[int]:
-    """The conjugate of sum ints[e] zeta_m^e in Z[x]/(x^m - 1): zeta^e -> zeta^(m - e)
-    needs no reduction there."""
-    conj = [0] * m
-    for e, c in enumerate(ints):
-        conj[-e % m] = c
-    return conj
-
-
 def convolve(a: list[int], b: list[int]) -> list[int]:
     """Coefficients of the product of two integer polynomials: one big-integer
     product of their packings, with slots wide enough for every coefficient."""
@@ -187,28 +184,195 @@ def convolve(a: list[int], b: list[int]) -> list[int]:
     return unpack(pack(a, k) * pack(b, k), k, len(a) + len(b) - 1)
 
 
-@lru_cache(maxsize=None)
-def _cached_int_elem(m: int, value: int) -> "CycloElem":
-    coeffs = [Fraction(value)] + [_ZERO] * (euler_phi(m) - 1)
-    return CycloElem(m, tuple(coeffs))
 
 
-def cyclo_from_ints(m: int, ints: list[int], den: int = 1) -> "CycloElem":
-    """The element (sum ints[e] zeta_m^e) / den, reduced once modulo Phi_m."""
-    rem = [v[0] for v in reduce_mod_cyclotomic([[c] for c in ints], m)]
-    if den == 1 and not any(rem[1:]):
-        return _cached_int_elem(m, rem[0])
-    return CycloElem(m, tuple(Fraction(c, den) if c else _ZERO for c in rem))
+class _Field(Value):
+    """What the two kinds of domain share."""
+
+    def lower(self, x) -> tuple[int, tuple[int, ...]]:
+        """(den, ints) of a rational, or of an element of a field this one
+        contains, over this field's basis: its form as an element here."""
+        if isinstance(x, (int, Fraction)):
+            return x.denominator, (x.numerator,)
+        if isinstance(x, _Scalar) and x.domain.kind == self.kind and (len(x.ints) == 1 or self.unify(x.domain) == self):
+            return x._in(self)
+        raise DomainError(f"cannot place {x!r} in {self}")
 
 
-class CycloElem:
+class CycloDomain(_Field):
+    """CycloDomain(order): entries in Q(zeta_order), over the power basis."""
+
+    order: int
+
+    kind = "cyclotomic"
+
+    @property
+    def width(self) -> int:
+        """The number of basis elements, phi(m)."""
+        return euler_phi(self.order)
+
+    def reduce(self, slots) -> list[list[int]]:
+        """Coordinate vectors of the entries sum_e slots[e][i] zeta^e, reduced once modulo Phi_m."""
+        return reduce_mod_cyclotomic(slots, self.order)
+
+    def conjugate(self, slots, zero) -> list:
+        """The slots of the conjugates, zeta^e -> zeta^-e: slot e moves to
+        slot -e mod m, and ``zero`` fills the slots nothing moves to."""
+        out = [zero] * self.order
+        for e, s in enumerate(slots):
+            out[-e % self.order] = s
+        return out
+
+    def lift(self, slots, zero, order: int) -> list:
+        """The slots at an order M that m divides: zeta_m^e = zeta_M^(e M / m)."""
+        pad = (zero,) * (order // self.order - 1)
+        return [x for s in slots for x in (s, *pad)]
+
+    def unify(self, other: "Domain") -> "Domain":
+        if isinstance(other, CycloDomain):
+            return cyclo_domain(lcm(self.order, other.order))
+        raise DomainError("cannot mix cyclotomic and quadratic matrices")
+
+
+class QuadDomain(_Field):
+    """QuadDomain(radicand): entries a + b sqrt(radicand), over the basis 1, sqrt(radicand)."""
+
+    radicand: int
+
+    kind = "quadratic"
+
+    @property
+    def width(self) -> int:
+        """The number of basis elements: 1, sqrt(t), or 1 alone when t = 1."""
+        return 1 if self.radicand == 1 else 2
+
+    def reduce(self, slots) -> list[list[int]]:
+        """Coordinate vectors of the entries sum_e slots[e][i] sqrt(t)^e (up to three terms), by x^2 -> t."""
+        return reduce_quadratic(slots, self.radicand)
+
+    def conjugate(self, slots, zero):
+        """The field is real: every entry is its own conjugate."""
+        return slots
+
+    def unify(self, other: "Domain") -> "Domain":
+        if isinstance(other, QuadDomain):
+            if other.radicand in (1, self.radicand):
+                return self
+            if self.radicand == 1:
+                return other
+            raise DomainError(f"incompatible radicands {self.radicand} and {other.radicand}")
+        raise DomainError("cannot mix cyclotomic and quadratic matrices")
+
+
+Domain = CycloDomain | QuadDomain
+cyclo_domain = lru_cache(maxsize=None)(CycloDomain)
+quad_domain = lru_cache(maxsize=None)(QuadDomain)
+RATIONAL = cyclo_domain(1)
+
+
+def element(domain: Domain, den: int, slots) -> "CycloElem | QuadElem":
+    """The scalar (sum_k slots[k] b_k) / den over the domain's basis b_0 = 1,
+    b_1, ...: a matrix entry's planes at one position, in lowest terms."""
+    return object.__new__(CycloElem if domain.kind == "cyclotomic" else QuadElem)._fill(domain, den, slots)
+
+
+def _reduced(domain: Domain, den: int, exps) -> "CycloElem | QuadElem":
+    """The element (sum_e exps[e] x^e) / den, x the domain's generator
+    (zeta_m or sqrt(t)), reduced once when exponents reach past the basis."""
+    if len(exps) > domain.width:
+        exps = [v[0] for v in domain.reduce([[c] for c in exps])]
+    return element(domain, den, exps)
+
+
+class _Scalar:
+    """What both fields' elements hold: one matrix entry's form.
+
+    ``ints`` are den times the coordinates over the domain's basis.  The form
+    is canonical -- den > 0 has no factor in common with all coordinates,
+    trailing zero coordinates are dropped, and a rational element of a
+    quadratic field lives in Q(sqrt(1)) -- so two elements of one domain are
+    equal exactly when their forms are, and one coordinate means a rational.
+    """
+
+    __slots__ = ("domain", "den", "ints")
+
+    def _fill(self, domain: Domain, den: int, slots):
+        ints = list(slots)
+        while len(ints) > 1 and not ints[-1]:
+            ints.pop()
+        g = gcd(den, *ints) if den != 1 else 1
+        if g != 1:
+            den, ints = den // g, [c // g for c in ints]
+        self.domain = quad_domain(1) if len(ints) == 1 and domain.kind == "quadratic" else domain
+        self.den, self.ints = den, tuple(ints)
+        return self
+
+    def _in(self, domain: Domain) -> tuple[int, tuple[int, ...]]:
+        """(den, ints) of this element over ``domain``, a field that contains its own."""
+        if len(self.ints) == 1 or domain == self.domain:  # a rational has the same form in every field
+            return self.den, self.ints
+        x = _reduced(domain, self.den, self.domain.lift(self.ints, 0, domain.order))  # only Q(zeta_m) nest
+        return x.den, x.ints
+
+    def _operands(self, other):
+        """(domain, (den, ints), (den, ints)): this element and ``other`` in
+        their common field, or None when ``other`` is neither rational nor of this kind."""
+        if isinstance(other, (int, Fraction)):
+            return self.domain, (self.den, self.ints), (other.denominator, (other.numerator,))
+        if type(other) is not type(self):
+            return None
+        if other.domain is self.domain:
+            return self.domain, (self.den, self.ints), (other.den, other.ints)
+        domain = self.domain.unify(other.domain)
+        return domain, self._in(domain), other._in(domain)
+
+    def rational_value(self) -> Fraction | None:
+        """The value as a Fraction if the element is rational, else None."""
+        return Fraction(self.ints[0], self.den) if len(self.ints) == 1 else None
+
+    def conjugate(self):
+        """Complex conjugate: zeta -> zeta**(order-1), or the identity in a real field."""
+        if len(self.ints) == 1:
+            return self  # rational values are self-conjugate
+        return _reduced(self.domain, self.den, self.domain.conjugate(self.ints, 0))
+
+    def __add__(self, other):
+        ops = self._operands(other)
+        if ops is None:
+            return NotImplemented
+        domain, (da, a), (db, b) = ops
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return element(domain, den, [fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)])
+
+    def __mul__(self, other):
+        ops = self._operands(other)
+        if ops is None:
+            return NotImplemented
+        domain, (da, a), (db, b) = ops
+        return _reduced(domain, da * db, convolve(a, b))
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __eq__(self, other):
+        try:
+            ops = self._operands(other)
+        except DomainError:  # irrationals of two quadratic fields
+            return False
+        return NotImplemented if ops is None else ops[1] == ops[2]
+
+    __hash__ = None  # cross-order equality makes a consistent hash impractical
+
+
+class CycloElem(_Scalar):
     """An element of Q(zeta_m), reduced modulo the m-th cyclotomic polynomial.
 
     ``coeffs`` has length phi(m) and gives the coordinates in the power basis
     1, zeta, ..., zeta^(phi(m)-1).  The zero element has all-zero coeffs.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
         if order < 1:
@@ -217,98 +381,41 @@ class CycloElem:
             raise DomainError(
                 f"expected {euler_phi(order)} coefficients at order {order}, got {len(coeffs)}"
             )
-        self.order = order
-        self.coeffs = coeffs
+        self._fill(cyclo_domain(order), *_lower(coeffs))
+
+    @property
+    def order(self) -> int:
+        return self.domain.order
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints) + (Fraction(0),) * (self.domain.width - len(self.ints))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_terms(terms, order: int) -> "CycloElem":
         """Build from (exponent -> coefficient) terms; exponents reduced mod order."""
-        acc = [_ZERO] * order
-        items = terms.items() if isinstance(terms, dict) else terms
-        for e, c in items:
+        acc = [Fraction(0)] * order
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
             acc[e % order] += Fraction(c)
-        den, ints = _lower(acc)
-        return cyclo_from_ints(order, ints, den)
+        return _reduced(cyclo_domain(order), *_lower(acc))
 
     @staticmethod
     def from_rational(value, order: int = 1) -> "CycloElem":
-        q = Fraction(value)
-        if q.denominator == 1:
-            return _cached_int_elem(order, q.numerator)
-        return CycloElem.from_terms({0: q}, order)
+        return CycloElem(order, (Fraction(value),) + (0,) * (euler_phi(order) - 1))
 
     @staticmethod
     def root(order: int, exponent: int = 1) -> "CycloElem":
         """The root of unity zeta_order ** exponent."""
         return CycloElem.from_terms({exponent: 1}, order)
 
-    # -- structure ----------------------------------------------------
-
-    def rational_value(self) -> Fraction | None:
-        """The value as a Fraction if the element is rational, else None."""
-        if any(c != 0 for c in self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     def lift(self, order: int) -> "CycloElem":
         """Re-express at a multiple of the current order; the value is unchanged."""
-        if order == self.order:
-            return self
         if order % self.order != 0:
             raise DomainError(f"cannot lift order {self.order} to {order}")
-        k = order // self.order
-        return CycloElem.from_terms(
-            {e * k: c for e, c in enumerate(self.coeffs) if c != 0}, order
-        )
-
-    def conjugate(self) -> "CycloElem":
-        """Complex conjugate: the image of zeta under zeta -> zeta**(order-1)."""
-        if self.order <= 2 or not any(self.coeffs[1:]):
-            return self  # rational values are self-conjugate
-        den, ints = _lower(self.coeffs)
-        return cyclo_from_ints(self.order, conjugate_exponents(ints, self.order), den)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _pair(self, other: "CycloElem") -> tuple["CycloElem", "CycloElem"]:
-        if self.order == other.order:
-            return self, other
-        m = self.order * other.order // gcd(self.order, other.order)
-        return self.lift(m), other.lift(m)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElem.from_rational(other, self.order)
-        if not isinstance(other, CycloElem):
-            return NotImplemented
-        a, b = self._pair(other)
-        (da, ia), (db, ib) = _lower(a.coeffs), _lower(b.coeffs)
-        den = lcm(da, db)  # integer coordinates over one denominator; Fraction(c) beats Fraction(c, 1)
-        sums = [den // da * x + den // db * y for x, y in zip(ia, ib)]
-        return CycloElem(a.order, tuple((Fraction(c, den) if den > 1 else Fraction(c)) if c else _ZERO for c in sums))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElem(self.order, tuple(c * q for c in self.coeffs))
-        if not isinstance(other, CycloElem):
-            return NotImplemented
-        a, b = self._pair(other)
-        da, ia = _lower(a.coeffs)
-        db, ib = _lower(b.coeffs)
-        return cyclo_from_ints(a.order, convolve(ia, ib), da * db)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElem.from_rational(other, self.order)
-        if not isinstance(other, CycloElem):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # cross-order equality makes a consistent hash impractical
+        domain = cyclo_domain(order)
+        return element(domain, *self._in(domain))
 
     def __repr__(self):
         terms = []
@@ -331,26 +438,33 @@ def split_square(n: int) -> tuple[int, int]:
     return s, t
 
 
-class QuadElem:
+class QuadElem(_Scalar):
     """An element a + b*sqrt(t) of the real quadratic field Q(sqrt(t)).
 
-    t is square-free and positive; t = 1 means the element is rational and
-    then b = 0.  The field is real, so conjugation is the identity here.
+    t is square-free and positive; a rational element has t = 1 and b = 0.
+    The field is real, so conjugation is the identity here.
     """
 
-    __slots__ = ("t", "a", "b")
+    __slots__ = ()
 
     def __init__(self, t: int, a, b):
         a, b = Fraction(a), Fraction(b)
         if t < 1:
             raise DomainError("radicand must be positive")
         s, t = split_square(t)
-        b = b * s
-        if t == 1:
-            a, b = a + b, _ZERO
-        self.t = t
-        self.a = a
-        self.b = b
+        self._fill(quad_domain(t), *_lower((a, b * s) if t > 1 else (a + b * s,)))
+
+    @property
+    def t(self) -> int:
+        return self.domain.radicand
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.ints[0], self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.ints[1], self.den) if len(self.ints) > 1 else Fraction(0)
 
     # -- constructors -------------------------------------------------
 
@@ -369,70 +483,12 @@ class QuadElem:
         s, t = split_square(q.numerator * q.denominator)
         return QuadElem(t, 0, Fraction(s, q.denominator))
 
-    def rational_value(self) -> Fraction | None:
-        return self.a if self.b == 0 else None
-
-    def conjugate(self) -> "QuadElem":
-        return self
-
-    def _common_t(self, other: "QuadElem") -> int:
-        if self.b == 0:
-            return other.t if other.b != 0 else max(self.t, other.t, 1)
-        if other.b == 0 or other.t == self.t:
-            return self.t
-        raise DomainError(f"incompatible radicands {self.t} and {other.t}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadElem.from_rational(other)
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        t = self._common_t(other)
-        return QuadElem(t, self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return QuadElem(self.t, -self.a, -self.b)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadElem.from_rational(other)
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return QuadElem(self.t, self.a * q, self.b * q)
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        da, ia = _lower((self.a, self.b))
-        db, ib = _lower((other.a, other.b))
-        return quad_from_ints(self._common_t(other), convolve(ia, ib), da * db)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadElem.from_rational(other)
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        if self.b == 0 and other.b == 0:
-            return self.a == other.a
-        return self.t == other.t and self.a == other.a and self.b == other.b
-
-    __hash__ = None
-
     def __repr__(self):
         if self.b == 0:
             return str(self.a)
         if self.a == 0:
             return f"{self.b}*sqrt({self.t})"
         return f"{self.a} + {self.b}*sqrt({self.t})"
-
-
-def quad_from_ints(t: int, ints: list[int], den: int = 1) -> QuadElem:
-    """The element (sum ints[e] sqrt(t)^e) / den for up to three terms, by x^2 -> t."""
-    a, b = [v[0] for v in reduce_quadratic([[c] for c in ints], t)] + [0] * (t == 1)
-    return QuadElem(t, Fraction(a, den), Fraction(b, den))
 
 
 def rational_sqrt(value) -> Fraction | None:

@@ -201,6 +201,17 @@ def _json_ints(values) -> tuple[int, ...]:
     return values
 
 
+def checked_design(v: int, blocks, classes=None) -> Design:
+    """The design on the 0-based ``blocks``; a vertex label outside 1..v or a
+    repeated vertex is bad input, not a failed design identity."""
+    for i, block in enumerate(blocks, 1):
+        if min(block, default=0) < 0 or max(block, default=0) >= v:
+            raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")
+        if len(set(block)) != len(block):
+            raise InputError(f"design block {i} {[x + 1 for x in block]} repeats a vertex")
+    return Design(v, blocks, classes)
+
+
 def design_from_obj(obj) -> Design:
     if not isinstance(obj, dict):
         raise InputError(f"not a design document: a JSON {type(obj).__name__}")
@@ -213,13 +224,7 @@ def design_from_obj(obj) -> Design:
         declared = _json_ints(obj[key] for key in ("v", "k", "lambda", "r", "b"))
     except (TypeError, KeyError) as exc:
         raise InputError(f"malformed design document: {type(exc).__name__}: {exc}") from None
-    v = declared[0]
-    for i, block in enumerate(blocks, 1):
-        if min(block, default=0) < 0 or max(block, default=0) >= v:
-            raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")
-        if len(set(block)) != len(block):
-            raise InputError(f"design block {i} {[x + 1 for x in block]} repeats a vertex")
-    design = Design(v, blocks, classes)
+    design = checked_design(declared[0], blocks, classes)
     if design.params.as_tuple() != declared:
         raise DesignError(
             f"declared parameters {declared} disagree with the block list "

@@ -393,3 +393,70 @@ def test_malformed_harmonic_input_is_exit_2(tmp_path, capsys):
         rec = recipe("harmonic", group=[int(x) for x in group.split(",") if x], subset=[int(x) for x in subset.split(",")])
         with pytest.raises(InputError, match=reason.replace(".", r"\.")):
             replay(rec)
+
+
+def _malformed_recipe_files(tmp_path):
+    schema = "etf-forge/recipe/v1"
+    blocks = {"generator": "blocks", "v": 4, "blocks": [[1, 2], [3, 4], [1, 3], [2, 4], [1, 4], [2, 3]]}
+    cases = {
+        "array": [1, 2],
+        "inputs_array": {"schema": schema, "kind": "kirkman", "inputs": []},
+        "u_array": {"schema": schema, "kind": "kirkman", "inputs": {"u": [1]}},
+        "subset_number": {"schema": schema, "kind": "harmonic", "inputs": {"group": [7], "subset": 5}},
+        "schema": {"schema": "etf-forge/matrix/v1", "kind": "kirkman", "inputs": {"u": 2}},
+        "kind": {"schema": schema, "kind": "nope", "inputs": {}},
+        "hadamard_generator": {"schema": schema, "kind": "simplex", "inputs": {"hadamard": {"generator": "nope"}}},
+        "hadamard_number": {"schema": schema, "kind": "simplex", "inputs": {"hadamard": 4}},
+        "design_generator": {"schema": schema, "kind": "qsd-to-etf", "inputs": {"design": {"generator": "nope"}}},
+        "zero_vertex": {"schema": schema, "kind": "qsd-to-etf",
+                        "inputs": {"design": dict(blocks, blocks=[[0, 2]] + blocks["blocks"][1:])}},
+        "repeated_vertex": {"schema": schema, "kind": "qsd-to-etf",
+                            "inputs": {"design": dict(blocks, blocks=[[1, 1]] + blocks["blocks"][1:])}},
+        "blocks_number": {"schema": schema, "kind": "qsd-to-etf", "inputs": {"design": dict(blocks, blocks=5)}},
+        "classes_number": {"schema": schema, "kind": "steiner", "inputs": {
+            "design": dict(blocks, parallel_classes=4), "f": {"generator": "sylvester", "e": 1},
+            "g": {"generator": "size", "n": 4}}},
+    }
+    for name, doc in cases.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return cases
+
+
+def test_malformed_recipes_exit_2(tmp_path, capsys):
+    # Malformed recipe documents are bad input, whether catalog add reads them
+    # or construct tensor does; a recipe that is not a pair stays exit 1.
+    cat = tmp_path / "cat"
+    for name in _malformed_recipe_files(tmp_path):
+        code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), "add", str(tmp_path / f"{name}.json"))
+        _assert_input_error(code, err)
+        assert stdout == ""
+    left = tmp_path / "left"
+    left.mkdir()
+    (left / "recipe.json").write_text("[]")
+    code, stdout, err = run(capsys, "construct", "tensor", "--left", str(left), "--right", str(left),
+                            "--out", str(tmp_path / "t"))
+    _assert_input_error(code, err)
+    assert stdout == "" and not (tmp_path / "t").exists()
+
+
+def test_malformed_recipes_exit_2_in_a_child_process(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    _malformed_recipe_files(tmp_path)
+    for name in ("array", "inputs_array", "u_array", "hadamard_number", "classes_number"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "etf_forge.cli", "catalog", "--catalog", str(tmp_path / "cat"), "add",
+             str(tmp_path / f"{name}.json")],
+            capture_output=True, text=True, env=env,
+        )
+        _assert_input_error(proc.returncode, proc.stderr)
+
+
+def test_pair_design_without_v_is_exit_2(tmp_path, capsys):
+    for design in ("all-pairs", "round-robin"):
+        code, stdout, err = run(capsys, "construct", "steiner", "--design", design, "--out", str(tmp_path / "s"))
+        _assert_input_error(code, err)
+        assert "--v is required" in err and stdout == ""

@@ -627,6 +627,33 @@ def test_order_lifting_in_products():
     assert p.entry(0, 0) == CycloElem.root(6, 5)  # zeta_2 * zeta_3 = zeta_6^5
 
 
+def test_entry_is_the_canonical_form_of_the_planes():
+    # A scalar holds what one entry holds: (den, ints) of the planes at (i, j),
+    # divided by their gcd with den, trailing zero coordinates dropped.
+    def canonical(m, i, j):
+        ints = [p[i][j] for p in m.planes]
+        while len(ints) > 1 and not ints[-1]:
+            ints.pop()
+        g = math.gcd(m.den, *ints)
+        return m.den // g, tuple(c // g for c in ints)
+
+    rational = ExactMatrix(RATIONAL, 6, [[[3, 4, 0], [6, 5, -12]]])
+    cyclo = ExactMatrix(cyclo_domain(5), 10, [[[5, 0, 4]], [[2, 0, 6]], [[0, 0, 0]], [[4, 0, 0]]])
+    quad = ExactMatrix(quad_domain(6), 4, [[[2, 1, 0]], [[0, 3, 4]]])
+    expected = [
+        (rational, [[(2, (1,)), (3, (2,)), (1, (0,))], [(1, (1,)), (6, (5,)), (1, (-2,))]]),
+        (cyclo, [[(10, (5, 2, 0, 4)), (1, (0,)), (5, (2, 3))]]),
+        (quad, [[(2, (1,)), (4, (1, 3)), (1, (0, 1))]]),
+    ]
+    for m, rows in expected:
+        for i, row in enumerate(rows):
+            for j, form in enumerate(row):
+                x = m.entry(i, j)
+                assert (x.den, x.ints) == form == canonical(m, i, j)
+                assert x.domain == (quad_domain(1) if m is quad and len(form[1]) == 1 else m.domain)
+    assert quad.entry(0, 0).t == 1 and quad.entry(0, 1).t == 6
+
+
 def test_adjoint_conjugates_and_transposes():
     i = CycloElem.root(4)
     a = ExactMatrix.from_rows([[i, 1], [0, i * i]], cyclo_domain(4))

@@ -377,6 +377,12 @@ def test_etf_from_qsd_planes_match_the_per_entry_oracle(name, branch):
 def test_constructions_build_a_bounded_number_of_scalars(monkeypatch):
     # Each construction writes its planes; scalar objects appear only as its
     # parameters, so their count must not grow with the size of the output.
+    # A scalar is built by its class's constructor or by scalars.element,
+    # which skips __init__; both are counted, in every module that holds them.
+    import sys
+
+    from etf_forge import scalars
+
     cert = oracle_qsds()["kirkman4-complement"]
     counts = []
     for cls in (CycloElem, QuadElem):
@@ -384,6 +390,19 @@ def test_constructions_build_a_bounded_number_of_scalars(monkeypatch):
             counts.append(type(self))
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counting_init)
+    element = scalars.element
+
+    def counting_element(domain, den, slots):
+        counts.append(domain.kind)
+        return element(domain, den, slots)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("etf_forge") and getattr(module, "element", None) is element:
+            monkeypatch.setattr(module, "element", counting_element)
+    table = dft(7).body
+    counts.clear()
+    table.row(1)  # the counter sees the scalars matrices build: one per entry
+    assert len(counts) == 7
     for build in (lambda: dft(31), lambda: char_table(AbelianGroup((4, 4))),
                   lambda: etf_from_qsd(cert, "plus"), lambda: etf_from_qsd(cert, "minus")):
         counts.clear()

@@ -214,6 +214,27 @@ def test_quadratic_radicand_mixing():
     assert a * QuadElem.from_rational(3) == QuadElem(2, 0, 3)
 
 
+def test_equality_across_kinds_and_radicands_is_false():
+    # No common field is no equality, not an error.
+    i, r2, r3 = CycloElem.root(4), QuadElem(2, 1, 1), QuadElem(3, 1, 1)
+    assert (i == r2) is False and (r2 == i) is False and i != r2
+    assert (r2 == r3) is False and r2 != r3
+    assert (QuadElem(2, 0, 1) == QuadElem(3, 0, 1)) is False
+
+
+def test_rational_quadratic_elements_have_radicand_one():
+    products = QuadElem(6, 1, 1) * QuadElem(6, 1, -1)  # 1 - 6
+    for x, value in ((QuadElem.from_rational(Fraction(3, 4), 6), Fraction(3, 4)), (QuadElem(6, 2, 0), 2),
+                     (QuadElem(4, 0, 1), 2), (QuadElem.sqrt_of_rational(Fraction(9, 4)), Fraction(3, 2)),
+                     (products, -5)):
+        assert (x.t, x.a, x.b, x.rational_value()) == (1, value, 0, value)
+        assert x == QuadElem.from_rational(value, 5) == value
+        for t in (2, 3, 6):  # a rational mixes with every radicand
+            root = QuadElem(t, 0, 1)
+            assert x * root == root * x == QuadElem(t, 0, value)
+            assert x + root == QuadElem(t, value, 1)
+
+
 def test_is_real_detection():
     z = CycloElem.root(8) + CycloElem.root(8, 7)  # zeta + conj(zeta) is real
     assert z == z.conjugate()

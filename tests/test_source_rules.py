@@ -103,3 +103,34 @@ def test_matrix_documents_are_read_with_load_matrix():
                     and isinstance(node.args[0], ast.Call) and called(node.args[0]) == "load"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_matrices_build_scalars_only_through_element():
+    # A scalar holds one matrix entry's form, so matrices builds scalars from
+    # the planes with scalars.element alone; a scalar class imported there
+    # would be a second way to build or lower an entry.
+    path = PACKAGE / "matrices.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+        names += [node.id] if isinstance(node, ast.Name) else [node.attr] if isinstance(node, ast.Attribute) else []
+        found += [f"matrices.py:{node.lineno} {n}" for n in names if n in ("CycloElem", "QuadElem")]
+    assert found == []
+
+
+def test_function_local_imports_defer_a_module():
+    # An import inside a function defers loading a module until it is needed;
+    # one of a module the file already imports at the top defers nothing.
+    def modules(node):
+        if isinstance(node, ast.ImportFrom):
+            return [("." * node.level) + (node.module or "")]
+        return [a.name for a in node.names] if isinstance(node, ast.Import) else []
+
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = {m for node in tree.body for m in modules(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{inner.lineno} {m}" for inner in ast.walk(node) for m in modules(inner) if m in top]
+    assert found == []
