@@ -15,16 +15,17 @@ is its own plane and equality is plane equality.  Every operation works on
 the planes.  A scalar has an entry's form, so ``entry`` and ``row`` build
 scalars straight from the planes (``scalars.element``); ``from_entries``
 lowers a caller's scalars once.  ``rational_rows`` reads rational values,
-zero masks and squared moduli off the planes for the verifiers.
+zero masks and squared moduli off the planes for the verifiers.  Work per
+entry is done once per distinct entry (``per_entry``): frames repeat few.
 
 A product takes one of three integer routes.  {-1, 1} operands take one XOR
 popcount per entry; a {-1, 0, 1} matrix times its ``adjoint()`` computes one
 triangle (two AND popcounts per entry when an entry is zero).  Every other
-product is row-packed: each entry's planes are one integer (Kronecker
-substitution), each row of b is one integer with entry j at slot offset
-j * width, each output row is one big-integer multiply-accumulate unpacked a
-byte buffer at a time, and each row is reduced once (x^m = 1 then Phi_m, or
-x^2 -> t), a coefficient vector at a time.  A per-entry Fraction loop in the
+product is row-packed: each distinct entry's planes are one integer
+(Kronecker substitution), each row of b is one integer with entry j at slot
+offset j * width, each output row is one big-integer multiply-accumulate
+unpacked a byte buffer at a time, and the whole product is reduced in one
+call (x^m = 1 then Phi_m, or x^2 -> t).  A per-entry Fraction loop in the
 test suite is the differential oracle.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import chain, compress, count, zip_longest
 from math import gcd, lcm
 
 from .errors import DomainError
@@ -41,7 +42,6 @@ from .scalars import (  # the domains and their constructors are importable from
     CycloDomain,
     Domain,
     QuadDomain,
-    convolve,
     cyclo_domain,
     element,
     pack,
@@ -215,6 +215,18 @@ def from_flat(domain: Domain, cols: int, den: int, flat) -> ExactMatrix:
     return ExactMatrix(domain, den, [[list(p[i : i + cols]) for i in range(0, len(p), cols)] for p in flat])
 
 
+def per_entry(m: ExactMatrix, fn) -> list[list]:
+    """Rows of fn's values at m's entries; fn maps the list of distinct entries (coordinate tuples) to one value each."""
+    if len(m.planes) == 1:  # the integers themselves are the keys: no tuple per entry
+        distinct = list(set().union(*m.planes[0]))
+        value = dict(zip(distinct, fn([(x,) for x in distinct]))).__getitem__
+        return [list(map(value, r)) for r in m.planes[0]]
+    first, pos = {}, count()  # an entry's code is the position where it first appears: one hash per tuple
+    codes = [list(map(first.setdefault, zip(*rs), pos)) for rs in zip(*m.planes)]
+    value = dict(zip(first.values(), fn(list(first)))).__getitem__
+    return [list(map(value, r)) for r in codes]
+
+
 def _common(mats) -> tuple[Domain, int, list]:
     """(domain, den, planes): each matrix's planes over the unified domain and
     the lcm of the denominators, padded with zero planes to one count."""
@@ -233,16 +245,22 @@ def _common(mats) -> tuple[Domain, int, list]:
 
 
 def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list[int | None]]]:
-    """(den, rows): rows[i][j] is den times entry (i, j) -- or, when
-    ``squared``, times its squared modulus -- if that value is rational, and
-    None if it is not.  A zero entry reads 0, so this is also the zero mask.
+    """(den, rows): rows[i][j] is den times entry (i, j), or when ``squared``
+    times its squared modulus (found once per distinct entry), if that is
+    rational, and None if not.  A zero entry reads 0, so this is also the zero mask.
     """
     if squared:
         domain, den = m.domain, m.den * m.den
         if len(m.planes) == 1:
             m = ExactMatrix(domain, den, [[[x * x for x in r] for r in m.planes[0]]])
-        else:  # x times its conjugate, reduced once
-            m = m._map(domain, den, lambda rs: list(zip(*[convolve(c, domain.conjugate(c, 0)) for c in zip(*rs)])))
+        else:  # x times its conjugate, once per distinct entry, at one slot width and in one reduction
+            def moduli(cs):  # the integer where the squared modulus is rational, else None
+                conj = list(zip(*domain.conjugate(list(zip(*cs)), (0,) * len(cs))))
+                k = slot_bits((len(cs[0]) * max(map(abs, chain.from_iterable(cs))) ** 2).bit_length() + 1)
+                products = [unpack(pack(c, k) * pack(x, k), k, len(c) + len(x) - 1) for c, x in zip(cs, conj)]
+                return [c[0] if not any(c[1:]) else None for c in zip(*domain.reduce(list(zip(*products))))]
+
+            return den, per_entry(m, moduli)
     if len(m.planes) == 1:
         return m.den, m.planes[0]
     return m.den, [[c[0] if not any(c[1:]) else None for c in zip(*rs)] for rs in zip(*m.planes)]
@@ -299,9 +317,13 @@ def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[int]]:
     if width == 1:
         b_rows = [pack(r, k) for r in b.planes[0]]
     else:  # an entry of b fills lb slots, its product with an entry of a fills width
-        pad = (0,) * (la - 1)
-        b_rows = [pack([x for e in zip(*rs) for x in (*e, *pad)], k) for rs in zip(*b.planes)]
-    a_rows = a.planes[0] if la == 1 else [[pack(e, k) for e in zip(*rs)] for rs in zip(*a.planes)]
+        b_rows = []
+        for rs in zip(*b.planes):
+            slots = [0] * (b.cols * width)
+            for e, r in enumerate(rs):  # plane e of entry j goes to slot j * width + e
+                slots[e::width] = r
+            b_rows.append(pack(slots, k))
+    a_rows = a.planes[0] if la == 1 else per_entry(a, lambda es: [pack(e, k) for e in es])
     length = b.cols * width
     return [unpack(sum(map(operator.mul, filter(None, r), compress(b_rows, r))), k, length) for r in a_rows]
 
@@ -330,8 +352,8 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 r[:0] = [rows[j][i] for j in range(i)]
         return ExactMatrix(domain, den, [rows or _row_packed_matmul(a, b)])
     width = len(a.planes) + len(b.planes) - 1
-    rows = [domain.reduce([r[e::width] for e in range(width)]) for r in _row_packed_matmul(a, b)]
-    return ExactMatrix(domain, den, [list(p) for p in zip(*rows)])
+    flat = list(chain.from_iterable(_row_packed_matmul(a, b)))  # one reduction for every entry
+    return from_flat(domain, b.cols, den, domain.reduce([flat[e::width] for e in range(width)]))
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -17,6 +17,8 @@ Design sources: {"generator": "all-pairs", "v": int},
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .constructions import (
     SteinerInputs,
     flat_regular_simplex,
@@ -51,14 +53,24 @@ class Artifact(Value):
         return {"primary": self.primary} | ({"complement": self.pair.complement} if self.pair else {})
 
 
+MAX_SIDE = 1 << 13  # the longest matrix side a recipe may ask for
+
+
 def recipe(kind: str, **inputs) -> dict:
     return {"schema": RECIPE_SCHEMA, "kind": kind, "inputs": inputs}
 
 
-def _object(value, what: str) -> dict:
+class _Fields(dict):
+    """A recipe object whose missing required key is bad input."""
+
+    def __missing__(self, key):
+        raise InputError(f"recipe object has no {key!r}")
+
+
+def _object(value, what: str) -> _Fields:
     if not isinstance(value, dict):
         raise InputError(f"{what} is not a JSON object: {value!r}")
-    return value
+    return _Fields(value)
 
 
 def _ints(values, read=int) -> tuple:
@@ -66,7 +78,7 @@ def _ints(values, read=int) -> tuple:
     been read, or ``_ints`` for a list of lists.  What it cannot read is bad input."""
     try:
         return tuple(map(read, values))
-    except (TypeError, OverflowError):
+    except (TypeError, OverflowError, ValueError):
         raise InputError(f"recipe values {values!r} are not integers") from None
 
 
@@ -74,33 +86,46 @@ def _int(value) -> int:
     return _ints([value])[0]
 
 
+def _in_range(what: str, value: int, low: int, high: int) -> int:
+    """``value`` if it lies in low..high, else bad input.  Sizes are checked
+    before anything of that size is built."""
+    if not low <= value <= high:
+        raise InputError(f"{what} must lie in {low}..{high}, got {value}")
+    return value
+
+
 def hadamard_from_spec(spec) -> HadamardMatrix:
-    gen = _object(spec, "a Hadamard source").get("generator")
+    spec = _object(spec, "a Hadamard source")
+    gen = spec.get("generator")
     if gen == "sylvester":
-        return sylvester(_int(spec["e"]))
+        return sylvester(_in_range("Sylvester exponent", _int(spec["e"]), 0, MAX_SIDE.bit_length() - 1))
     if gen == "paley":
-        return paley_one(_int(spec["q"]))
+        return paley_one(_in_range("Paley prime", _int(spec["q"]), 3, MAX_SIDE - 1))
     if gen == "dft":
-        return dft(_int(spec["n"]))
+        return dft(_in_range("Hadamard size", _int(spec["n"]), 1, MAX_SIDE))
     if gen == "size":
-        return hadamard_of_size(_int(spec["n"]))
+        return hadamard_of_size(_in_range("Hadamard size", _int(spec["n"]), 1, MAX_SIDE))
     if gen == "kron":
-        return kron(hadamard_from_spec(spec["left"]), hadamard_from_spec(spec["right"]))
+        left, right = hadamard_from_spec(spec["left"]), hadamard_from_spec(spec["right"])
+        _in_range("Kronecker size", left.n * right.n, 1, MAX_SIDE)
+        return kron(left, right)
     raise InputError(f"unknown Hadamard generator {gen!r}")
 
 
 def design_from_spec(spec) -> Design:
-    gen = _object(spec, "a design source").get("generator")
-    if gen == "all-pairs":
-        return all_pairs_design(_int(spec["v"]))
+    spec = _object(spec, "a design source")
+    gen = spec.get("generator")
+    if gen == "all-pairs":  # its Steiner frame has v^2 vectors
+        return all_pairs_design(_in_range("design v", _int(spec["v"]), 3, isqrt(MAX_SIDE)))
     if gen == "round-robin":
-        return round_robin_resolution(_int(spec["v"]))
+        return round_robin_resolution(_in_range("design v", _int(spec["v"]), 4, isqrt(MAX_SIDE)))
     if gen == "fano":
         return fano_plane()
     if gen == "blocks":
         blocks = [tuple(x - 1 for x in block) for block in _ints(spec["blocks"], _ints)]
         classes = spec.get("parallel_classes")
-        return checked_design(_int(spec["v"]), blocks, _ints(classes, _ints) if classes else None)
+        v = _in_range("design v", _int(spec["v"]), 1, MAX_SIDE)
+        return checked_design(v, blocks, _ints(classes, _ints) if classes else None)
     raise InputError(f"unknown design generator {gen!r}")
 
 
@@ -114,7 +139,7 @@ def replay(rec: dict) -> Artifact:
 
     if kind == "simplex":
         h = hadamard_from_spec(inputs["hadamard"])
-        frame = flat_regular_simplex(h, _int(inputs.get("drop_row", 0)))
+        frame = flat_regular_simplex(h, _in_range("drop_row", _int(inputs.get("drop_row", 0)), 0, h.n - 1))
         return Artifact(kind, rec, frame)
 
     if kind == "harmonic":
@@ -123,6 +148,7 @@ def replay(rec: dict) -> Artifact:
             group = AbelianGroup(_ints(inputs["group"]))
         except HadamardError as exc:
             raise InputError(str(exc)) from None
+        _in_range("group order", group.size, 2, MAX_SIDE)
         if any(not 0 <= i < group.size for i in subset):
             raise InputError(f"subset indices must lie in 0..{group.size - 1}, got {list(subset)}")
         ds = verify_difference_set(group, subset)
@@ -130,12 +156,12 @@ def replay(rec: dict) -> Artifact:
         return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "steiner":
-        design = design_from_spec(inputs["design"])
+        lift = lift_permutation(design_from_spec(inputs["design"]))
         st = SteinerInputs(
-            lift_permutation(design),
+            lift,
             hadamard_from_spec(inputs["f"]),
             hadamard_from_spec(inputs["g"]),
-            _int(inputs.get("column", 1)),
+            _in_range("column", _int(inputs.get("column", 1)), 1, lift.k),
         )
         if st.column == 1:
             pair = steiner_naimark(st)
@@ -143,7 +169,7 @@ def replay(rec: dict) -> Artifact:
         return Artifact(kind, rec, steiner_etf(st))
 
     if kind == "kirkman":
-        u = _int(inputs["u"])
+        u = _in_range("Kirkman u", _int(inputs["u"]), 2, isqrt(MAX_SIDE) // 2)  # 4 u^2 vectors
         e = hadamard_from_spec(inputs["e"]) if "e" in inputs else hadamard_of_size(u)
         pair = kirkman_etf(standard_kirkman_inputs(u, e=e))
         return Artifact(kind, rec, pair.primary, pair)
@@ -157,9 +183,10 @@ def replay(rec: dict) -> Artifact:
         return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "qsd-to-etf":
-        design = design_from_spec(inputs["design"])
-        cert = verify_qsd(design)
-        frame, link = etf_from_qsd(cert, inputs.get("branch", "plus"))
+        branch = inputs.get("branch", "plus")
+        if branch not in ("plus", "minus"):
+            raise InputError(f"branch must be 'plus' or 'minus', got {branch!r}")
+        frame, link = etf_from_qsd(verify_qsd(design_from_spec(inputs["design"])), branch)
         return Artifact(kind, rec, frame, link=link)
 
     raise InputError(f"unknown recipe kind {kind!r}")

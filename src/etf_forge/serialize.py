@@ -15,13 +15,14 @@ import gc
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from pathlib import Path
 
 from .designs import Design
 from .errors import DesignError, DomainError, FrameError, InputError
 from .frames import EtfCertificate, Frame, NaimarkPair, verify_naimark_pair
-from .matrices import ExactMatrix, cyclo_domain, from_flat, quad_domain
+from .matrices import ExactMatrix, cyclo_domain, from_flat, per_entry, quad_domain
 from .qsd_bridge import FeasibilityReport
 from .scalars import split_square
 
@@ -73,28 +74,20 @@ def _domain_from_obj(obj):
 def matrix_to_obj(m: ExactMatrix) -> dict:
     """The v1 document, written straight from the planes; equal entries share
     one entry object."""
-    den, quadratic, memo, entries = m.den, m.domain.kind == "quadratic", {}, []
-
     def frac(x):
-        g = gcd(x, den)
-        return [x // g, den // g]
+        g = gcd(x, m.den)
+        return [x // g, m.den // g]
 
-    for rs in zip(*m.planes):
-        for c in zip(*rs):
-            obj = memo.get(c)
-            if obj is None:
-                if quadratic:
-                    obj = frac(c[0]) + frac(c[1] if len(c) > 1 else 0)
-                else:
-                    obj = [[e, *frac(x)] for e, x in enumerate(c) if x]
-                memo[c] = obj
-            entries.append(obj)
+    def objects(cs):
+        if m.domain.kind == "quadratic":
+            return [frac(c[0]) + frac(c[1] if len(c) > 1 else 0) for c in cs]
+        return [[[e, *frac(x)] for e, x in enumerate(c) if x] for c in cs]
     return {
         "schema": MATRIX_SCHEMA,
         "domain": _domain_obj(m.domain),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": entries,
+        "entries": list(chain.from_iterable(per_entry(m, objects))),
     }
 
 

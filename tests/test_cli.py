@@ -395,6 +395,60 @@ def test_malformed_harmonic_input_is_exit_2(tmp_path, capsys):
             replay(rec)
 
 
+# Recipe values of the right type but outside their range, each refused by
+# recipes.replay as InputError with the message fragment given.  The size
+# bounds are met before anything of that size is built.
+OUT_OF_RANGE_RECIPES = {
+    "drop_row_range": ("simplex", {"hadamard": {"generator": "sylvester", "e": 2}, "drop_row": 9},
+                       "drop_row must lie in 0..3, got 9"),
+    "column_range": ("steiner", {"design": {"generator": "fano"}, "f": {"generator": "dft", "n": 3},
+                                 "g": {"generator": "size", "n": 4}, "column": 9}, "column must lie in 1..3, got 9"),
+    "branch_value": ("qsd-to-etf", {"design": {"generator": "fano"}, "branch": "sideways"},
+                     "branch must be 'plus' or 'minus'"),
+    "subset_text": ("harmonic", {"group": [7], "subset": [1, 2, "abc"]}, "are not integers"),
+    "subset_missing": ("harmonic", {"group": [7]}, "has no 'subset'"),
+    "generator_key_missing": ("simplex", {"hadamard": {"generator": "sylvester"}}, "has no 'e'"),
+    "group_order": ("harmonic", {"group": [10 ** 30], "subset": [0, 1]}, "group order"),
+    "kirkman_u": ("kirkman", {"u": 10 ** 6}, "Kirkman u"),
+    "hadamard_size": ("simplex", {"hadamard": {"generator": "dft", "n": 10 ** 9}}, "Hadamard size"),
+    "sylvester_exponent": ("simplex", {"hadamard": {"generator": "sylvester", "e": 10 ** 30}}, "Sylvester exponent"),
+    "kronecker_size": ("simplex", {"hadamard": {"generator": "kron", "left": {"generator": "sylvester", "e": 7},
+                                                "right": {"generator": "sylvester", "e": 7}}}, "Kronecker size"),
+    "paley_prime": ("simplex", {"hadamard": {"generator": "paley", "q": 10 ** 30 + 3}}, "Paley prime"),
+    "blocks_v": ("qsd-to-etf", {"design": {"generator": "blocks", "v": 10 ** 30, "blocks": [[1, 2]]}}, "design v"),
+    "design_v": ("steiner", {"design": {"generator": "all-pairs", "v": 10 ** 5}, "f": {"generator": "sylvester", "e": 1},
+                             "g": {"generator": "size", "n": 4}}, "design v"),
+}
+
+
+def test_out_of_range_recipe_values_are_input_errors(tmp_path, capsys):
+    # Refused at the recipes boundary, so a replayed recipe and the CLI flags
+    # that write one both exit 2, never 1 (a failed identity) or a traceback.
+    import pytest
+
+    from etf_forge.errors import InputError
+    from etf_forge.recipes import recipe, replay
+
+    for name, (kind, inputs, reason) in OUT_OF_RANGE_RECIPES.items():
+        with pytest.raises(InputError, match=reason.replace(".", r"\.")):
+            replay(recipe(kind, **inputs))
+    for argv, reason in (
+        (["simplex", "--size", "4", "--drop-row", "9"], "drop_row must lie in 0..3"),
+        (["simplex", "--size", "4", "--drop-row", "-1"], "drop_row must lie in 0..3"),
+        (["steiner", "--design", "fano", "--column", "9"], "column must lie in 1..3"),
+        (["harmonic", "--group", str(10 ** 30), "--subset", "0,1"], "group order"),
+        (["harmonic", "--group", "1000,1000", "--subset", "0,1"], "group order"),
+        (["simplex", "--size", str(10 ** 9)], "Hadamard size"),
+        (["simplex", "--size", str(10 ** 9), "--dft"], "Hadamard size"),
+        (["kirkman", "--u", str(10 ** 6)], "Kirkman u"),
+        (["steiner", "--design", "round-robin", "--v", str(10 ** 5)], "design v"),
+    ):
+        code, stdout, err = run(capsys, "construct", *argv, "--out", str(tmp_path / "o"))
+        _assert_input_error(code, err)
+        assert reason in err and stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
 def _malformed_recipe_files(tmp_path):
     schema = "etf-forge/recipe/v1"
     blocks = {"generator": "blocks", "v": 4, "blocks": [[1, 2], [3, 4], [1, 3], [2, 4], [1, 4], [2, 3]]}
@@ -416,6 +470,8 @@ def _malformed_recipe_files(tmp_path):
         "classes_number": {"schema": schema, "kind": "steiner", "inputs": {
             "design": dict(blocks, parallel_classes=4), "f": {"generator": "sylvester", "e": 1},
             "g": {"generator": "size", "n": 4}}},
+        **{name: {"schema": schema, "kind": kind, "inputs": inputs}
+           for name, (kind, inputs, _) in OUT_OF_RANGE_RECIPES.items()},
     }
     for name, doc in cases.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))

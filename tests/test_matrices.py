@@ -875,3 +875,113 @@ def test_plane_operations_match_entrywise_scalars(domain):
     if domain.kind == "cyclotomic":
         lifted = a.with_domain(cyclo_domain(2 * domain.order))
         assert all_entries(lifted) == all_entries(a) and lifted == a
+
+
+# -- one table of distinct entries ------------------------------------
+#
+# rational_rows(squared=True), the row-packed route's packing of its left
+# operand and matrix_to_obj each do their per-entry work once per distinct
+# entry, through matrices.per_entry.  Each is checked against the same code
+# with that table taken out, and against the per-entry Fraction oracle, on
+# structured matrices with few distinct entries and on dense random ones
+# whose entries are all distinct.
+
+
+def every_entry(m, fn):
+    """matrices.per_entry without its table: fn sees every entry of each row."""
+    return [fn(list(zip(*rs))) for rs in zip(*m.planes)]
+
+
+def block(m, rows, cols):
+    return m.take_rows(rows).transpose().take_rows(cols).transpose()
+
+
+def distinct_entry_count(m):
+    return len({c for rs in zip(*m.planes) for c in zip(*rs)})
+
+
+@functools.lru_cache(maxsize=None)
+def distinct_entry_inputs():
+    """name -> (matrix, whether its entries are all distinct)."""
+    from etf_forge.constructions import SteinerInputs, steiner_naimark
+    from etf_forge.designs import all_pairs_design, lift_permutation
+    from etf_forge.hadamard import dft, sylvester
+
+    rng = random.Random(11)
+    dense31 = [[[rng.randint(-3, 3) for _ in range(7)] for _ in range(9)] for _ in range(30)]
+    # Entry (0, 0) is 80 / 3 times the Gauss sum g = sum_e (e / 31) zeta^e,
+    # whose coordinates are 0, 1 or 2 and |g|^2 = 31: a rational squared
+    # modulus whose unreduced product overflows any slot narrower than the
+    # bound (entries, times the largest coordinate squared) allows.
+    gauss = CycloElem.from_terms({e: 1 if pow(e, 15, 31) == 1 else -1 for e in range(1, 31)}, 31)
+    for plane, c in zip(dense31, gauss.coeffs):
+        plane[0][0] = 80 * int(c)
+    steiner = steiner_naimark(SteinerInputs(lift_permutation(all_pairs_design(8)), sylvester(1), dft(8), 1))
+    o4, o31 = harmonic_pair((4, 4), (1, 2, 3, 4, 8, 12)), harmonic_pair((31,), (1, 5, 11, 24, 25, 27))
+    return {
+        "dft13": (dft(13).body, False),
+        "z4xz4-primary": (o4[0].matrix, False),
+        "z4xz4-complement": (o4[1].matrix, False),
+        "z31-primary": (o31[0].matrix, False),
+        "z31-complement": (o31[1].matrix, False),
+        "z31-gram": (gram(o31[0]), False),
+        "steiner8-primary": (steiner.primary.matrix, False),
+        "steiner8-complement": (steiner.complement.matrix, False),
+        "dense-order-31": (ExactMatrix(cyclo_domain(31), 3, dense31), True),
+        "dense-q-sqrt-6": (ExactMatrix(quad_domain(6), 5, [[[rng.randint(-99, 99) for _ in range(8)] for _ in range(9)]
+                                                           for _ in range(2)]), True),
+    }
+
+
+@pytest.mark.parametrize("name", list(distinct_entry_inputs()))
+def test_distinct_entry_table_matches_every_entry_and_the_oracle(name, monkeypatch):
+    from etf_forge import matrices, serialize
+
+    m, all_distinct = distinct_entry_inputs()[name]
+    assert (distinct_entry_count(m) == m.rows * m.cols) is all_distinct
+    products = ((m, m.adjoint()), (m.adjoint(), m))
+    got = [rational_rows(m, squared=True)] + [matmul(a, b) for a, b in products]
+    document = serialize.canonical_json(serialize.matrix_to_obj(m))
+    monkeypatch.setattr(matrices, "per_entry", every_entry)
+    monkeypatch.setattr(serialize, "per_entry", every_entry)
+    assert got == [rational_rows(m, squared=True)] + [matmul(a, b) for a, b in products]
+    assert serialize.canonical_json(serialize.matrix_to_obj(m)) == document
+
+    # The oracle at order 31 costs about 900 Fraction products an entry: its
+    # squared moduli are kept by coordinates, and each product is checked on
+    # a seeded 2 x 2 block.
+    den, sq = got[0]
+    oracle_sq = functools.lru_cache(maxsize=None)(lambda c: rational_value(squared_modulus(c, m.domain)))
+    assert [[None if x is None else Fraction(x, den) for x in row] for row in sq] == [
+        list(map(oracle_sq, row)) for row in entry_coords(m)]
+    rng = random.Random(name)
+    for (a, b), p in zip(products, got[1:]):
+        rows, cols = sorted(rng.sample(range(a.rows), min(2, a.rows))), sorted(rng.sample(range(b.cols), min(2, b.cols)))
+        assert block(p, rows, cols) == oracle_matmul(a.take_rows(rows), block(b, range(b.rows), cols))
+
+
+def test_distinct_entries_bound_the_scalar_kernel_calls(monkeypatch):
+    # The (6, 31) harmonic frames hold 31 distinct roots of unity and their
+    # 31 x 31 Gram 11 distinct values, so a squared modulus or a packing per
+    # entry (2,883 convolve and 8,159 pack calls here) is work per distinct
+    # entry repeated.  Both are counted in every module that holds them.
+    import sys
+
+    from etf_forge import scalars
+    from etf_forge.recipes import recipe, replay
+
+    counts = dict.fromkeys(("convolve", "pack"), 0)
+    for name in counts:
+        original = getattr(scalars, name)
+
+        def spy(*args, _fn=original, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("etf_forge") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    artifact = replay(recipe("harmonic", group=[31], subset=[1, 5, 11, 24, 25, 27]))
+    for frame in artifact.frames().values():
+        certify_etf(frame)
+    assert 0 < counts["pack"] <= 800 and counts["convolve"] <= 200, counts
