@@ -31,7 +31,6 @@ from .serialize import (
     load,
     load_matrix,
     load_pair,
-    matrix_to_obj,
     pair_to_obj,
 )
 from .value import Value
@@ -61,7 +60,7 @@ def write_artifact(artifact: Artifact, out_dir: Path) -> dict:
         dump(pair_to_obj(artifact.pair), out_dir / "pair.json")
     certs = {role: certificate_to_obj(certify_etf(frame)) for role, frame in artifact.frames().items()}
     for role, frame in artifact.frames().items():
-        dump(matrix_to_obj(frame.matrix), out_dir / f"{role}.json")
+        dump(frame.matrix, out_dir / f"{role}.json")
         dump(certs[role], out_dir / f"certificate_{role}.json")
     return certs
 

@@ -223,8 +223,13 @@ def verify_naimark_pair(primary: Frame, complement: Frame) -> NaimarkPair:
     )
 
     def first_nonzero(rows, cols):
-        # S S* is Hermitian, so the upper triangle decides every block.
-        return next(((i, j) for i in rows for j in cols if j > i and raw[i][j] != 0), None)
+        # S S* is Hermitian, so the upper triangle decides every block.  A row's
+        # part is tested at C speed; an irrational entry reads None, not 0.
+        for i in rows:
+            part = raw[i][max(i + 1, cols.start) : cols.stop]
+            if part.count(0) != len(part):
+                return i, cols.stop - len(part) + next(j for j, x in enumerate(part) if x != 0)
+        return None
 
     alphas = set(diag[:dp])
     if len(alphas) != 1:

@@ -124,11 +124,6 @@ class ExactMatrix:
         """Rows as plain ints if every entry is a rational integer, else None."""
         return self.planes[0] if self.den == 1 and len(self.planes) == 1 else None
 
-    def _map(self, domain: Domain, den: int, fn) -> "ExactMatrix":
-        """The matrix over ``den`` whose row i is ``fn`` of row i of every plane:
-        the row's exponent vectors, reduced once by ``domain``."""
-        return ExactMatrix(domain, den, [list(p) for p in zip(*[domain.reduce(fn(rs)) for rs in zip(*self.planes)])])
-
     # -- rearrangement ------------------------------------------------
 
     def with_domain(self, domain: Domain) -> "ExactMatrix":
@@ -139,19 +134,21 @@ class ExactMatrix:
             return ExactMatrix(domain, self.den, self.planes)  # rational values fit anywhere
         if self.domain.unify(domain) != domain:
             raise DomainError(f"cannot place {self.domain} entries in {domain}")
-        zero = [0] * self.cols
-        return self._map(domain, self.den, lambda rs: self.domain.lift(rs, zero, domain.order))
+        flat = [list(chain.from_iterable(p)) for p in self.planes]
+        lifted = self.domain.lift(flat, [0] * len(flat[0]), domain.order)
+        return from_flat(domain, self.cols, self.den, domain.reduce(lifted))  # one reduction for the whole matrix
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.domain, self.den, [[list(c) for c in zip(*p)] for p in self.planes])
 
     def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose, the domain's conjugate reduced once per row;
-        its ``adjoint_of`` lets ``matmul`` of two {-1, 0, 1} factors take one triangle."""
-        t = self.transpose()
-        if len(t.planes) > 1:  # rational entries are real
-            zero = [0] * t.cols
-            t = t._map(t.domain, t.den, lambda rs: t.domain.conjugate(rs, zero))
+        """Conjugate transpose, the conjugate reduced in one call; its
+        ``adjoint_of`` lets ``matmul`` of two {-1, 0, 1} factors take one triangle."""
+        if len(self.planes) == 1:  # rational entries are real
+            t = self.transpose()
+        else:  # the transpose's flat planes are these columns in turn
+            flat, domain = [list(chain.from_iterable(zip(*p))) for p in self.planes], self.domain
+            t = from_flat(domain, self.rows, self.den, domain.reduce(domain.conjugate(flat, [0] * len(flat[0]))))
         t.adjoint_of = self
         return t
 

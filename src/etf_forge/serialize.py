@@ -7,13 +7,17 @@ content hashes are stable.  A cyclotomic entry is a list of
 [exponent, numerator, denominator] terms over the reduced power basis; a
 quadratic entry is [a_num, a_den, b_num, b_den].  Vertices in design files
 are 1-based; parallel classes hold 0-based indices into the block list.
+
+A matrix document is written as text from the planes (``matrix_text``).
+``load_matrix`` reads a canonical rational-integer one from its text, kept
+only if it writes back the same text, and any other through ``json``; every
+document is read by ``load`` and written by ``dump``.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -22,7 +26,7 @@ from pathlib import Path
 from .designs import Design
 from .errors import DesignError, DomainError, FrameError, InputError
 from .frames import EtfCertificate, Frame, NaimarkPair, verify_naimark_pair
-from .matrices import ExactMatrix, cyclo_domain, from_flat, per_entry, quad_domain
+from .matrices import RATIONAL, ExactMatrix, cyclo_domain, from_flat, per_entry, quad_domain
 from .qsd_bridge import FeasibilityReport
 from .scalars import split_square
 
@@ -36,15 +40,8 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_json(obj) -> str:
-    """Sorted keys, no spaces, one trailing newline.  A matrix document whose
-    entries share objects (as ``matrix_to_obj``'s do) encodes each one once."""
-    entries = obj.get("entries") if type(obj) is dict and obj.get("schema") == MATRIX_SCHEMA else None
-    distinct = {id(e): e for e in entries} if type(entries) is list else None
-    if distinct is None or len(distinct) == len(entries):
-        return _encode(obj) + "\n"
-    text = {i: _encode(e) for i, e in distinct.items()}
-    joined = "[" + ",".join([text[i] for i in map(id, entries)]) + "]"
-    return "{" + ",".join(f"{_encode(k)}:{joined if k == 'entries' else _encode(v)}" for k, v in sorted(obj.items())) + "}\n"
+    """Sorted keys, no spaces, one trailing newline."""
+    return _encode(obj) + "\n"
 
 
 def _frac_pair(q: Fraction) -> list[int]:
@@ -71,53 +68,32 @@ def _domain_from_obj(obj):
     return cyclo_domain(value) if kind == "cyclotomic" else quad_domain(value)
 
 
-def matrix_to_obj(m: ExactMatrix) -> dict:
-    """The v1 document, written straight from the planes; equal entries share
-    one entry object."""
+def matrix_text(m: ExactMatrix) -> str:
+    """The canonical v1 document, written straight from the planes: each
+    distinct entry is encoded once, and one join looks up each entry's text."""
     def frac(x):
         g = gcd(x, m.den)
         return [x // g, m.den // g]
 
-    def objects(cs):
+    def texts(cs):
         if m.domain.kind == "quadratic":
-            return [frac(c[0]) + frac(c[1] if len(c) > 1 else 0) for c in cs]
-        return [[[e, *frac(x)] for e, x in enumerate(c) if x] for c in cs]
-    return {
-        "schema": MATRIX_SCHEMA,
-        "domain": _domain_obj(m.domain),
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": list(chain.from_iterable(per_entry(m, objects))),
-    }
+            return [_encode(frac(c[0]) + frac(c[1] if len(c) > 1 else 0)) for c in cs]
+        return [_encode([[e, *frac(x)] for e, x in enumerate(c) if x]) for c in cs]
+    entries = ",".join(chain.from_iterable(per_entry(m, texts)))
+    return (f'{{"cols":{m.cols},"domain":{_encode(_domain_obj(m.domain))},"entries":[{entries}],'
+            f'"rows":{m.rows},"schema":"{MATRIX_SCHEMA}"}}\n')
+
+
+def matrix_to_obj(m: ExactMatrix) -> dict:
+    """The v1 document as JSON values."""
+    return json.loads(matrix_text(m))
 
 
 def _entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
     """(den, flat planes) of v1 entries: den the lcm of the term denominators
     and plane k the row-major k-th integer coordinates over the domain's
-    basis.  The rational-integer form, each entry one term [0, n, 1] of JSON
-    integers or a zero written [], is read in two comprehensions, once each
-    [] is read as [0, 0, 1]; any other document takes the general path."""
-    if domain.kind == "cyclotomic" and domain.order == 1:
-        ns = _one_term_numerators(entries)
-        if ns is None and type(entries) is list and [] in entries:
-            ns = _one_term_numerators([x if x != [] else ((0, 0, 1),) for x in entries])
-        if ns is not None:
-            return 1, [ns]
-    return _general_entry_planes(entries, domain)
-
-
-def _one_term_numerators(entries) -> list[int] | None:
-    """The n of entries that are each the one term [0, n, 1] of JSON integers, else None."""
-    try:
-        form = {(e, d, type(e), type(n), type(d)) for ((e, n, d),) in entries}
-    except (TypeError, ValueError):
-        return None
-    return [n for ((_, n, _),) in entries] if form == {(0, 1, int, int, int)} else None
-
-
-def _general_entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
-    """``_entry_planes`` for any valid v1 entries: terms in any order, any
-    integer exponent (reduced mod Phi_m), unreduced fractions, zero entries."""
+    basis.  Terms may come in any order, with any integer exponent (reduced
+    mod Phi_m) and unreduced fractions; a zero entry has no terms."""
     if domain.kind == "cyclotomic":
         size = domain.order
     else:  # a + b sqrt(t) as the terms a sqrt(t)^0 and b sqrt(t)^1
@@ -305,32 +281,53 @@ def load_pair(directory, primary: Frame) -> NaimarkPair:
 
 
 def dump(obj, path) -> None:
+    """Write ``obj`` as canonical JSON; an ``ExactMatrix`` as its matrix document."""
+    text = matrix_text(obj) if isinstance(obj, ExactMatrix) else canonical_json(obj)
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
 
 
-@contextmanager
-def _collector_paused():
-    # A decoded document is acyclic: a collection while it is alive walks it and frees nothing.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def load(path):
-    with open(path) as fh, _collector_paused():
+def load(path, decode=None):
+    """The JSON value of the file at ``path``, or ``decode`` of the open file;
+    a ``ValueError`` is bad input."""
+    with open(path) as fh:
+        enabled = gc.isenabled()
+        gc.disable()  # a decoded document is acyclic: a collection while it is alive walks it and frees nothing
         try:
-            return json.load(fh)
+            return json.load(fh) if decode is None else decode(fh)
         except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise InputError(f"{path} is not valid JSON: {exc}") from None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _integer_matrix(text: str) -> ExactMatrix | None:
+    """The rational-integer matrix whose canonical document is ``text``, else
+    None.  Each entry is [[0,n,1]] or a zero written [], so the entries split
+    at ,1]],[[0, into the n, each distinct n read once; int() also reads +1,
+    1_0, 01 and -0, so the matrix counts only if it writes back ``text``."""
+    head, _, rest = text.partition(',"domain":{"kind":"cyclotomic","order":1},"entries":[')
+    body, _, tail = rest.rpartition('],"rows":')
+    try:
+        cols, rows = int(head.removeprefix('{"cols":')), int(tail.partition(",")[0])
+        ns = body.replace("[]", "[[0,0,1]]")[4:-4].split(",1]],[[0,")
+        if len(ns) != rows * cols:
+            return None
+        value = {n: int(n) for n in set(ns)}.__getitem__
+        m = from_flat(RATIONAL, cols, 1, [list(map(value, ns))])
+    except (ValueError, DomainError):
+        return None
+    return m if matrix_text(m) == text else None
+
+
+def _decode_matrix(fh) -> ExactMatrix:
+    text = fh.read()
+    m = _integer_matrix(text)
+    return m if m is not None else matrix_from_obj(json.loads(text))
 
 
 def load_matrix(path) -> ExactMatrix:
-    """The matrix document at ``path``, with the collector paused until its
-    decoded tree is dropped."""
-    with _collector_paused():
-        return matrix_from_obj(load(path))
+    """The matrix document at ``path``, read once by ``load``, so the
+    collector stays paused until a decoded tree is dropped."""
+    return load(path, _decode_matrix)

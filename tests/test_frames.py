@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,56 @@ def test_verify_naimark_pair_cross_block_failure():
     copy = steiner_complement(STEINER_6x16)
     with pytest.raises(FrameError, match=r"cross block P C\* is nonzero at \(0, 0\)"):
         verify_naimark_pair(steiner_frame(), copy)
+
+
+def _naimark_failure(monkeypatch, raw):
+    """verify_naimark_pair's failure on a Steiner pair whose stacked row
+    product S S* is ``raw`` (every row norm 8), or None if it passes."""
+    monkeypatch.setattr(frames, "_row_product_diagonal", lambda frame: ([Fraction(8)] * len(raw), raw))
+    try:
+        verify_naimark_pair(steiner_frame(), steiner_complement())
+    except FrameError as exc:
+        return str(exc)
+    return None
+
+
+def _scanned_failure(raw, dp):
+    """The same failure, found by scanning every upper-triangle entry in turn."""
+    n = len(raw)
+
+    def first(rows, cols):
+        return next(((i, j) for i in rows for j in cols if j > i and raw[i][j] != 0), None)
+
+    if first(range(dp), range(dp)):
+        return "primary is not tight: rows not orthogonal"
+    at = first(range(dp, n), range(dp, n))
+    if at:
+        return f"complement rows {at[0] - dp} and {at[1] - dp} are not orthogonal"
+    at = first(range(dp), range(dp, n))
+    return at and f"cross block P C* is nonzero at ({at[0]}, {at[1] - dp})"
+
+
+def test_verify_naimark_pair_scans_each_block_to_its_last_entry(monkeypatch):
+    # The 6 + 10 row Steiner stack: the last upper-triangle entry of P P* is
+    # (4, 5), of C C* is (14, 15), and of the cross block P C* is (5, 15).
+    n, dp = 16, 6
+    last = {(4, 5): "primary is not tight: rows not orthogonal",
+            (14, 15): "complement rows 8 and 9 are not orthogonal",
+            (5, 15): "cross block P C* is nonzero at (5, 9)"}
+    for (i, j), message in last.items():
+        for value in (1, -3, None):  # None is an irrational entry
+            raw = [[8 if r == c else 0 for c in range(n)] for r in range(n)]
+            raw[i][j] = value
+            assert _naimark_failure(monkeypatch, raw) == message
+            raw[j][i] = value  # the lower triangle is never read
+            assert _naimark_failure(monkeypatch, raw) == message
+    rng = random.Random(16)
+    for _ in range(200):
+        raw = [[8 if r == c else 0 for c in range(n)] for r in range(n)]
+        for _ in range(rng.randrange(1, 4)):
+            i, j = sorted(rng.sample(range(n), 2))
+            raw[i][j] = rng.choice((1, -1, 2, None))
+        assert _naimark_failure(monkeypatch, raw) == _scanned_failure(raw, dp)
 
 
 def test_verify_naimark_pair_simplex():

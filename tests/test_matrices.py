@@ -985,3 +985,42 @@ def test_distinct_entries_bound_the_scalar_kernel_calls(monkeypatch):
     for frame in artifact.frames().values():
         certify_etf(frame)
     assert 0 < counts["pack"] <= 800 and counts["convolve"] <= 200, counts
+
+
+@pytest.mark.parametrize("name", ["z31-primary", "dense-order-31", "dense-q-sqrt-6"])
+def test_adjoint_and_with_domain_reduce_once_and_match_the_oracle(name, monkeypatch):
+    # The conjugate of an adjoint, and a lift to a larger order, are one
+    # reduction of the whole matrix; each entry is checked against its
+    # Fraction coordinates, conjugated or lifted one at a time.
+    from etf_forge import scalars
+
+    m, _ = distinct_entry_inputs()[name]
+    domain = m.domain
+    calls = []
+    for fn in ("reduce_mod_cyclotomic", "reduce_quadratic"):
+        original = getattr(scalars, fn)
+        monkeypatch.setattr(scalars, fn, lambda *args, _fn=original: calls.append(1) or _fn(*args))
+    adj = m.adjoint()
+    wider = cyclo_domain(2 * domain.order) if domain.kind == "cyclotomic" else domain
+    lifted = m.with_domain(wider)
+    assert len(calls) == (2 if domain.kind == "cyclotomic" else 1)
+    coords = entry_coords(m)
+    if domain.kind == "cyclotomic":
+        order = domain.order
+
+        def conjugate(c):
+            acc = [Fraction(0)] * order
+            for e, x in enumerate(c):
+                acc[-e % order] += x
+            return fraction_reduce(acc, order)
+
+        assert entry_coords(lifted) == [[fraction_coeffs(x, wider.order) for x in m.row(i)] for i in range(m.rows)]
+    else:
+        def conjugate(c):
+            return c
+
+        assert lifted is m
+        rational = ExactMatrix(RATIONAL, m.den, m.planes[:1])
+        assert entry_coords(rational.with_domain(domain)) == [[(c[0], 0) for c in row] for row in coords]
+    assert (adj.rows, adj.cols) == (m.cols, m.rows)
+    assert entry_coords(adj) == [[conjugate(coords[i][j]) for i in range(m.rows)] for j in range(m.cols)]

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import random
 from fractions import Fraction
@@ -18,19 +19,21 @@ from etf_forge.designs import all_pairs_design, fano_plane, lift_permutation, ro
 from etf_forge.errors import DesignError, DomainError, InputError
 from etf_forge.frames import Frame, certify_etf
 from etf_forge.hadamard import AbelianGroup, dft, hadamard_of_size, sylvester
-from etf_forge.matrices import ExactMatrix, quad_domain
+from etf_forge.matrices import RATIONAL, ExactMatrix, cyclo_domain, quad_domain
 from etf_forge.qsd_bridge import etf_from_qsd, flat_feasibility, qsd_from_flat_etf
 from etf_forge.scalars import QuadElem
+from etf_forge.recipes import recipe, replay
 from etf_forge.serialize import (
-    _entry_planes,
-    _general_entry_planes,
     canonical_json,
     certificate_to_obj,
     design_from_obj,
     design_to_obj,
+    dump,
     feasibility_to_obj,
     load,
+    load_matrix,
     matrix_from_obj,
+    matrix_text,
     matrix_to_csv,
     matrix_to_obj,
 )
@@ -170,39 +173,97 @@ def steiner_v24_document() -> dict:
     return matrix_to_obj(steiner_etf(SteinerInputs(lift, sylvester(1), hadamard_of_size(24))).matrix)
 
 
-def _planes_or_error(parse, entries, domain):
-    """(den, planes), or the error that ``matrix_from_obj`` turns into InputError."""
+# -- the text reader against the json path ------------------------------
+#
+# load_matrix reads a canonical rational-integer document from its text and
+# keeps the matrix only if matrix_text writes the same text back; anything
+# else goes to json.loads and matrix_from_obj.  Each document below is read
+# both ways, and both must give one matrix or one error message.
+
+
+def _outcome(read, source):
+    """(matrix, its domain, den and planes) of ``read(source)``, or (None, its error type and message)."""
     try:
-        den, planes = parse(entries, domain)
-        return den, [list(p) for p in planes]
-    except (DomainError, TypeError, ValueError, ZeroDivisionError, KeyError) as exc:
-        return type(exc).__name__, str(exc)
+        m = read(source)
+    except (InputError, ValueError) as exc:
+        return None, (type(exc).__name__, str(exc))
+    return m, (m.domain, m.den, m.planes)
 
 
-def _assert_paths_agree(doc) -> None:
-    domain = serialize._domain_from_obj(doc["domain"])
-    fast = _planes_or_error(_entry_planes, doc["entries"], domain)
-    assert fast == _planes_or_error(_general_entry_planes, doc["entries"], domain)
-    if isinstance(fast[0], str):
-        with pytest.raises(InputError, match=fast[0]):
-            matrix_from_obj(doc)
+def _json_path(text):
+    return matrix_from_obj(json.loads(text))
 
 
-def test_integer_fast_path_agrees_with_the_general_path(kirkman_u12_documents, steiner_v24_document, monkeypatch):
-    large = kirkman_u12_documents + [steiner_v24_document]
-    docs = _small_documents() + large
-    assert {d["domain"]["kind"] for d in docs} == {"cyclotomic", "quadratic"}
-    assert {d["domain"].get("order") for d in docs} >= {1, 5, 12, 13}
-    for doc in docs:
-        _assert_paths_agree(doc)
-        _assert_paths_agree(json.loads(canonical_json(doc)))
-    # The u = 12 and all-pairs(24) documents are in the integer form, zeros
-    # included, so the general path must not run.
+def _text_path(text):
+    return serialize._decode_matrix(io.StringIO(text))
+
+
+def _assert_paths_agree(text) -> bool:
+    """Both readers give one matrix or one error message for ``text``; returns
+    whether the text reader took it without ``json``, which it must do exactly
+    for the canonical documents of rational-integer matrices."""
+    m, want = _outcome(_json_path, text)
+    assert _outcome(_text_path, text)[1] == want
+    taken = serialize._integer_matrix(text) is not None
+    assert taken == (m is not None and m.domain == RATIONAL and m.int_rows() is not None and matrix_text(m) == text)
+    return taken
+
+
+def _entries_text(text):
+    """(head, entry texts, tail) of a canonical matrix document."""
+    head, sep, rest = text.partition('"entries":[')
+    body, sep2, tail = rest.rpartition('],"rows":')
+    return head + sep, [json.dumps(e, separators=(",", ":")) for e in json.loads(f"[{body}]")], sep2 + tail
+
+
+def _with_entry(text, index, entry_text):
+    head, entries, tail = _entries_text(text)
+    entries[index] = entry_text
+    return head + ",".join(entries) + tail
+
+
+@pytest.fixture(scope="module")
+def workload_documents(kirkman_u12_documents) -> dict[str, str]:
+    """The canonical matrix documents the benchmark workloads write, by name."""
+    lines = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(1, 16) if a < b})
+    sts = {"sts15": lines, "sts15_complement": [sorted(set(range(1, 16)) - set(line)) for line in lines]}
+    recipes = {
+        "simplex13": recipe("simplex", hadamard={"generator": "dft", "n": 13}),
+        "harmonic4x4": recipe("harmonic", group=[4, 4], subset=[1, 2, 3, 4, 8, 12]),
+        "harmonic13": recipe("harmonic", group=[13], subset=[0, 1, 3, 9]),
+        "harmonic31": recipe("harmonic", group=[31], subset=[1, 5, 11, 24, 25, 27]),
+        "steiner8": recipe("steiner", design={"generator": "all-pairs", "v": 8}, f={"generator": "sylvester", "e": 1},
+                           g={"generator": "dft", "n": 8}, column=1),
+    }
+    for name, blocks in sts.items():
+        for branch in ("plus", "minus"):
+            recipes[f"{name}_{branch}"] = recipe("qsd-to-etf", design={"generator": "blocks", "v": 15, "blocks": blocks},
+                                                 branch=branch)
+    kirkman4 = kirkman_etf(standard_kirkman_inputs(4))
+    docs = {"kirkman12/primary": kirkman_u12_documents[0], "kirkman12/complement": kirkman_u12_documents[1]}
+    for role, frame in (("primary", kirkman4.primary), ("complement", kirkman4.complement)):
+        docs[f"kirkman4_{role}_qsd_minus/primary"] = etf_from_qsd(qsd_from_flat_etf(frame).certificate, "minus")[0].matrix
+    for name, rec in recipes.items():
+        for role, frame in replay(rec).frames().items():
+            docs[f"{name}/{role}"] = frame.matrix
+    return {name: matrix_text(m) if isinstance(m, ExactMatrix) else canonical_json(m) for name, m in docs.items()}
+
+
+def test_integer_fast_path_agrees_with_the_general_path(workload_documents, steiner_v24_document, monkeypatch):
+    docs = dict(workload_documents, steiner24=canonical_json(steiner_v24_document))
+    docs.update((f"small{i}", canonical_json(doc)) for i, doc in enumerate(_small_documents()))
+    kinds = {json.loads(t)["domain"]["kind"] for t in docs.values()}
+    orders = {json.loads(t)["domain"].get("order") for t in docs.values()}
+    assert kinds == {"cyclotomic", "quadratic"} and orders >= {1, 4, 5, 8, 12, 13, 31}
+    taken = {name for name, text in docs.items() if _assert_paths_agree(text)}
+    # Every canonical integer document is read from its text, zeros included;
+    # the rational but non-integer QSD frames are not.
+    large = {"kirkman12/primary", "kirkman12/complement", "steiner24"}
+    assert large <= taken and not any(name.startswith("kirkman4_") for name in taken)
     calls = []
-    monkeypatch.setattr(serialize, "_general_entry_planes", lambda *a: calls.append(a))
-    for doc in large:
-        for copy in (doc, json.loads(canonical_json(doc))):
-            assert matrix_from_obj(copy).rows in (276, 300)
+    monkeypatch.setattr(serialize, "matrix_from_obj", lambda *a: calls.append(a))
+    for name in large:
+        assert _text_path(docs[name]).rows in (276, 300)
     assert calls == []
 
 
@@ -210,6 +271,9 @@ MUTATED_ENTRIES = [True, 1.0, "1", None, [], [[0, 0, 1]], [[0, 2, 2]], [[0, 1, -
                    [[0, 1, 1], [0, 1, 1]], [[0, 1, 0]], [[0, 2**70, 1]], [[True, 1, 1]], [[0, True, 1]],
                    [[0, 1, True]], [[0.0, 1, 1]], [[0, 1.0, 1]], [[0, 1, 1.0]], [0, 1, 1], [[0, 1]],
                    0, False, "", {}, [[]], [[], []]]
+# Spellings of an entry's n that int() reads and JSON rejects or reads otherwise,
+# and some that neither reads.
+INT_SPELLINGS = ["+1", "1_0", " 1", "1 ", "01", "-0", "\u0661", "1.0", "true", "1e0", "0x1", "", "--1", "2**70"]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -218,11 +282,95 @@ def test_mutated_integer_documents_take_the_same_verdict_on_both_paths(seed):
     kirkman = kirkman_etf(standard_kirkman_inputs(2, e=sylvester(1)))
     steiner = steiner_etf(SteinerInputs(lift_permutation(all_pairs_design(4)), sylvester(1), sylvester(2)))
     for m in (ExactMatrix.from_rows(FLAT_6x16), kirkman.primary.matrix, kirkman.complement.matrix, steiner.matrix):
-        doc = json.loads(canonical_json(matrix_to_obj(m)))
+        text = matrix_text(m)
+        assert _assert_paths_agree(text)
+        count = m.rows * m.cols
         for value in MUTATED_ENTRIES:
-            entries = list(doc["entries"])
-            entries[rng.randrange(len(entries))] = value
-            _assert_paths_agree(dict(doc, entries=entries))
+            _assert_paths_agree(_with_entry(text, rng.randrange(count), json.dumps(value, separators=(",", ":"))))
+        for spelling in INT_SPELLINGS:
+            _assert_paths_agree(_with_entry(text, rng.randrange(count), f"[[0,{spelling},1]]"))
+        index = rng.randrange(count)  # a canonical zero is read from the text
+        zeroed = _with_entry(text, index, "[]")
+        assert _assert_paths_agree(zeroed)
+        assert _text_path(zeroed).entry(index // m.cols, index % m.cols) == 0
+
+
+def test_text_reader_takes_the_json_verdict_on_edited_documents(kirkman_u12_documents):
+    text = matrix_text(kirkman_etf(standard_kirkman_inputs(2, e=sylvester(1))).primary.matrix)
+    edits = [
+        text[:-1], text + "\n", text + " ", text + "x", text + "{}", text[: len(text) // 2], text[:8], "", "\ufeff" + text,
+        text.replace("\n", "\r\n"), text.replace(":", ": "), text.replace(",", ", ", 1),
+        text.replace('"schema":"etf-forge/matrix/v1"', '"schema":"etf-forge/matrix/v2"'),
+        text.replace('"order":1', '"order":2'), text.replace('"order":1', '"order":+1'),
+        text.replace('"cols":', '"cols":+', 1), text.replace('"cols":', '"cols":0', 1),
+        text.replace('"rows":', '"rows":-', 1), text.replace('"rows":', '"rows":1', 1),
+        text.replace('{"cols":', '{"rows":1,"cols":', 1), text.replace(',"rows":', ',"extra":0,"rows":', 1),
+        text.replace("[[0,1,1]]", "[[0,1,1],[0,0,1]]", 1), text.replace("[[0,1,1]]", "[]", 1),
+        text.replace("[[0,", "[[0, ", 1), text.replace("[[0,-1,1]]", "[[0,-1,1]],", 1),
+        text.replace(",1]],[[0,", ",1]],[[0,1]],[[0,", 1),
+    ]
+    # On the 276 x 576 document, the edits whose verdict could depend on its size.
+    large = canonical_json(kirkman_u12_documents[0])
+    edits += [large, large[:-1], large + "x", large[: len(large) // 2], large.replace("[[0,1,1]]", "[]", 1),
+              large.replace(",1]],[[0,", ",1]],[[0,+", 1)]
+    for edited in edits:
+        _assert_paths_agree(edited)
+
+
+def test_load_matrix_of_a_file_takes_the_json_verdict(tmp_path):
+    # The json route is matrix_from_obj(load(path)).  Universal newlines turn a
+    # CRLF line end into the canonical one before either reader sees it.
+    text = matrix_text(kirkman_etf(standard_kirkman_inputs(2, e=sylvester(1))).complement.matrix)
+    data = text.encode()
+    cases = {
+        "canonical": data, "crlf": data.replace(b"\n", b"\r\n"), "bom": b"\xef\xbb\xbf" + data,
+        "truncated": data[: len(data) // 3], "trailing": data + b"\x00", "trailing-newlines": data + b"\n\n",
+        "not-utf8": data[:20] + b"\xff" + data[21:], "empty": b"",
+    }
+    verdicts = {}
+    for name, raw in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        m, want = _outcome(lambda p: matrix_from_obj(load(p)), path)
+        assert _outcome(load_matrix, path)[1] == want, name
+        verdicts[name] = m is not None
+    assert {k for k, read in verdicts.items() if read} == {"canonical", "crlf", "trailing-newlines"}
+
+
+def _entry_document(m: ExactMatrix) -> dict:
+    """The v1 document built one scalar at a time from ``m.entry(i, j)``."""
+    def pair(q):
+        return [q.numerator, q.denominator]
+
+    entries = []
+    for i in range(m.rows):
+        for j in range(m.cols):
+            x = m.entry(i, j)
+            if m.domain.kind == "quadratic":
+                entries.append(pair(x.a) + pair(x.b))
+            else:
+                entries.append([[e, *pair(c)] for e, c in enumerate(x.coeffs) if c])
+    domain = ({"kind": "quadratic", "radicand": m.domain.radicand} if m.domain.kind == "quadratic"
+              else {"kind": "cyclotomic", "order": m.domain.order})
+    return {"schema": serialize.MATRIX_SCHEMA, "domain": domain, "rows": m.rows, "cols": m.cols, "entries": entries}
+
+
+def test_dump_writes_the_entry_by_entry_document(tmp_path):
+    rng = random.Random(12)
+    dense31 = [[[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)] for _ in range(30)]
+    mats = {
+        "integer": ExactMatrix.from_rows([[1, -1, 0], [0, 7, -12]]),
+        "rational": ExactMatrix.from_rows([[Fraction(1, 2), -3, 0], [Fraction(-5, 6), Fraction(4, 3), 1]]),
+        "order-4": harmonic_etf(verify_difference_set(AbelianGroup((4, 4)), (1, 2, 3, 4, 8, 12))).primary.matrix,
+        "order-31": ExactMatrix(cyclo_domain(31), 6, dense31),
+        "q-sqrt-6": ExactMatrix.from_rows(QUAD_2x2, quad_domain(6)),
+        "q-sqrt-6-rational": ExactMatrix(quad_domain(6), 3, [[[1, 0, -2]]]),
+    }
+    for name, m in mats.items():
+        dump(m, tmp_path / f"{name}.json")
+        written = (tmp_path / f"{name}.json").read_text()
+        assert written == matrix_text(m) == canonical_json(_entry_document(m)), name
+        assert load_matrix(tmp_path / f"{name}.json") == m
 
 
 def test_bool_exponents_and_empty_shapes_are_input_errors():

@@ -134,3 +134,17 @@ def test_function_local_imports_defer_a_module():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{path.name}:{inner.lineno} {m}" for inner in ast.walk(node) for m in modules(inner) if m in top]
     assert found == []
+
+
+def test_serialize_opens_files_only_in_load_and_dump():
+    # Every document is read by load and written by dump, the two functions
+    # whose path argument the benchmark's byte counts read; a reader that
+    # opened a file itself would read bytes no count sees.
+    path = PACKAGE / "serialize.py"
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("load", "dump"):
+            node.body = []
+    found = [f"serialize.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
+    assert found == []
