@@ -880,7 +880,7 @@ def test_plane_operations_match_entrywise_scalars(domain):
 # -- one table of distinct entries ------------------------------------
 #
 # rational_rows(squared=True), the row-packed route's packing of its left
-# operand and matrix_to_obj each do their per-entry work once per distinct
+# operand and matrix_text each do their per-entry work once per distinct
 # entry, through matrices.per_entry.  Each is checked against the same code
 # with that table taken out, and against the per-entry Fraction oracle, on
 # structured matrices with few distinct entries and on dense random ones
@@ -941,11 +941,11 @@ def test_distinct_entry_table_matches_every_entry_and_the_oracle(name, monkeypat
     assert (distinct_entry_count(m) == m.rows * m.cols) is all_distinct
     products = ((m, m.adjoint()), (m.adjoint(), m))
     got = [rational_rows(m, squared=True)] + [matmul(a, b) for a, b in products]
-    document = serialize.canonical_json(serialize.matrix_to_obj(m))
+    document = serialize.matrix_text(m)
     monkeypatch.setattr(matrices, "per_entry", every_entry)
     monkeypatch.setattr(serialize, "per_entry", every_entry)
     assert got == [rational_rows(m, squared=True)] + [matmul(a, b) for a, b in products]
-    assert serialize.canonical_json(serialize.matrix_to_obj(m)) == document
+    assert serialize.matrix_text(m) == document
 
     # The oracle at order 31 costs about 900 Fraction products an entry: its
     # squared moduli are kept by coordinates, and each product is checked on

@@ -307,7 +307,8 @@ def test_text_reader_takes_the_json_verdict_on_edited_documents(kirkman_u12_docu
         text.replace('{"cols":', '{"rows":1,"cols":', 1), text.replace(',"rows":', ',"extra":0,"rows":', 1),
         text.replace("[[0,1,1]]", "[[0,1,1],[0,0,1]]", 1), text.replace("[[0,1,1]]", "[]", 1),
         text.replace("[[0,", "[[0, ", 1), text.replace("[[0,-1,1]]", "[[0,-1,1]],", 1),
-        text.replace(",1]],[[0,", ",1]],[[0,1]],[[0,", 1),
+        text.replace(",1]],[[0,", ",1]],[[0,1]],[[0,", 1), text.replace("[[0,1,1]],", "", 1),
+        text.replace("[[0,1,1]],", "[[0,1,1]],[[0,1,1]],", 1),
     ]
     # On the 276 x 576 document, the edits whose verdict could depend on its size.
     large = canonical_json(kirkman_u12_documents[0])
