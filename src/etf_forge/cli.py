@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .catalog import Catalog, write_artifact
-from .designs import verify_bibd, verify_qsd, verify_srg
+from .designs import Design, verify_bibd, verify_qsd, verify_srg
 from .errors import EtfForgeError, InputError
 from .frames import Frame, certify_etf
 from .hadamard import verify_hadamard
@@ -25,9 +25,9 @@ from .serialize import (
     design_from_obj,
     feasibility_to_obj,
     load,
+    load_design_or_matrix,
     load_matrix,
     load_pair,
-    matrix_from_obj,
     matrix_to_csv,
 )
 
@@ -103,12 +103,8 @@ def cmd_verify(args) -> int:
         _print({"n": h.n, "kind": h.kind, "verified": True})
         return 0
     if what == "bibd":
-        obj = load(args.path)
-        if isinstance(obj, dict) and obj.get("schema") == "etf-forge/design/v1":
-            design = design_from_obj(obj)
-            params = design.params
-        else:
-            params = verify_bibd(matrix_from_obj(obj))
+        source = load_design_or_matrix(args.path)
+        params = source.params if isinstance(source, Design) else verify_bibd(source)
         _print({"v": params.v, "k": params.k, "lambda": params.lam, "r": params.r,
                 "b": params.b, "fisher": params.fisher})
         return 0

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import DesignError
-from .matrices import RATIONAL, ExactMatrix, matmul
+from .matrices import RATIONAL, ExactMatrix, row_product_triangle
 from .scalars import QuadElem
 from .value import Value
 
@@ -60,8 +60,8 @@ def verify_bibd(x: ExactMatrix) -> DesignParams:
     r = col_sums.pop()
     if not v > k > 0:
         raise DesignError(f"need v > k > 0, got v={v}, k={k}")
-    xtx = matmul(x.adjoint(), x).int_rows()
-    pair_counts = {c for j, row in enumerate(xtx) for c in row[j + 1 :]}
+    _, xtx = row_product_triangle(x.transpose())  # X^T X, 0/1 entries: den 1
+    pair_counts = set().union(*(row[1:] for row in xtx))
     if len(pair_counts) != 1:
         raise DesignError(f"pair counts are not constant: {sorted(pair_counts)}")
     lam = pair_counts.pop()
@@ -264,15 +264,15 @@ def verify_qsd(design: Design) -> QsdCertificate:
     if p.b <= p.v:
         raise DesignError(f"quasi-symmetric designs need b > v, got b={p.b}, v={p.v}")
     # Block intersection sizes are the off-diagonal entries of X X^T.
-    xxt = matmul(design.incidence, design.incidence.adjoint()).int_rows()
-    sizes = {s for i, row in enumerate(xxt) for s in row[i + 1 :]}
+    _, upper = row_product_triangle(design.incidence)  # an incidence matrix is 0/1: den 1
+    sizes = set().union(*(row[1:] for row in upper))
     if len(sizes) != 2:
         raise DesignError(
             f"expected exactly two intersection sizes, found {sorted(sizes)}"
         )
     x, y = sorted(sizes)
-    adjacency = [[1 if s == y and i != j else 0 for j, s in enumerate(row)] for i, row in enumerate(xxt)]
-    a = ExactMatrix.from_rows(adjacency, RATIONAL)
+    marks = ExactMatrix.from_rows([[0] * (i + 1) + [int(s == y) for s in row[1:]] for i, row in enumerate(upper)], RATIONAL)
+    a = marks + marks.transpose()  # the y entries of the upper triangle, mirrored
     # X X^T = (k - x) I + (y - x) A + x J holds by construction: its diagonal
     # is the block size k (verify_bibd), every other entry is x or y, and A
     # marks the y entries.
@@ -345,11 +345,11 @@ def verify_srg(a: ExactMatrix) -> SrgParams:
     deg = degrees.pop()
     if deg == 0 or deg == n - 1:
         raise DesignError("complete and empty graphs are excluded")
-    sq = matmul(a, a.adjoint()).int_rows()  # A A* = A^2: A is symmetric, and so is A^2
+    _, sq = row_product_triangle(a)  # A A* = A^2: A is symmetric 0/1, so den is 1 and A^2 symmetric
     common_adj, common_non = set(), set()
     for i in range(n):
         for j in range(i + 1, n):
-            (common_adj if rows[i][j] else common_non).add(sq[i][j])
+            (common_adj if rows[i][j] else common_non).add(sq[i][j - i])
     if len(common_adj) != 1 or len(common_non) != 1:
         raise DesignError("common-neighbor counts are not constant")
     c = common_adj.pop()

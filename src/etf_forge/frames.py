@@ -17,7 +17,7 @@ from math import isqrt
 
 from .errors import FrameError
 from .hadamard import HadamardMatrix, verify_hadamard
-from .matrices import Domain, ExactMatrix, matmul, rational_rows, scaled_identity, vstack
+from .matrices import Domain, ExactMatrix, matmul, rational_rows, row_product_triangle, scaled_identity, squared_moduli, vstack
 from .value import Value
 
 
@@ -28,14 +28,13 @@ class Frame(Value):
     (all ones when absent).  Weighted rows appear only in complements whose
     closed form involves sqrt(k) blocks.
 
-    Frames are immutable; the Gram matrix, the row product, and the
-    certificate are computed once and cached.
+    Frames are immutable; the Gram matrix and the certificate are computed
+    once and cached.
     """
 
     matrix: ExactMatrix
     row_weights: tuple[Fraction, ...] | None = None
     _gram: ExactMatrix | None = None
-    _row_product: tuple | None = None
     _certificate: "EtfCertificate | None" = None
 
     __eq__ = object.__eq__  # by identity: the matrix is unhashable and the caches are per object
@@ -86,32 +85,37 @@ def gram(frame: Frame) -> ExactMatrix:
     return frame._gram
 
 
-def _row_product_diagonal(frame: Frame) -> tuple[list[Fraction], list[list]]:
-    """Weighted diagonal of the row Gram matrix, plus the raw row product
-    M M* as read by ``rational_rows`` (a zero entry reads 0).
-
-    For a weighted frame, tightness holds exactly when the raw off-diagonal
-    vanishes and w_i * (M M*)(i, i) is one constant; the irrational cross
-    scales sqrt(w_i w_j) never need to be formed.
+def _row_product_diagonal(m: ExactMatrix, weights) -> tuple[list[Fraction], list[list]]:
+    """Weighted diagonal of the row Gram matrix, plus the upper triangle of
+    the raw row product M M* (``row_product_triangle``).  Tightness holds
+    exactly when the raw off-diagonal vanishes and w_i * (M M*)(i, i) is
+    one constant; the irrational cross scales sqrt(w_i w_j) are never formed.
     """
-    if frame._row_product is None:
-        m = frame.matrix
-        den, raw = rational_rows(matmul(m, m.adjoint()))
-        diag = []
-        for i, w in enumerate(frame.row_weights or (1,) * m.rows):
-            if raw[i][i] is None:
-                raise FrameError(f"row {i} has an irrational squared norm")
-            diag.append(w * Fraction(raw[i][i], den))
-        object.__setattr__(frame, "_row_product", (diag, raw))
-    return frame._row_product
+    den, raw = row_product_triangle(m)
+    diag = []
+    for i, w in enumerate(weights or (1,) * m.rows):
+        if raw[i][0] is None:
+            raise FrameError(f"row {i} has an irrational squared norm")
+        diag.append(w * Fraction(raw[i][0], den))
+    return diag, raw
+
+
+def _first_nonzero(raw, rows, cols) -> tuple[int, int] | None:
+    """The first (i, j > i) of a block of a Hermitian product's upper
+    triangle that is not 0 (an irrational entry reads None), row by row at C speed."""
+    for i in rows:
+        part = raw[i][max(i + 1, cols.start) - i : cols.stop - i]
+        if part.count(0) != len(part):
+            return i, cols.stop - len(part) + next(j for j, x in enumerate(part) if x != 0)
+    return None
 
 
 def _is_flat(frame: Frame) -> bool:
     """Whether every stored entry, after weighting, has squared modulus one."""
-    den, sq = rational_rows(frame.matrix, squared=True)
-    for row, w in zip(sq, frame.row_weights or (1,) * frame.d):
-        target = Fraction(den) / w  # w |x|^2 = 1 exactly when den |x|^2 = den / w
-        if target.denominator != 1 or row.count(target.numerator) != len(row):
+    weights = frame.row_weights or (1,) * frame.d
+    for w in set(weights):
+        den, values = squared_moduli(frame.matrix, ((i, 0) for i, x in enumerate(weights) if x == w))
+        if values != {Fraction(den) / w}:  # w |x|^2 = 1 exactly when den |x|^2 = den / w
             return False
     return True
 
@@ -130,13 +134,20 @@ class EtfCertificate(Value):
 
 
 def certify_etf(frame: Frame) -> EtfCertificate:
-    """Certify a frame as an ETF; each failure names the violated identity.
+    """Certify a frame as an ETF from its Gram matrix G alone; each failure
+    names the violated identity.
 
-    Checks, in order: constant rational squared norms (diagonal of the Gram
-    matrix), exact tightness of the rows, a single rational squared modulus
-    across all off-diagonal Gram entries, and the coherence equality
-    gamma^2 d (n - 1) = beta^2 (n - d).  The flat flag is set when every
-    stored entry (after weighting) has squared modulus one.
+    Checks, in order: constant rational squared norms beta (the diagonal of
+    G), one rational squared modulus gamma^2 off it, and the coherence
+    equality gamma^2 d (n - 1) = beta^2 (n - d), which is tightness.  For
+    the eigenvalues l_1..l_d of Phi Phi* (Phi the weighted synthesis matrix),
+    tr G = sum l_i = n beta and ||G||_F^2 = sum l_i^2 = n beta^2 + n (n - 1)
+    gamma^2, and (tr G)^2 <= d ||G||_F^2 (Cauchy-Schwarz) holds with
+    equality, which is the coherence equality, exactly when every l_i is one
+    alpha = tr G / d = n beta / d.  When the angles or the coherence
+    equality fail, the row product is checked first, so a frame that is not
+    tight fails as not tight.  The flat flag is set when every stored entry
+    (after weighting) has squared modulus one.
     """
     if frame._certificate is not None:
         return frame._certificate
@@ -155,39 +166,33 @@ def certify_etf(frame: Frame) -> EtfCertificate:
     if beta <= 0:
         raise FrameError("zero vectors are not allowed")
 
-    diag, raw = _row_product_diagonal(frame)
-    alphas = set(diag)
-    if len(alphas) != 1:
-        raise FrameError(f"not tight: row squared norms {sorted(alphas)}")
-    alpha = alphas.pop()
-    for i in range(d):
-        for j in range(d):
-            if i != j and raw[i][j] != 0:
-                raise FrameError(f"not tight: rows {i} and {j} are not orthogonal")
-    if alpha != Fraction(n) * beta / d:
-        raise FrameError(f"not tight: scale {alpha} differs from n beta / d")
+    den, moduli = squared_moduli(g, ((j, j + 1) for j in range(n)))
+    try:
+        if len(moduli) > 1 or None in moduli:  # name the first pair (j, j2) off the modulus of (0, 1)
+            den, sq = rational_rows(g, squared=True)
+            for j, row in enumerate(sq):
+                for j2, s in enumerate(row[j + 1 :], j + 1):
+                    if s is None:
+                        raise FrameError(f"not equiangular: |<v{j}, v{j2}>|^2 is irrational")
+                    if s != sq[0][1]:
+                        pair = sorted({Fraction(sq[0][1], den), Fraction(s, den)})
+                        raise FrameError(f"not equiangular: squared moduli {pair} at ({j}, {j2})")
+        gamma_sq = Fraction(moduli.pop(), den) if moduli else Fraction(0)
+        if n > 1 and gamma_sq * d * (n - 1) != beta * beta * (n - d):
+            raise FrameError(
+                f"coherence equality violated: gamma^2 = {gamma_sq}, "
+                f"bound requires {beta * beta * welch_bound_sq(d, n)}"
+            )
+    except FrameError:
+        diag, raw = _row_product_diagonal(frame.matrix, frame.row_weights)
+        if len(set(diag)) != 1:
+            raise FrameError(f"not tight: row squared norms {sorted(set(diag))}") from None
+        at = _first_nonzero(raw, range(d), range(d))
+        if at:
+            raise FrameError(f"not tight: rows {at[0]} and {at[1]} are not orthogonal") from None
+        raise
 
-    den, sq = rational_rows(g, squared=True)
-    gamma = sq[0][1] if n > 1 else 0
-    for j in range(n):
-        row = sq[j][j + 1 :]
-        if gamma is not None and row.count(gamma) == len(row):
-            continue
-        for j2, s in enumerate(row, j + 1):
-            if s is None:
-                raise FrameError(f"not equiangular: |<v{j}, v{j2}>|^2 is irrational")
-            if s != gamma:
-                moduli = sorted({Fraction(gamma, den), Fraction(s, den)})
-                raise FrameError(f"not equiangular: squared moduli {moduli} at ({j}, {j2})")
-    gamma_sq = Fraction(gamma, den)
-
-    if n > 1 and gamma_sq * d * (n - 1) != beta * beta * (n - d):
-        raise FrameError(
-            f"coherence equality violated: gamma^2 = {gamma_sq}, "
-            f"bound requires {beta * beta * welch_bound_sq(d, n)}"
-        )
-
-    cert = EtfCertificate(d, n, beta, alpha, gamma_sq, True, _is_flat(frame), frame.domain)
+    cert = EtfCertificate(d, n, beta, n * beta / d, gamma_sq, True, _is_flat(frame), frame.domain)
     object.__setattr__(frame, "_certificate", cert)
     return cert
 
@@ -218,34 +223,23 @@ def verify_naimark_pair(primary: Frame, complement: Frame) -> NaimarkPair:
         raise FrameError(f"complement dimension must be {n - dp}, got {complement.d}")
 
     weights = (primary.row_weights or (1,) * dp) + (complement.row_weights or (1,) * (n - dp))
-    diag, raw = _row_product_diagonal(
-        Frame(vstack(primary.matrix, complement.matrix), row_weights=weights)
-    )
-
-    def first_nonzero(rows, cols):
-        # S S* is Hermitian, so the upper triangle decides every block.  A row's
-        # part is tested at C speed; an irrational entry reads None, not 0.
-        for i in rows:
-            part = raw[i][max(i + 1, cols.start) : cols.stop]
-            if part.count(0) != len(part):
-                return i, cols.stop - len(part) + next(j for j, x in enumerate(part) if x != 0)
-        return None
+    diag, raw = _row_product_diagonal(vstack(primary.matrix, complement.matrix), weights)
 
     alphas = set(diag[:dp])
     if len(alphas) != 1:
         raise FrameError("primary is not tight: unequal row norms")
     alpha = alphas.pop()
-    if first_nonzero(range(dp), range(dp)):
+    if _first_nonzero(raw, range(dp), range(dp)):
         raise FrameError("primary is not tight: rows not orthogonal")
     for i in range(dp, n):
         if diag[i] != alpha:
             raise FrameError(
                 f"complement row {i - dp} has squared norm {diag[i]}, expected {alpha}"
             )
-    at = first_nonzero(range(dp, n), range(dp, n))
+    at = _first_nonzero(raw, range(dp, n), range(dp, n))
     if at:
         raise FrameError(f"complement rows {at[0] - dp} and {at[1] - dp} are not orthogonal")
-    at = first_nonzero(range(dp), range(dp, n))
+    at = _first_nonzero(raw, range(dp), range(dp, n))
     if at:
         raise FrameError(f"cross block P C* is nonzero at ({at[0]}, {at[1] - dp})")
 
@@ -311,8 +305,10 @@ def hadamard_to_gram(h: HadamardMatrix) -> tuple[ExactMatrix, int]:
     s = isqrt(n)
     if s * s != n:
         raise FrameError(f"sqrt({n}) is not an integer")
-    g = scaled_identity(n, s, body.domain) - body
-    if matmul(g, g.adjoint()) != g.scale(2 * s):  # g is self-adjoint
+    # G^2 - 2 s G = (s I - H)^2 - 2 s (s I - H) = H^2 - n I, and H = H*.
+    den, upper = row_product_triangle(body)
+    if any(r[0] != n * den or r.count(0) != len(r) - 1 for r in upper):
         raise FrameError("eigenvalue identity G^2 = 2 sqrt(n) G failed")
+    g = scaled_identity(n, s, body.domain) - body
     # G / 2s is a projection whose trace n (s - 1) / 2s is fixed by the unit diagonal.
     return g, (n - s) // 2

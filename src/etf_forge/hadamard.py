@@ -12,7 +12,7 @@ from math import lcm, prod
 from operator import mul
 
 from .errors import HadamardError
-from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, matmul, rational_rows, scaled_identity
+from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, rational_rows, row_product_triangle, squared_moduli
 from .value import Value
 
 
@@ -59,14 +59,6 @@ class AbelianGroup(Value):
         return out
 
 
-def _first_mismatch(rows, value) -> tuple[int, int] | None:
-    """The first (i, j) in row-major order with rows[i][j] != value, or None."""
-    for i, row in enumerate(rows):
-        if row.count(value) != len(row):
-            return i, next(j for j, x in enumerate(row) if x != value)
-    return None
-
-
 def verify_hadamard(m: ExactMatrix) -> HadamardMatrix:
     """Certify flatness and orthogonality, classifying real vs complex."""
     if m.rows != m.cols:
@@ -74,15 +66,16 @@ def verify_hadamard(m: ExactMatrix) -> HadamardMatrix:
     if m.domain.kind != "cyclotomic":
         raise HadamardError("Hadamard matrices live over cyclotomic domains")
     n = m.rows
-    den, sq = rational_rows(m, squared=True)
-    at = _first_mismatch(sq, den)
-    if at:
-        raise HadamardError(f"entry ({at[0]}, {at[1]}) is not unimodular")
-    product = matmul(m, m.adjoint())
-    target = scaled_identity(n, n, m.domain)
-    if product != target:
-        i, j = _first_mismatch(rational_rows(product - target)[1], 0)
-        raise HadamardError(f"rows {i} and {j} fail the orthogonality identity")
+    den, moduli = squared_moduli(m, ((i, 0) for i in range(n)))
+    if moduli != {den}:  # name the first entry off modulus one
+        den, sq = rational_rows(m, squared=True)
+        i, row = next((i, r) for i, r in enumerate(sq) if r.count(den) != len(r))
+        raise HadamardError(f"entry ({i}, {next(j for j, x in enumerate(row) if x != den)}) is not unimodular")
+    den, upper = row_product_triangle(m)
+    for i, r in enumerate(upper):  # m m* is Hermitian: its first mismatch with n I is in the upper triangle
+        if r[0] != n * den or r.count(0) != len(r) - 1:
+            j = next(j for j, x in enumerate(r, i) if x != (n * den if j == i else 0))
+            raise HadamardError(f"rows {i} and {j} fail the orthogonality identity")
     if m.int_rows() is not None:
         return HadamardMatrix(n, m.with_domain(RATIONAL), "real")
     return HadamardMatrix(n, m, "complex")

@@ -15,12 +15,14 @@ is its own plane and equality is plane equality.  Every operation works on
 the planes.  A scalar has an entry's form, so ``entry`` and ``row`` build
 scalars straight from the planes (``scalars.element``); ``from_entries``
 lowers a caller's scalars once.  ``rational_rows`` reads rational values,
-zero masks and squared moduli off the planes for the verifiers.  Work per
-entry is done once per distinct entry (``per_entry``): frames repeat few.
+zero masks and squared moduli off the planes for the verifiers, and
+``row_product_triangle`` the upper triangle of m m*.  Work per entry is done
+once per distinct entry (``per_entry``, ``squared_moduli``): frames repeat few.
 
 A product takes one of three integer routes.  {-1, 1} operands take one XOR
 popcount per entry; a {-1, 0, 1} matrix times its ``adjoint()`` computes one
-triangle (two AND popcounts per entry when an entry is zero).  Every other
+triangle (two AND popcounts per entry when an entry is zero) and mirrors it,
+and ``row_product_triangle`` takes that triangle from the rows alone.  Every other
 product is row-packed: each distinct entry's planes are one integer
 (Kronecker substitution), each row of b is one integer with entry j at slot
 offset j * width, each output row is one big-integer multiply-accumulate
@@ -32,6 +34,7 @@ test suite is the differential oracle.
 from __future__ import annotations
 
 import operator
+import struct
 from fractions import Fraction
 from itertools import chain, compress, count, zip_longest
 from math import gcd, lcm
@@ -209,7 +212,8 @@ class ExactMatrix:
 
 def from_flat(domain: Domain, cols: int, den: int, flat) -> ExactMatrix:
     """The matrix whose plane k holds the row-major integers flat[k] over den."""
-    return ExactMatrix(domain, den, [[list(p[i : i + cols]) for i in range(0, len(p), cols)] for p in flat])
+    flat = [p if type(p) is list else list(p) for p in flat]  # a list's slices are fresh lists: one copy per row
+    return ExactMatrix(domain, den, [[p[i : i + cols] for i in range(0, len(p), cols)] for p in flat])
 
 
 def per_entry(m: ExactMatrix, fn) -> list[list]:
@@ -263,41 +267,65 @@ def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list
     return m.den, [[c[0] if not any(c[1:]) else None for c in zip(*rs)] for rs in zip(*m.planes)]
 
 
-_SIGN_CODE = {0: 0, 1: 1, -1: 2}.__getitem__  # raises KeyError off {-1, 0, 1}
-_NEGATIVE, _NONZERO = bytes.maketrans(b"\x00\x01\x02", b"001"), bytes.maketrans(b"\x00\x01\x02", b"011")
+def squared_moduli(m: ExactMatrix, segments) -> tuple[int, set]:
+    """(den, values): den times the squared moduli of the distinct entries in
+    the row segments (i, start) of m, None where irrational, in one ``rational_rows`` call."""
+    planes = m.planes
+    if len(planes) == 1:  # the integers themselves are the keys: no tuple per entry
+        coords = [list(set().union(*(planes[0][i][s:] for i, s in segments)))]
+    else:
+        coords = [list(c) for c in zip(*set().union(*(zip(*(p[i][s:] for p in planes)) for i, s in segments)))]
+    if not (coords and coords[0]):
+        return 1, set()
+    den, (values,) = rational_rows(ExactMatrix(m.domain, m.den, [[c] for c in coords]), squared=True)
+    return den, set(values)
+
+
+_NONZERO, _NEGATIVE = (b"0" + one + b"2" * 253 + b"1" for one in (b"1", b"0"))  # 0, 1, -1 as signed bytes; "2" is no binary digit
 
 
 def _sign_masks(vectors, signs_only: bool) -> tuple[list[int], list[int], bool] | None:
     """(support, negative) bitmasks of equal-length vectors and whether no
-    entry is zero; None at the first vector with an entry outside
-    {-1, 0, 1}, or with a zero when ``signs_only``."""
-    codes = []
-    for v in vectors:
-        try:
-            codes.append(bytes(map(_SIGN_CODE, v)))
-        except KeyError:
+    entry is zero; None when an entry is outside {-1, 0, 1}, or is zero and
+    ``signs_only``."""
+    pack_row = struct.Struct(f"{len(vectors[0])}b").pack
+    try:
+        codes = [pack_row(*v) for v in vectors]  # an entry outside the signed bytes is a struct.error
+        full = not any(0 in c for c in codes)
+        if signs_only and not full:
             return None
-        if signs_only and 0 in codes[-1]:
-            return None
-    support = [int(c.translate(_NONZERO), 2) for c in codes]
-    negative = [int(c.translate(_NEGATIVE), 2) for c in codes]
-    return support, negative, not any(0 in c for c in codes)
+        support = [int(c.translate(_NONZERO), 2) for c in codes]  # any byte but 0, 1 and -1 reads "2"
+        return support, [int(c.translate(_NEGATIVE), 2) for c in codes], full
+    except (struct.error, ValueError):
+        return None
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]], hermitian: bool) -> list[list[int]] | None:
-    """Integer products a b by bitmask popcounts, or None: when an entry is
-    outside {-1, 0, 1}, or is zero and the product is not ``hermitian``.
-    A hermitian b is the adjoint of a, so its columns are the rows of a, and
-    row i holds only the entries j >= i (two AND popcounts per entry)."""
-    signs_a = _sign_masks(a, not hermitian)
-    signs_b = signs_a if hermitian else signs_a and _sign_masks(list(zip(*b)), True)
+def _int_matmul(a: list[list[int]], b: list[list[int]] | None = None) -> list[list[int]] | None:
+    """Integer products by bitmask popcounts, or None off their entries:
+    a b for {-1, 1} operands, or with b None the upper triangle of a a^T
+    for {-1, 0, 1} entries, row i holding the entries j >= i (two AND
+    popcounts per entry when an entry is zero)."""
+    signs_a = _sign_masks(a, b is not None)
+    signs_b = signs_a if b is None else signs_a and _sign_masks(list(zip(*b)), True)
     if not signs_b:
         return None
-    (sa, na, full_a), (sb, nb, full_b), n = signs_a, signs_b, len(a[0])
-    if full_a and full_b:  # a product of signs is +1 unless they differ
-        return [[n - 2 * (x ^ y).bit_count() for y in nb[i if hermitian else 0 :]] for i, x in enumerate(na)]
+    (sa, na, full), (sb, nb, _), n = signs_a, signs_b, len(a[0])
+    if full:  # a product of signs is +1 unless they differ
+        return [[n - 2 * (x ^ y).bit_count() for y in nb[i if b is None else 0 :]] for i, x in enumerate(na)]
     return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(sb[i:], nb[i:])]
             for i, (s, x) in enumerate(zip(sa, na))]
+
+
+def row_product_triangle(m: ExactMatrix) -> tuple[int, list[list[int | None]]]:
+    """(den, rows): the upper triangle of m m*, read as ``rational_rows``
+    reads a matrix (den need not be reduced), with rows[i] the entries j >= i.
+    A {-1, 0, 1} plane takes the popcount triangle from m's own rows, with
+    no adjoint; any other matrix is the full product, sliced."""
+    rows = _int_matmul(m.planes[0]) if len(m.planes) == 1 else None
+    if rows is not None:
+        return m.den * m.den, rows
+    den, full = rational_rows(matmul(m, m.adjoint()))
+    return den, [r[i:] for i, r in enumerate(full)]
 
 
 def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[int]]:
@@ -343,7 +371,7 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     a, b = a.with_domain(domain), b.with_domain(domain)
     den = a.den * b.den
     if len(a.planes) == len(b.planes) == 1:
-        rows = _int_matmul(a.planes[0], b.planes[0], hermitian)
+        rows = _int_matmul(a.planes[0], None if hermitian else b.planes[0])
         if rows and hermitian:  # row i starts at column i; entry (i, j < i) is the real entry (j, i)
             for i, r in enumerate(rows):  # in place: the rows above row i are already whole
                 r[:0] = [rows[j][i] for j in range(i)]

@@ -321,13 +321,25 @@ def _integer_matrix(text: str) -> ExactMatrix | None:
     return m if matrix_text(m) == text else None
 
 
-def _decode_matrix(fh) -> ExactMatrix:
+def _decode_matrix(fh, designs: bool = False):
+    """The matrix of a matrix document; with ``designs``, the JSON value of
+    a design document instead."""
     text = fh.read()
     m = _integer_matrix(text)
-    return m if m is not None else matrix_from_obj(json.loads(text))
+    if m is not None:
+        return m
+    obj = json.loads(text)
+    return obj if designs and isinstance(obj, dict) and obj.get("schema") == DESIGN_SCHEMA else matrix_from_obj(obj)
 
 
 def load_matrix(path) -> ExactMatrix:
     """The matrix document at ``path``, read once by ``load``, so the
     collector stays paused until a decoded tree is dropped."""
     return load(path, _decode_matrix)
+
+
+def load_design_or_matrix(path) -> Design | ExactMatrix:
+    """The design or the matrix document at ``path``, read once by ``load``
+    as ``load_matrix`` reads a matrix."""
+    obj = load(path, lambda fh: _decode_matrix(fh, designs=True))
+    return obj if isinstance(obj, ExactMatrix) else design_from_obj(obj)

@@ -516,3 +516,62 @@ def test_pair_design_without_v_is_exit_2(tmp_path, capsys):
         code, stdout, err = run(capsys, "construct", "steiner", "--design", design, "--out", str(tmp_path / "s"))
         _assert_input_error(code, err)
         assert "--v is required" in err and stdout == ""
+
+
+def _verify_bibd_by_json(path):
+    """``verify bibd`` as it read its input before it read through ``load``
+    with a decoder: the JSON value first, then a design or a matrix from it."""
+    from etf_forge.designs import verify_bibd
+    from etf_forge.errors import EtfForgeError, InputError
+    from etf_forge.serialize import design_from_obj, matrix_from_obj
+
+    try:
+        obj = load(path)
+        if isinstance(obj, dict) and obj.get("schema") == "etf-forge/design/v1":
+            params = design_from_obj(obj).params
+        else:
+            params = verify_bibd(matrix_from_obj(obj))
+    except InputError as exc:
+        return 2, "", f"input error: {exc}\n"
+    except EtfForgeError as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, canonical_json({"v": params.v, "k": params.k, "lambda": params.lam, "r": params.r,
+                              "b": params.b, "fisher": params.fisher}), ""
+
+
+def test_verify_bibd_reads_designs_and_matrices_through_load(tmp_path, capsys, monkeypatch):
+    from etf_forge import serialize
+    from etf_forge.designs import fano_plane
+    from etf_forge.serialize import dump, matrix_to_obj
+
+    design = all_pairs_design(6)
+    incidence = design.incidence
+    not_a_design = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]  # unequal block sizes: exit 1
+    files = {
+        "design": canonical_json(design_to_obj(design)),
+        "fano_design": canonical_json(design_to_obj(fano_plane())),
+        "canonical_incidence": None,
+        "spaced_incidence": json.dumps(matrix_to_obj(incidence), indent=1),
+        "failing_incidence": json.dumps(dict(matrix_to_obj(incidence), entries=[
+            [[0, x, 1]] if x else [] for r in not_a_design for x in r], rows=4, cols=3)),
+        "malformed_design": canonical_json(dict(design_to_obj(design), blocks=5)),
+        "malformed_matrix": json.dumps(dict(matrix_to_obj(incidence), rows="15")),
+        "not_json": "{not json",
+    }
+    for name, text in files.items():
+        if text is None:
+            dump(incidence, tmp_path / f"{name}.json")
+        else:
+            (tmp_path / f"{name}.json").write_text(text)
+    general = []
+    real = serialize.matrix_from_obj
+    monkeypatch.setattr(serialize, "matrix_from_obj", lambda obj: general.append(1) or real(obj))
+    for name in files:
+        path = tmp_path / f"{name}.json"
+        general.clear()
+        got = run(capsys, "verify", "bibd", str(path))
+        # A canonical integer incidence document is read from its text.
+        assert general == ([1] if name in ("spaced_incidence", "failing_incidence", "malformed_matrix") else []), name
+        assert got == _verify_bibd_by_json(path), name
+        assert got[0] == {"design": 0, "fano_design": 0, "canonical_incidence": 0, "spaced_incidence": 0,
+                          "failing_incidence": 1}.get(name, 2), name

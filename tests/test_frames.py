@@ -158,20 +158,26 @@ def test_verify_naimark_pair_steiner_goldens():
 
 
 def test_verify_naimark_pair_is_one_product(monkeypatch):
+    # The stacked row product S S* is the only product, taken as one
+    # triangle: no Gram matrix and no full matmul.
     products = []
-    real_matmul = frames.matmul
+    real_triangle = frames.row_product_triangle
 
-    def counting_matmul(a, b):
-        products.append((a.rows, a.cols, b.cols))
-        return real_matmul(a, b)
+    def counting_triangle(m):
+        products.append((m.rows, m.cols))
+        return real_triangle(m)
+
+    def no_product(a, b):
+        raise AssertionError("the pair check takes no full product")
 
     def no_gram(frame):
         raise AssertionError("the pair check needs no Gram matrix")
 
-    monkeypatch.setattr(frames, "matmul", counting_matmul)
+    monkeypatch.setattr(frames, "row_product_triangle", counting_triangle)
+    monkeypatch.setattr(frames, "matmul", no_product)
     monkeypatch.setattr(frames, "gram", no_gram)
     verify_naimark_pair(steiner_frame(), steiner_complement())
-    assert products == [(16, 16, 16)]
+    assert products == [(16, 16)]
 
 
 def test_verify_naimark_pair_primary_block_failures():
@@ -205,8 +211,10 @@ def test_verify_naimark_pair_cross_block_failure():
 
 def _naimark_failure(monkeypatch, raw):
     """verify_naimark_pair's failure on a Steiner pair whose stacked row
-    product S S* is ``raw`` (every row norm 8), or None if it passes."""
-    monkeypatch.setattr(frames, "_row_product_diagonal", lambda frame: ([Fraction(8)] * len(raw), raw))
+    product S S* is ``raw`` (every row norm 8), or None if it passes; the
+    check reads the upper triangle, row i from column i."""
+    upper = [r[i:] for i, r in enumerate(raw)]
+    monkeypatch.setattr(frames, "_row_product_diagonal", lambda m, weights: ([Fraction(8)] * len(raw), upper))
     try:
         verify_naimark_pair(steiner_frame(), steiner_complement())
     except FrameError as exc:
@@ -340,3 +348,221 @@ def test_flatness_forces_beta_equals_d():
         cert = certify_etf(frame)
         if cert.flat:
             assert cert.beta == cert.d
+
+
+def row_product_certify_etf(frame: Frame):
+    """certify_etf as it decided tightness before it read the Gram matrix
+    alone: the full row product M M* first, then every squared modulus of G.
+    The differential oracle for the Welch route."""
+    from etf_forge.matrices import matmul, rational_rows
+
+    d, n, m = frame.d, frame.n, frame.matrix
+    g = gram(frame)
+    den, values = rational_rows(g)
+    norms = set()
+    for j in range(n):
+        if values[j][j] is None:
+            raise FrameError(f"vector {j} has an irrational squared norm")
+        norms.add(Fraction(values[j][j], den))
+    if len(norms) != 1:
+        raise FrameError(f"unequal norms: squared norms {sorted(norms)}")
+    beta = norms.pop()
+    if beta <= 0:
+        raise FrameError("zero vectors are not allowed")
+
+    den, raw = rational_rows(matmul(m, m.adjoint()))
+    diag = []
+    for i, w in enumerate(frame.row_weights or (1,) * d):
+        if raw[i][i] is None:
+            raise FrameError(f"row {i} has an irrational squared norm")
+        diag.append(w * Fraction(raw[i][i], den))
+    alphas = set(diag)
+    if len(alphas) != 1:
+        raise FrameError(f"not tight: row squared norms {sorted(alphas)}")
+    alpha = alphas.pop()
+    for i in range(d):
+        for j in range(d):
+            if i != j and raw[i][j] != 0:
+                raise FrameError(f"not tight: rows {i} and {j} are not orthogonal")
+    if alpha != Fraction(n) * beta / d:
+        raise FrameError(f"not tight: scale {alpha} differs from n beta / d")
+
+    den, sq = rational_rows(g, squared=True)
+    gamma = sq[0][1] if n > 1 else 0
+    for j in range(n):
+        for j2 in range(j + 1, n):
+            s = sq[j][j2]
+            if s is None:
+                raise FrameError(f"not equiangular: |<v{j}, v{j2}>|^2 is irrational")
+            if s != gamma:
+                moduli = sorted({Fraction(gamma, den), Fraction(s, den)})
+                raise FrameError(f"not equiangular: squared moduli {moduli} at ({j}, {j2})")
+    gamma_sq = Fraction(gamma, den)
+    if n > 1 and gamma_sq * d * (n - 1) != beta * beta * (n - d):
+        raise FrameError(
+            f"coherence equality violated: gamma^2 = {gamma_sq}, "
+            f"bound requires {beta * beta * welch_bound_sq(d, n)}"
+        )
+    den, sq = rational_rows(m, squared=True)
+    flat = all(Fraction(den) / w == x for row, w in zip(sq, frame.row_weights or (1,) * d) for x in row)
+    return frames.EtfCertificate(d, n, beta, alpha, gamma_sq, True, flat, frame.domain)
+
+
+def _verdicts(frame: Frame):
+    """(certify_etf, oracle) outcomes, each a certificate or a failure
+    message, on fresh copies of the frame, which hold no cached certificate."""
+    out = []
+    for certify in (certify_etf, row_product_certify_etf):
+        try:
+            out.append(certify(Frame(frame.matrix, frame.row_weights)))
+        except FrameError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.fixture(scope="module")
+def workload_frames() -> dict[str, Frame]:
+    """Every frame the benchmark workloads build, weighted complements included."""
+    from etf_forge.constructions import kirkman_etf, standard_kirkman_inputs
+    from etf_forge.qsd_bridge import etf_from_qsd, qsd_from_flat_etf
+    from etf_forge.recipes import recipe, replay
+
+    lines = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(1, 16) if a < b})
+    sts = {"sts15": lines, "sts15_complement": [sorted(set(range(1, 16)) - set(line)) for line in lines]}
+    recipes = {
+        "simplex13": recipe("simplex", hadamard={"generator": "dft", "n": 13}),
+        "harmonic4x4": recipe("harmonic", group=[4, 4], subset=[1, 2, 3, 4, 8, 12]),
+        "harmonic13": recipe("harmonic", group=[13], subset=[0, 1, 3, 9]),
+        "harmonic31": recipe("harmonic", group=[31], subset=[1, 5, 11, 24, 25, 27]),
+        "steiner8": recipe("steiner", design={"generator": "all-pairs", "v": 8}, f={"generator": "sylvester", "e": 1},
+                           g={"generator": "dft", "n": 8}, column=1),
+        **{f"{name}_{branch}": recipe("qsd-to-etf", design={"generator": "blocks", "v": 15, "blocks": blocks},
+                                      branch=branch)
+           for name, blocks in sts.items() for branch in ("plus", "minus")},
+    }
+    out = {}
+    for name, rec in recipes.items():
+        out.update((f"{name}/{role}", frame) for role, frame in replay(rec).frames().items())
+    for u in (4, 12):
+        pair = kirkman_etf(standard_kirkman_inputs(u))
+        out[f"kirkman{u}/primary"], out[f"kirkman{u}/complement"] = pair.primary, pair.complement
+    for role in ("primary", "complement"):
+        qsd = qsd_from_flat_etf(out[f"kirkman4/{role}"]).certificate
+        out[f"kirkman4_{role}_qsd_minus/primary"] = etf_from_qsd(qsd, "minus")[0]
+    return out
+
+
+def test_welch_route_matches_the_row_product_on_the_workload_frames(workload_frames):
+    assert any(f.is_weighted() for f in workload_frames.values())
+    for name, frame in workload_frames.items():
+        new, old = _verdicts(frame)
+        assert isinstance(new, frames.EtfCertificate) and new == old, name
+
+
+def _welch_cases() -> dict[str, Frame]:
+    """Named frames off the success path of certify_etf, and edge shapes."""
+    from etf_forge.constructions import steiner_naimark
+    from etf_forge.designs import all_pairs_design, lift_permutation
+    from etf_forge.constructions import SteinerInputs
+    from etf_forge.hadamard import dft
+    from etf_forge.matrices import cyclo_domain
+
+    r2, q2 = QuadElem(2, 0, 1), quad_domain(2)
+    h8 = [list(r) for r in sylvester(3).body.planes[0]]
+    weighted = steiner_naimark(SteinerInputs(lift_permutation(all_pairs_design(4)), sylvester(1), sylvester(2))).complement
+    off = [list(r) for r in weighted.matrix.planes[0]]
+    off[0][0] = -off[0][0]
+    return {
+        # tight, not equiangular
+        "sylvester_rows_1_2_3": Frame(ExactMatrix.from_rows(h8[1:4])),
+        "two_orthogonal_pairs": Frame(ExactMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])),
+        "dft8_rows_0_1": Frame(dft(8).body.take_rows([0, 1])),
+        # equiangular, not tight
+        "triangle_of_pairs": Frame(ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])),
+        "repeated_row": Frame(ExactMatrix.from_rows([[1, 1, 1, 1], [1, 1, 1, 1]])),
+        # equal norms, neither
+        "row_norms_4_2_2": Frame(ExactMatrix.from_rows([[1, 1, 1, 1], [1, -1, 0, 0], [0, 0, 1, -1]])),
+        "signs_3x5": Frame(ExactMatrix.from_rows([[1, 1, 1, 1, 1], [1, -1, 1, -1, 1], [1, 1, -1, -1, -1]])),
+        "perturbed_flat_6x16": Frame(ExactMatrix.from_rows(perturbed(FLAT_6x16, 3, 5, -FLAT_6x16[3][5]))),
+        # weighted Steiner complements, one an ETF and the others perturbed
+        "steiner4_weighted_complement": weighted,
+        "steiner4_weighted_complement_flipped": Frame(ExactMatrix.from_rows(off), weighted.row_weights),
+        "steiner_6x16_weighted_complement": steiner_complement(),
+        "steiner_6x16_weighted_complement_skew": steiner_complement(perturbed(STEINER_COMPLEMENT_6x16, 0, 0, -1)),
+        # equal rational column norms 6, off-diagonal 6, irrational row norm 2 (3 + 2 sqrt 2)
+        "irrational_row_norm": Frame(ExactMatrix.from_rows([[QuadElem(2, 1, 1)] * 2, [QuadElem(2, 1, -1)] * 2], q2)),
+        "irrational_gamma": Frame(ExactMatrix.from_rows([[1, 1, r2 * Fraction(1, 2) + Fraction(1, 2)], [1, -1, 0]], q2)),
+        "order_8_unequal_angles": Frame(ExactMatrix.from_rows([[1, 1, 1], [1, 0, -1]]).with_domain(cyclo_domain(8))),
+        # edge shapes
+        "d_equals_n_orthogonal": Frame(ExactMatrix.from_rows(h8[:8])),
+        "d_equals_n_not_tight": Frame(ExactMatrix.from_rows([[1, 1], [0, 1]])),
+        "n_2_d_1": Frame(ExactMatrix.from_rows([[1, -1]])),
+        "n_2_d_2": Frame(ExactMatrix.from_rows([[1, 1], [1, -1]])),
+        "d_1": Frame(ExactMatrix.from_rows([[1, -1, 1, 1, -1]])),
+        "d_1_fractions": Frame(ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)]])),
+        "n_1": Frame(ExactMatrix.from_rows([[3]])),
+        "zero_vector": Frame(ExactMatrix.from_rows([[0, 0], [0, 0]])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_welch_cases()))
+def test_welch_route_matches_the_row_product(name):
+    new, old = _verdicts(_welch_cases()[name])
+    assert new == old
+
+
+def test_welch_route_covers_every_failure_kind():
+    verdicts = [_verdicts(frame)[0] for frame in _welch_cases().values()]
+    messages = " ".join(v for v in verdicts if isinstance(v, str))
+    for kind in ("not tight: row squared norms", "are not orthogonal", "not equiangular: squared moduli",
+                 "is irrational", "row 0 has an irrational squared norm", "zero vectors"):
+        assert kind in messages, kind
+    assert any(isinstance(v, frames.EtfCertificate) for v in verdicts)
+
+
+def test_welch_route_matches_the_row_product_on_seeded_frames():
+    # +-1 frames have equal norms d, and {-1, 0, 1} frames with one column
+    # weight equal norms too, so most cases reach the angles; row subsets of
+    # a Sylvester matrix are tight, and sign flips of an ETF stay one.
+    rng = random.Random(13)
+    h8 = [list(r) for r in sylvester(3).body.planes[0]]
+    kinds = {}
+    for case in range(200):
+        kind = case % 4
+        n = rng.randrange(2, 9)
+        d = rng.randrange(1, n + 1)
+        if kind == 0:
+            rows = [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(d)]
+        elif kind == 1:
+            weight = rng.randrange(1, d + 1)
+            cols = [[rng.choice((-1, 1)) if i in rng.sample(range(d), weight) else 0 for i in range(d)] for _ in range(n)]
+            rows = [list(r) for r in zip(*cols)]
+        elif kind == 2:
+            n, d = 8, rng.randrange(1, 9)
+            rows = [[x * s for x, s in zip(h8[i], [rng.choice((-1, 1)) for _ in range(8)])] for i in rng.sample(range(8), d)]
+        else:
+            base = rng.choice((FLAT_6x16, SIMPLEX_3x4, STEINER_6x16))
+            signs = [rng.choice((-1, 1)) for _ in base[0]]
+            rows = [[x * s for x, s in zip(r, signs)] for r in base]
+            if rng.random() < 0.5:
+                i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+                rows[i][j] = rng.choice((-1, 0, 1))
+        new, old = _verdicts(Frame(ExactMatrix.from_rows(rows)))
+        assert new == old, rows
+        kinds[new.split(":")[0] if isinstance(new, str) else "etf"] = 1 + kinds.get(
+            new.split(":")[0] if isinstance(new, str) else "etf", 0)
+    assert {"etf", "not tight", "not equiangular", "unequal norms"} <= kinds.keys(), kinds
+
+
+def test_certify_etf_of_the_u12_primary_is_one_product(workload_frames, monkeypatch):
+    # Tightness follows from the Gram matrix, so the row product of the
+    # 276 x 576 primary is never formed: one popcount triangle, the Gram's.
+    import etf_forge.matrices as matrices
+
+    products = []
+    for name in ("_int_matmul", "_row_packed_matmul"):
+        kernel = getattr(matrices, name)
+        monkeypatch.setattr(matrices, name, lambda *args, _k=kernel, _n=name: products.append((_n, len(args[0]))) or _k(*args))
+    cert = certify_etf(Frame(workload_frames["kirkman12/primary"].matrix))
+    assert (cert.d, cert.n, cert.flat) == (276, 576, True)
+    assert products == [("_int_matmul", 576)]

@@ -16,7 +16,9 @@ from etf_forge.matrices import (
     matmul,
     quad_domain,
     rational_rows,
+    row_product_triangle,
     scaled_identity,
+    squared_moduli,
     vstack,
 )
 from etf_forge.scalars import CycloElem, QuadElem, cyclotomic_polynomial
@@ -429,9 +431,9 @@ def triangles(monkeypatch):
     calls = []
     kernel = matrices._int_matmul
 
-    def spy(a, b, hermitian):
-        rows = kernel(a, b, hermitian)
-        if hermitian and rows is not None:
+    def spy(a, b=None):
+        rows = kernel(a, b)
+        if b is None and rows is not None:
             calls.append(len(a))
         return rows
 
@@ -1024,3 +1026,46 @@ def test_adjoint_and_with_domain_reduce_once_and_match_the_oracle(name, monkeypa
         assert entry_coords(rational.with_domain(domain)) == [[(c[0], 0) for c in row] for row in coords]
     assert (adj.rows, adj.cols) == (m.cols, m.rows)
     assert entry_coords(adj) == [[conjugate(coords[i][j]) for i in range(m.rows)] for j in range(m.cols)]
+
+
+def test_from_flat_rows_are_fresh_lists():
+    from etf_forge.matrices import from_flat
+
+    flat = [1, -1, 0, 2, 3, 4]
+    for plane in (flat, tuple(flat), iter(flat)):
+        m = from_flat(RATIONAL, 3, 1, [plane])
+        assert m.planes[0] == [[1, -1, 0], [2, 3, 4]] and {type(r) for r in m.planes[0]} == {list}
+    flat[0] = 9
+    assert m.planes[0][0][0] == 1
+
+
+@pytest.mark.parametrize("value", [2, -2, 127, -128, 128, -129, 2**70])
+def test_entries_off_the_signs_leave_the_popcount_routes(value, triangles, row_packed):
+    # _sign_masks refuses an entry outside {-1, 0, 1} wherever it sits: a
+    # struct.error outside the signed bytes, an unreadable digit inside them.
+    rng = random.Random(value % 97)
+    rows = [[rng.choice((-1, 1)) for _ in range(9)] for _ in range(4)]
+    rows[-1][-1] = value
+    a = ExactMatrix.from_rows(rows)
+    assert matmul(a, a.adjoint()) == oracle_matmul(a, a.adjoint())
+    assert matmul(a, a.transpose()) == oracle_matmul(a, a.transpose())
+    assert triangles == [] and len(row_packed) == 2
+
+
+def _upper_values(m: ExactMatrix) -> list[list]:
+    """The upper triangle of m m* by the Fraction oracle, each entry its rational value or None."""
+    p = oracle_matmul(m, m.adjoint())
+    return [[p.entry(i, j).rational_value() for j in range(i, p.cols)] for i in range(p.rows)]
+
+
+@pytest.mark.parametrize("name", sorted(_hermitian_cases()))
+def test_row_product_triangle_and_squared_moduli_match_the_oracle(name, triangles):
+    m = _hermitian_cases()[name]
+    den, upper = row_product_triangle(m)
+    assert [[None if x is None else Fraction(x, den) for x in r] for r in upper] == _upper_values(m)
+    assert triangles == ([m.rows] if name in _TRIANGLE_CASES else [])
+    for segments in ([(i, 0) for i in range(m.rows)], [(i, i + 1) for i in range(m.rows)], [(0, 1)]):
+        entries = [m.entry(i, j) for i, s in segments for j in range(s, m.cols)]
+        want = {(x * x.conjugate()).rational_value() for x in entries}
+        den, got = squared_moduli(m, segments)
+        assert {None if x is None else Fraction(x, den) for x in got} == want

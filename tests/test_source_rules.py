@@ -70,6 +70,26 @@ def test_hermitian_products_are_spelled_with_adjoint():
     assert found == []
 
 
+def test_row_products_go_through_the_triangle():
+    # m m* is Hermitian, so row_product_triangle reads it as one triangle,
+    # from m's own rows when they are {-1, 0, 1}; a verifier that spells it
+    # matmul(m, m.adjoint()) builds the adjoint and mirrors a triangle it
+    # reads only half of.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and len(node.args) == 2):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            x, y = node.args
+            if (name == "matmul" and isinstance(y, ast.Call) and not y.args and isinstance(y.func, ast.Attribute)
+                    and y.func.attr == "adjoint" and ast.dump(y.func.value) == ast.dump(x)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_dataclasses_import():
     # Loading `dataclasses` and generating each class's methods cost every CLI
     # child tens of milliseconds; value classes derive from `value.Value`.
