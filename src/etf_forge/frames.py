@@ -4,10 +4,11 @@ A frame is a d x n synthesis matrix whose columns are the vectors.  A row may
 carry a positive rational weight w, meaning the represented row is sqrt(w)
 times the stored one; this keeps constructions whose natural scaling is an
 irrational square root inside the exact scalar domain.  Certification checks
-equal norms, tightness, equiangularity, the coherence equality against the
-bound (n - d) / (d (n - 1)), and flatness, all with zero tolerance.  Nothing
-is ever rescaled implicitly: operations verify the exact scalings they need
-and raise otherwise, because the missing factors are usually irrational.
+equal norms, equiangularity, the coherence equality against the bound
+(n - d) / (d (n - 1)) (together, tightness: no row product is formed) and
+flatness, all with zero tolerance.  Nothing is ever rescaled implicitly:
+operations verify the exact scalings they need and raise otherwise, because
+the missing factors are usually irrational.
 """
 
 from __future__ import annotations
