@@ -21,7 +21,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from .errors import CatalogError, EtfForgeError, RecordLookupError
+from .errors import CatalogError, EtfForgeError, InputError, RecordLookupError
 from .frames import Frame, certify_etf
 from .recipes import Artifact, replay
 from .serialize import (
@@ -107,10 +107,13 @@ class Catalog:
             return []
         out = []
         with open(self.records_file) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    out.append(CatalogRecord.from_obj(json.loads(line)))
+                    try:  # not JSON, not an object, or an object that lacks a key
+                        out.append(CatalogRecord.from_obj(json.loads(line)))
+                    except (ValueError, TypeError, KeyError) as exc:
+                        raise InputError(f"{self.records_file} line {number} is not a catalog record: {exc!r}") from None
         return out
 
     def find(self, record_id: str) -> CatalogRecord:

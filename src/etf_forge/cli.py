@@ -36,8 +36,11 @@ def _print(obj) -> None:
     sys.stdout.write(canonical_json(obj))
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+def _int_list(option: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise InputError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
 def _write_artifact(artifact: Artifact, out_dir: Path, fmt: str) -> None:
@@ -54,7 +57,7 @@ def _construct_recipe(args) -> dict:
         source = {"generator": "dft" if args.dft else "size", "n": args.size}
         return recipe("simplex", hadamard=source, drop_row=args.drop_row)
     if args.construct_cmd == "harmonic":
-        return recipe("harmonic", group=_int_list(args.group), subset=_int_list(args.subset))
+        return recipe("harmonic", group=_int_list("--group", args.group), subset=_int_list("--subset", args.subset))
     if args.construct_cmd == "steiner":
         design = {"generator": args.design, "v": args.v} if args.design != "fano" else {"generator": "fano"}
         if args.design == "fano":
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
         if args.cmd == "feasibility":
             return cmd_feasibility(args)
         return cmd_catalog(args)
-    except (InputError, KeyError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except EtfForgeError as exc:

@@ -224,16 +224,23 @@ def complement_design(design: Design) -> Design:
 class QsdCertificate(Value):
     """A quasi-symmetric design: exactly two block intersection sizes y > x.
 
-    ``block_graph`` (adjacency at intersection size y) and ``design`` are
-    present when the certificate came from scanning an actual design;
-    parameter-level certificates carry None there.
+    ``design`` is present when the certificate came from scanning an actual
+    design; parameter-level certificates carry None there.
     """
 
     params: DesignParams
     x: int
     y: int
-    block_graph: ExactMatrix | None = None
     design: "Design | None" = None
+
+    @cached_property
+    def block_graph(self) -> ExactMatrix | None:
+        """The blocks' adjacency at intersection size y, built on request; None without a design."""
+        if self.design is None:
+            return None
+        _, upper = row_product_triangle(self.design.incidence)
+        marks = ExactMatrix.from_rows([[0] * (i + 1) + [int(s == self.y) for s in row[1:]] for i, row in enumerate(upper)], RATIONAL)
+        return marks + marks.transpose()  # the y entries of the upper triangle, mirrored
 
     def __post_init__(self):
         p = self.params
@@ -271,12 +278,10 @@ def verify_qsd(design: Design) -> QsdCertificate:
             f"expected exactly two intersection sizes, found {sorted(sizes)}"
         )
     x, y = sorted(sizes)
-    marks = ExactMatrix.from_rows([[0] * (i + 1) + [int(s == y) for s in row[1:]] for i, row in enumerate(upper)], RATIONAL)
-    a = marks + marks.transpose()  # the y entries of the upper triangle, mirrored
     # X X^T = (k - x) I + (y - x) A + x J holds by construction: its diagonal
-    # is the block size k (verify_bibd), every other entry is x or y, and A
-    # marks the y entries.
-    return QsdCertificate(p, x, y, a, design)
+    # is the block size k (verify_bibd), every other entry is x or y, and the
+    # block graph A marks the y entries.
+    return QsdCertificate(p, x, y, design)
 
 
 class SrgParams(Value):

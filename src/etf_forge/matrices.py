@@ -19,11 +19,12 @@ zero masks and squared moduli off the planes for the verifiers, and
 ``row_product_triangle`` the upper triangle of m m*.  Work per entry is done
 once per distinct entry (``per_entry``, ``squared_moduli``): frames repeat few.
 
-A product takes one of three integer routes.  {-1, 1} operands take one XOR
-popcount per entry; a {-1, 0, 1} matrix times its ``adjoint()`` computes one
-triangle (two AND popcounts per entry when an entry is zero) and mirrors it,
-and ``row_product_triangle`` takes that triangle from the rows alone.  Every other
-product is row-packed: each distinct entry's planes are one integer
+A product takes one of two integer routes, chosen from the operands' values
+alone.  A {-1, 0, 1} matrix times its own transpose computes one triangle by
+popcounts (two AND popcounts per entry when an entry is zero) and mirrors it,
+and ``row_product_triangle`` takes that triangle from the rows alone; how b
+was built (``adjoint()``, ``transpose()`` or fresh planes) plays no part.
+Every other product is row-packed: each distinct entry's planes are one integer
 (Kronecker substitution), each row of b is one integer with entry j at slot
 offset j * width, each output row is one big-integer multiply-accumulate
 unpacked a byte buffer at a time, and the whole product is reduced in one
@@ -60,10 +61,9 @@ class ExactMatrix:
     Entry (i, j) is sum_k planes[k][i][j] b_k / den over the domain's basis
     b_0 = 1, b_1, ...  The constructor takes any den > 0 and integer planes
     and brings them to canonical form; planes are shared, never mutated.
-    ``adjoint_of`` is the matrix whose ``adjoint()`` made this one, else None.
     """
 
-    __slots__ = ("domain", "rows", "cols", "den", "planes", "adjoint_of")
+    __slots__ = ("domain", "rows", "cols", "den", "planes")
 
     def __init__(self, domain: Domain, den: int, planes: list[list[list[int]]]):
         if not (planes and planes[0] and planes[0][0]):
@@ -79,7 +79,6 @@ class ExactMatrix:
         self.cols = len(planes[0][0])
         self.den = den
         self.planes = planes
-        self.adjoint_of = None
 
     # -- constructors -------------------------------------------------
 
@@ -145,15 +144,11 @@ class ExactMatrix:
         return ExactMatrix(self.domain, self.den, [[list(c) for c in zip(*p)] for p in self.planes])
 
     def adjoint(self) -> "ExactMatrix":
-        """Conjugate transpose, the conjugate reduced in one call; its
-        ``adjoint_of`` lets ``matmul`` of two {-1, 0, 1} factors take one triangle."""
+        """Conjugate transpose, the conjugate reduced in one call."""
         if len(self.planes) == 1:  # rational entries are real
-            t = self.transpose()
-        else:  # the transpose's flat planes are these columns in turn
-            flat, domain = [list(chain.from_iterable(zip(*p))) for p in self.planes], self.domain
-            t = from_flat(domain, self.rows, self.den, domain.reduce(domain.conjugate(flat, [0] * len(flat[0]))))
-        t.adjoint_of = self
-        return t
+            return self.transpose()
+        flat, domain = [list(chain.from_iterable(zip(*p))) for p in self.planes], self.domain  # the columns in turn
+        return from_flat(domain, self.rows, self.den, domain.reduce(domain.conjugate(flat, [0] * len(flat[0]))))
 
     def take_rows(self, row_indices) -> "ExactMatrix":
         rows = list(row_indices)
@@ -284,36 +279,30 @@ def squared_moduli(m: ExactMatrix, segments) -> tuple[int, set]:
 _NONZERO, _NEGATIVE = (b"0" + one + b"2" * 253 + b"1" for one in (b"1", b"0"))  # 0, 1, -1 as signed bytes; "2" is no binary digit
 
 
-def _sign_masks(vectors, signs_only: bool) -> tuple[list[int], list[int], bool] | None:
+def _sign_masks(vectors) -> tuple[list[int], list[int], bool] | None:
     """(support, negative) bitmasks of equal-length vectors and whether no
-    entry is zero; None when an entry is outside {-1, 0, 1}, or is zero and
-    ``signs_only``."""
+    entry is zero; None when an entry is outside {-1, 0, 1}."""
     pack_row = struct.Struct(f"{len(vectors[0])}b").pack
     try:
         codes = [pack_row(*v) for v in vectors]  # an entry outside the signed bytes is a struct.error
-        full = not any(0 in c for c in codes)
-        if signs_only and not full:
-            return None
         support = [int(c.translate(_NONZERO), 2) for c in codes]  # any byte but 0, 1 and -1 reads "2"
-        return support, [int(c.translate(_NEGATIVE), 2) for c in codes], full
+        return support, [int(c.translate(_NEGATIVE), 2) for c in codes], not any(0 in c for c in codes)
     except (struct.error, ValueError):
         return None
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]] | None = None) -> list[list[int]] | None:
-    """Integer products by bitmask popcounts, or None off their entries:
-    a b for {-1, 1} operands, or with b None the upper triangle of a a^T
-    for {-1, 0, 1} entries, row i holding the entries j >= i (two AND
-    popcounts per entry when an entry is zero)."""
-    signs_a = _sign_masks(a, b is not None)
-    signs_b = signs_a if b is None else signs_a and _sign_masks(list(zip(*b)), True)
-    if not signs_b:
+def _int_matmul(a: list[list[int]]) -> list[list[int]] | None:
+    """The upper triangle of a a^T by bitmask popcounts, row i holding the
+    entries j >= i, or None when an entry is outside {-1, 0, 1} (two AND
+    popcounts per entry when an entry is zero, one XOR popcount when none is)."""
+    signs = _sign_masks(a)
+    if signs is None:
         return None
-    (sa, na, full), (sb, nb, _), n = signs_a, signs_b, len(a[0])
+    (support, negative, full), n = signs, len(a[0])
     if full:  # a product of signs is +1 unless they differ
-        return [[n - 2 * (x ^ y).bit_count() for y in nb[i if b is None else 0 :]] for i, x in enumerate(na)]
-    return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(sb[i:], nb[i:])]
-            for i, (s, x) in enumerate(zip(sa, na))]
+        return [[n - 2 * (x ^ y).bit_count() for y in negative[i:]] for i, x in enumerate(negative)]
+    return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(support[i:], negative[i:])]
+            for i, (s, x) in enumerate(zip(support, negative))]
 
 
 def row_product_triangle(m: ExactMatrix) -> tuple[int, list[list[int | None]]]:
@@ -354,25 +343,25 @@ def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[int]]:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product over the unified domain, by one of three routes.
+    """Exact matrix product over the unified domain, by one of two routes
+    chosen from the operands' values alone.
 
-    Products of {-1, 1} matrices take one XOR popcount per entry, and a
-    matrix times its ``adjoint()`` with entries in {-1, 0, 1} computes one
-    triangle by popcounts and mirrors it.  Every other product is
-    row-packed: each entry's planes are one polynomial (Kronecker
-    substitution), each row of the integer product is one big-integer
-    multiply-accumulate, and each output entry is reduced once by the
-    domain's modulus.  The denominator is the product of the two.
+    A {-1, 0, 1} matrix times its own transpose (b's plane is a's plane
+    transposed, whatever built it) computes one triangle by popcounts and
+    mirrors it.  Every other product is row-packed: each entry's planes are
+    one polynomial (Kronecker substitution), each row of the integer product
+    is one big-integer multiply-accumulate, and each output entry is reduced
+    once by the domain's modulus.  The denominator is the product of the two.
     """
     if a.cols != b.rows:
         raise DomainError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    hermitian = b.adjoint_of is a or a.adjoint_of is b
     domain = a.domain.unify(b.domain)
     a, b = a.with_domain(domain), b.with_domain(domain)
     den = a.den * b.den
     if len(a.planes) == len(b.planes) == 1:
-        rows = _int_matmul(a.planes[0], None if hermitian else b.planes[0])
-        if rows and hermitian:  # row i starts at column i; entry (i, j < i) is the real entry (j, i)
+        pa, pb = a.planes[0], b.planes[0]  # b = a^T exactly, up to the first column of b that differs
+        rows = _int_matmul(pa) if a.rows == b.cols and all(map(operator.eq, map(list, zip(*pb)), pa)) else None
+        if rows:  # row i starts at column i; entry (i, j < i) is the real entry (j, i)
             for i, r in enumerate(rows):  # in place: the rows above row i are already whole
                 r[:0] = [rows[j][i] for j in range(i)]
         return ExactMatrix(domain, den, [rows or _row_packed_matmul(a, b)])

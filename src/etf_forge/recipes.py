@@ -35,7 +35,7 @@ from .errors import EtfForgeError, HadamardError, InputError
 from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
-from .serialize import RECIPE_SCHEMA, checked_design
+from .serialize import MAX_SIDE, RECIPE_SCHEMA, checked_design
 from .value import Value
 
 
@@ -51,9 +51,6 @@ class Artifact(Value):
     def frames(self) -> dict[str, Frame]:
         """The constructed frames by role: the primary, and a pair's complement."""
         return {"primary": self.primary} | ({"complement": self.pair.complement} if self.pair else {})
-
-
-MAX_SIDE = 1 << 13  # the longest matrix side a recipe may ask for
 
 
 def recipe(kind: str, **inputs) -> dict:
@@ -124,8 +121,7 @@ def design_from_spec(spec) -> Design:
     if gen == "blocks":
         blocks = [tuple(x - 1 for x in block) for block in _ints(spec["blocks"], _ints)]
         classes = spec.get("parallel_classes")
-        v = _in_range("design v", _int(spec["v"]), 1, MAX_SIDE)
-        return checked_design(v, blocks, _ints(classes, _ints) if classes else None)
+        return checked_design(_int(spec["v"]), blocks, _ints(classes, _ints) if classes else None)
     raise InputError(f"unknown design generator {gen!r}")
 
 

@@ -36,6 +36,7 @@ CERTIFICATE_SCHEMA = "etf-forge/certificate/v1"
 FEASIBILITY_SCHEMA = "etf-forge/feasibility/v1"
 RECIPE_SCHEMA = "etf-forge/recipe/v1"
 PAIR_SCHEMA = "etf-forge/pair/v1"
+MAX_SIDE = 1 << 13  # the longest matrix side a recipe or a design document may ask for
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -171,8 +172,10 @@ def _json_ints(values) -> tuple[int, ...]:
 
 
 def checked_design(v: int, blocks, classes=None) -> Design:
-    """The design on the 0-based ``blocks``; a vertex label outside 1..v or a
-    repeated vertex is bad input, not a failed design identity."""
+    """The design on the 0-based ``blocks``; v outside 1..MAX_SIDE (checked first), a vertex
+    label outside 1..v or a repeated vertex is bad input, not a failed design identity."""
+    if not 1 <= v <= MAX_SIDE:
+        raise InputError(f"design v must lie in 1..{MAX_SIDE}, got {v}")
     for i, block in enumerate(blocks, 1):
         if min(block, default=0) < 0 or max(block, default=0) >= v:
             raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")

@@ -575,3 +575,53 @@ def test_verify_bibd_reads_designs_and_matrices_through_load(tmp_path, capsys, m
         assert got == _verify_bibd_by_json(path), name
         assert got[0] == {"design": 0, "fano_design": 0, "canonical_incidence": 0, "spaced_incidence": 0,
                           "failing_incidence": 1}.get(name, 2), name
+
+
+def test_design_documents_bound_their_vertex_count(tmp_path, capsys):
+    # A design document's v is checked before its incidence matrix is built:
+    # 10**30 once overflowed an index and 10**8 allocated for minutes.
+    good = design_to_obj(all_pairs_design(6))
+    for v in (10 ** 30, 10 ** 8):
+        path = tmp_path / f"v{v}.json"
+        path.write_text(json.dumps(dict(good, v=v, blocks=[[1, 2]])))
+        for argv in (["verify", "qsd", str(path)], ["verify", "bibd", str(path)],
+                     ["construct", "qsd-to-etf", "--design", str(path), "--out", str(tmp_path / "o")]):
+            code, stdout, err = run(capsys, *argv)
+            _assert_input_error(code, err)
+            assert f"design v must lie in 1..8192, got {v}" in err and stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_input_outside_the_recipes_is_exit_2(tmp_path, capsys):
+    # cli.main maps only InputError and OSError to exit 2, so every bad input
+    # is turned into an InputError where it is read, named by its place.
+    code, stdout, err = run(capsys, "construct", "harmonic", "--group", "2,x", "--subset", "0",
+                            "--out", str(tmp_path / "h"))
+    _assert_input_error(code, err)
+    assert "--group must be comma-separated integers, got '2,x'" in err and stdout == ""
+    good = {"id": "ab12", "kind": "simplex", "params": {}, "certificates": {}, "created_at": "", "payload": "payloads/ab12"}
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    for line, reason in ((json.dumps({k: v for k, v in good.items() if k != "kind"}), "KeyError('kind')"),
+                         ("{not json", "JSONDecodeError("), (json.dumps(list(good)), "TypeError(")):
+        (cat / "records.jsonl").write_text(json.dumps(good) + "\n\n" + line + "\n")
+        for argv in (["list"], ["show", "ab"], ["audit"]):
+            code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), *argv)
+            _assert_input_error(code, err)
+            assert f"records.jsonl line 3 is not a catalog record: {reason}" in err and stdout == ""
+
+
+def test_a_value_error_inside_a_verifier_is_not_blamed_on_the_input(tmp_path, capsys, monkeypatch):
+    # A fault in the mathematics must surface as a traceback, not as exit 2.
+    import pytest
+
+    import etf_forge.cli as cli
+
+    run(capsys, "construct", "simplex", "--size", "4", "--out", str(tmp_path / "s"))
+
+    def broken(frame):
+        raise ValueError("a fault inside certify_etf")
+
+    monkeypatch.setattr(cli, "certify_etf", broken)
+    with pytest.raises(ValueError, match="a fault inside certify_etf"):
+        main(["verify", "etf", str(tmp_path / "s" / "primary.json")])

@@ -150,6 +150,25 @@ def test_verify_qsd_all_pairs_6():
     assert cert.as_tuple() == (6, 2, 1, 5, 15, 0, 1)
 
 
+def test_qsd_block_graph_is_built_on_request(monkeypatch):
+    # verify_qsd forms X X^T once; the b x b block graph costs a second
+    # triangle only when cert.block_graph is read, and is then kept.
+    import etf_forge.designs as designs
+
+    design = complement_design(all_pairs_design(6))
+    kernel, calls = designs.row_product_triangle, []
+    monkeypatch.setattr(designs, "row_product_triangle", lambda m: calls.append(m.rows) or kernel(m))
+    cert = verify_qsd(design)
+    assert calls == [15]
+    graph = cert.block_graph
+    assert graph is cert.block_graph and calls == [15, 15]
+    blocks = [set(b) for b in design.blocks]
+    assert graph == ExactMatrix.from_rows([[int(i != j and len(a & b) == cert.y) for j, b in enumerate(blocks)]
+                                           for i, a in enumerate(blocks)])
+    assert cert == QsdCertificate(cert.params, cert.x, cert.y, design)
+    assert QsdCertificate(cert.params, cert.x, cert.y).block_graph is None
+
+
 def test_verify_qsd_lambda_one_always_01():
     cert = verify_qsd(all_pairs_design(5))
     assert (cert.x, cert.y) == (0, 1)

@@ -431,9 +431,9 @@ def triangles(monkeypatch):
     calls = []
     kernel = matrices._int_matmul
 
-    def spy(a, b=None):
-        rows = kernel(a, b)
-        if b is None and rows is not None:
+    def spy(a):
+        rows = kernel(a)
+        if rows is not None:
             calls.append(len(a))
         return rows
 
@@ -455,11 +455,6 @@ def row_packed(monkeypatch):
 
     monkeypatch.setattr(matrices, "_row_packed_matmul", spy)
     return calls
-
-
-def unlinked(m: ExactMatrix) -> ExactMatrix:
-    """An equal matrix that records no adjoint source."""
-    return ExactMatrix(m.domain, m.den, m.planes)
 
 
 def _sign_matrix(rng, rows, cols, zeros):
@@ -492,22 +487,17 @@ def test_hermitian_products_take_one_triangle_and_match_the_oracle(name, triangl
     # Hermitian product takes the row-packed route in full.
     a = _hermitian_cases()[name]
     star = a.adjoint()
-    assert star.adjoint_of is a and a.adjoint_of is None
     for x, y in ((star, a), (a, star)):
         want = oracle_matmul(x, y)
         assert matmul(x, y) == want
         assert triangles == ([x.rows] if name in _TRIANGLE_CASES else [])
         triangles.clear()
-        assert matmul(unlinked(x), unlinked(y)) == want  # the full route on equal operands
-        assert triangles == []
     near = [[list(r) for r in p] for p in star.planes]
     near[0][-1][0] += 1
     near = ExactMatrix(star.domain, star.den, near)  # a* except at one entry
     assert matmul(a, near) == oracle_matmul(a, near) != want
     assert triangles == []
-    # Of the five products, unlinked {-1, 1} operands take XOR popcounts, and
-    # unlinked ones with a zero the row-packed route; ``near`` has an entry 2.
-    assert len(row_packed) == {"q_full_support": 1, "q_signs_and_zeros": 3}.get(name, 5)
+    assert len(row_packed) == (1 if name in _TRIANGLE_CASES else 3)  # ``near`` is never a triangle
 
 
 def _row_packed_cases():
@@ -579,9 +569,37 @@ def test_popcount_route_matches_the_oracle(size, zeros, triangles):
     b = _sign_matrix(rng, inner, size, zeros)
     assert matmul(a, b) == oracle_matmul(a, b)
     assert matmul(b, a) == oracle_matmul(b, a)
+    assert triangles == [size, inner] * (b == a.transpose())  # a Gram product only when b is a^T
+    triangles.clear()
     for x, y in ((a, a.adjoint()), (b.adjoint(), b)):
-        assert matmul(x, y) == oracle_matmul(x, y) == matmul(unlinked(x), unlinked(y))
-    assert triangles == [size, size]
+        assert matmul(x, y) == oracle_matmul(x, y) == matmul(y.adjoint(), x.adjoint())
+    assert triangles == [size] * 4
+
+
+def test_route_follows_the_operand_values_not_their_spelling(triangles, row_packed):
+    # matmul takes the popcount triangle exactly when b's plane is a's plane
+    # transposed and the entries are in {-1, 0, 1}, however b was built.
+    rng = random.Random(14)
+    for zeros in (False, True):
+        a = _sign_matrix(rng, 6, 9, zeros)
+        want = oracle_matmul(a, a.adjoint())
+        copied = ExactMatrix(a.domain, a.den, [[list(c) for c in zip(*p)] for p in a.planes])
+        for b in (a.adjoint(), a.transpose(), copied):
+            assert matmul(a, b) == want
+        assert matmul(a, a.transpose().scale(Fraction(1, 3))) == want.scale(Fraction(1, 3))
+        assert triangles == [6] * 4 and row_packed == []
+        near = [[list(c) for c in zip(*p)] for p in a.planes]
+        near[0][0][-1] = -near[0][0][-1] or 1  # a^T except in its last column, still a sign
+        near = ExactMatrix(a.domain, a.den, near)
+        other = _sign_matrix(rng, 9, 6, zeros)  # the Gram shape, but not a^T
+        for b in (near, other):
+            assert matmul(a, b) == oracle_matmul(a, b) != want
+        square = _sign_matrix(rng, 6, 6, False)
+        assert square != square.transpose()
+        assert matmul(square, square) == oracle_matmul(square, square)
+        assert triangles == [6] * 4 and row_packed == [(6, 9, 6), (6, 9, 6), (6, 6, 6)]
+        triangles.clear()
+        row_packed.clear()
 
 
 def test_identity_product():

@@ -53,8 +53,8 @@ CASES = {
     AbelianGroup: (((2, 4),), ((4, 2),), "AbelianGroup(orders=(2, 4))", True),
     DesignParams: ((6, 2, 1, 5, 15), (6, 2, 1, 5, 16), P_REPR, True),
     PermutationLift: ((6, 2, 4, 3, LIFT_SLOTS), (6, 2, 4, 3, LIFT_SLOTS[:-1]), LIFT_REPR, True),
-    QsdCertificate: ((P, 0, 1, None, None), (P, 0, 1, None, DESIGN),
-                     f"QsdCertificate(params={P_REPR}, x=0, y=1, block_graph=None, design=None)", True),
+    QsdCertificate: ((P, 0, 1, None), (P, 0, 1, DESIGN),
+                     f"QsdCertificate(params={P_REPR}, x=0, y=1, design=None)", True),
     SrgParams: ((15, 8, 4, 4, Q(2), Q(-2)), (15, 8, 4, 4, Q(-2), Q(2)),
                 "SrgParams(b=15, a=8, c=4, mu=4, theta1=2, theta2=-2)", False),
     EtfCertificate: ((6, 16, Fraction(6), Fraction(16), Fraction(4), True, True, cyclo_domain(1)),
@@ -75,8 +75,8 @@ CASES = {
                  f"QsdEtfLink(w=Fraction(2, 1), k=2, delta=1, eps=-2, branch='plus', params={P_REPR}, x=0, y=1)", False),
     FlatEtfExtraction: ((QsdCertificate(P, 0, 1), DESIGN, M2x4, 2, 2, 0, 1),
                         (QsdCertificate(P, 0, 1), DESIGN, M2x4, 3, 2, 0, 1),
-                        f"FlatEtfExtraction(certificate=QsdCertificate(params={P_REPR}, x=0, y=1, block_graph=None, "
-                        "design=None), design=Design(v=4, k=2, lam=1, r=3, b=6), "
+                        f"FlatEtfExtraction(certificate=QsdCertificate(params={P_REPR}, x=0, y=1, design=None), "
+                        "design=Design(v=4, k=2, lam=1, r=3, b=6), "
                         "signed_matrix=ExactMatrix(CycloDomain(order=1), 2x4), w=2, k=2, x=0, y=1)", False),
     RadicalCheck: ((Fraction(9), True, 3, True), (Fraction(8), False, None, None), RC9_REPR, True),
     FeasibilityReport: ((6, 16, RC9, RC9, RC9, 0), (6, 16, RC9, RC9, RC9, 4),
@@ -92,7 +92,7 @@ CASES = {
 }
 FIELDS = {cls: names.split() for cls, names in {
     CycloDomain: "order", QuadDomain: "radicand", HadamardMatrix: "n body kind", AbelianGroup: "orders",
-    DesignParams: "v k lam r b", PermutationLift: "b k v r slots", QsdCertificate: "params x y block_graph design",
+    DesignParams: "v k lam r b", PermutationLift: "b k v r slots", QsdCertificate: "params x y design",
     SrgParams: "b a c mu theta1 theta2", EtfCertificate: "d n beta alpha gamma_sq welch_equality flat domain",
     NaimarkPair: "primary complement alpha", SteinerInputs: "lift f g column", KirkmanInputs: "steiner e design",
     DifferenceSet: "group elements lam", QsdEtfLink: "w k delta eps branch params x y",
