@@ -9,9 +9,9 @@ quadratic entry is [a_num, a_den, b_num, b_den].  Vertices in design files
 are 1-based; parallel classes hold 0-based indices into the block list.
 
 A matrix document is written as text from the planes (``matrix_text``).
-``load_matrix`` reads a canonical rational-integer one from its text, kept
-only if it writes back the same text, and any other through ``json``; every
-document is read by ``load`` and written by ``dump``.
+``load_matrix`` reads the canonical text of a {-1, 0, 1} matrix at a fixed
+stride and any other document through ``json``, with one verdict either way;
+every document is read by ``load`` and written by ``dump``.
 """
 
 from __future__ import annotations
@@ -221,11 +221,7 @@ def certificate_to_obj(cert: EtfCertificate) -> dict:
 
 def feasibility_to_obj(report: FeasibilityReport) -> dict:
     def radical(check):
-        return {
-            "integer": check.is_integer,
-            "value": check.value,
-            "odd": check.odd,
-        }
+        return {"integer": check.is_integer, "value": check.value, "odd": check.odd}
 
     return {
         "schema": FEASIBILITY_SCHEMA,
@@ -305,31 +301,35 @@ def load(path, decode=None):
                 gc.enable()
 
 
-def _integer_matrix(text: str) -> ExactMatrix | None:
-    """The rational-integer matrix whose canonical document is ``text``, else
-    None.  Each entry is [[0,n,1]] or a zero written [], so the entries split
-    at ,1]],[[0, into the n, each distinct n read once; int() also reads +1,
-    1_0, 01 and -0, so the matrix counts only if it writes back ``text``."""
-    head, _, rest = text.partition(',"domain":{"kind":"cyclotomic","order":1},"entries":[')
-    body, _, tail = rest.rpartition('],"rows":')
+def _sign_matrix(text: str) -> ExactMatrix | None:
+    """The {-1, 0, 1} matrix whose canonical document is ``text``, else None.  With ``[]`` written
+    ``[[0,c,1]]`` for c = 0xfe and ``-1`` as c = 0xff (bytes an ASCII text never holds), every entry must
+    be ``[[0,c,1]],`` with c in {1, 0xfe, 0xff}, so exactly what ``matrix_text`` writes is taken."""
+    head, _, rest = text.partition(',"domain":')
     try:
-        cols, rows = int(head.removeprefix('{"cols":')), int(tail.partition(",")[0])
-        ns = body.replace("[]", "[[0,0,1]]")[4:-4].split(",1]],[[0,")
-        if len(ns) != rows * cols:
-            return None
-        value = {n: int(n) for n in set(ns)}.__getitem__
-        m = from_flat(RATIONAL, cols, 1, [list(map(value, ns))])
-    except (ValueError, DomainError):
+        cols, rows = int(head.removeprefix('{"cols":')), int(rest.rpartition('],"rows":')[2].partition(",")[0])
+    except ValueError:
         return None
-    return m if matrix_text(m) == text else None
+    head = f'{{"cols":{cols},"domain":{{"kind":"cyclotomic","order":1}},"entries":['
+    tail, n = f'],"rows":{rows},"schema":"{MATRIX_SCHEMA}"}}\n', rows * cols
+    if not text.isascii() or min(rows, cols) < 1 or not (text.startswith(head) and text.endswith(tail)):
+        return None
+    body = text[len(head) : len(text) - len(tail)].encode()
+    fixed = body.replace(b"[]", b"[[0,\xfe,1]]").replace(b"-1", b"\xff") + b","
+    if len(fixed) != 10 * n:  # before any buffer of n entries is built
+        return None
+    codes, template = fixed[4::10], bytearray(fixed)
+    template[4::10] = b"1" * n
+    if template != b"[[0,1,1]]," * n or codes.translate(None, b"1\xfe\xff"):
+        return None
+    return from_flat(RATIONAL, cols, 1, [memoryview(codes.translate(bytes.maketrans(b"1\xfe", b"\1\0"))).cast("b").tolist()])
 
 
 def _decode_matrix(fh, designs: bool = False):
-    """The matrix of a matrix document; with ``designs``, the JSON value of
-    a design document instead."""
+    """The matrix of a matrix document (see ``_sign_matrix``, else ``json``);
+    with ``designs``, the JSON value of a design document instead."""
     text = fh.read()
-    m = _integer_matrix(text)
-    if m is not None:
+    if (m := _sign_matrix(text)) is not None:
         return m
     obj = json.loads(text)
     return obj if designs and isinstance(obj, dict) and obj.get("schema") == DESIGN_SCHEMA else matrix_from_obj(obj)

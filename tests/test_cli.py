@@ -1,8 +1,23 @@
 import json
+import random
 
 from etf_forge.cli import main
-from etf_forge.designs import all_pairs_design
-from etf_forge.serialize import canonical_json, design_to_obj, load
+from etf_forge.constructions import SteinerInputs, steiner_etf
+from etf_forge.designs import all_pairs_design, lift_permutation
+from etf_forge.errors import InputError
+from etf_forge.frames import Frame, certify_etf
+from etf_forge.hadamard import sylvester
+from etf_forge.matrices import ExactMatrix
+from etf_forge.serialize import (
+    canonical_json,
+    certificate_to_obj,
+    design_to_obj,
+    load,
+    matrix_from_obj,
+    matrix_text,
+)
+
+from test_frames import FLAT_6x16
 
 
 def run(capsys, *argv):
@@ -625,3 +640,68 @@ def test_a_value_error_inside_a_verifier_is_not_blamed_on_the_input(tmp_path, ca
     monkeypatch.setattr(cli, "certify_etf", broken)
     with pytest.raises(ValueError, match="a fault inside certify_etf"):
         main(["verify", "etf", str(tmp_path / "s" / "primary.json")])
+
+
+# Entry texts a mutation may put in place of a canonical entry: canonical
+# signs and zeros, other integers, non-canonical spellings and non-entries.
+FUZZ_ENTRIES = ["[[0,1,1]]", "[[0,-1,1]]", "[]", "[[0,0,1]]", "[[0,2,1]]", "[[0,1,2]]", "[[0,2,2]]", "[[1,1,1]]",
+                "[[0,1,0]]", "[[0,-1,1],[0,2,1]]", "[[0,+1,1]]", "[[0,01,1]]", "[[0,1.0,1]]", "[0,1,1]", "1", "null",
+                '"1"', "[[]]"]
+FUZZ_SHAPES = ["0", "-1", "1", "2", "5", "7", "15", "17", "96", "1000000", "1099511627776", "1.0", '"6"', "true",
+               "null", "06", "+6", "[]"]
+
+
+def _mutated_document(text: str, rows: int, cols: int, rng: random.Random) -> str:
+    """``text`` with one seeded edit: an entry, a sign, a separator, rows or cols, a truncation or a duplication."""
+    head, _, rest = text.partition('"entries":[')
+    body, _, tail = rest.rpartition('],"rows":')
+    entries = [json.dumps(e, separators=(",", ":")) for e in json.loads(f"[{body}]")]
+    i = rng.randrange(len(entries))
+    kind = rng.choice(["entry", "sign", "separator", "shape", "truncate", "duplicate"])
+    if kind == "entry":
+        entries[i] = rng.choice(FUZZ_ENTRIES)
+    elif kind == "sign":
+        entries[i] = "[[0,1,1]]" if entries[i] == "[[0,-1,1]]" else "[[0,-1,1]]"
+    elif kind == "duplicate" and rng.random() < 0.5:
+        entries.insert(i, entries[i])
+    text = f'{head}"entries":[{",".join(entries)}],"rows":{tail}'
+    if kind == "separator":
+        at = rng.choice([j for j, c in enumerate(text) if c in ",:[]{}"])
+        return text[:at] + rng.choice(["", ",", ",,", " ", ";", "[", "]", ":"]) + text[at + 1 :]
+    if kind == "shape":
+        key, value = rng.choice([("cols", cols), ("rows", rows)])
+        return text.replace(f'"{key}":{value}', f'"{key}":{rng.choice(FUZZ_SHAPES)}', 1)
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    if kind == "duplicate":
+        at = rng.randrange(len(text))
+        return text[: at + 1] + text[at - rng.randrange(20) : at + 1] + text[at + 1 :]
+    return text
+
+
+def test_mutated_sign_documents_exit_cleanly_through_verify_etf(tmp_path, capsys):
+    # Seeded edits of a +-1 and a {-1, 0, 1} ETF document: every exit code is
+    # 0, 1 or 2 with no traceback, and exit 0 only when json and
+    # matrix_from_obj read the edited file to a matrix with that certificate.
+    steiner = steiner_etf(SteinerInputs(lift_permutation(all_pairs_design(4)), sylvester(1), sylvester(2))).matrix
+    rng = random.Random(1515)
+    path = tmp_path / "m.json"
+    codes = []
+    for m in (ExactMatrix.from_rows(FLAT_6x16), steiner):
+        text = matrix_text(m)
+        for _ in range(100):
+            edited = _mutated_document(text, m.rows, m.cols, rng)
+            path.write_text(edited)
+            code, stdout, err = run(capsys, "verify", "etf", str(path))
+            assert code in (0, 1, 2) and "Traceback" not in err, edited
+            try:
+                parsed = matrix_from_obj(json.loads(edited))
+            except (InputError, ValueError):
+                parsed = None
+            if code == 0:
+                assert parsed is not None and json.loads(stdout) == certificate_to_obj(certify_etf(Frame(parsed)))
+            else:
+                assert stdout == "" and err.count("\n") == 1, edited
+            assert (code == 2) == (parsed is None), edited
+            codes.append(code)
+    assert set(codes) == {0, 1, 2}

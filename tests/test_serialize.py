@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -175,8 +176,8 @@ def steiner_v24_document() -> dict:
 
 # -- the text reader against the json path ------------------------------
 #
-# load_matrix reads a canonical rational-integer document from its text and
-# keeps the matrix only if matrix_text writes the same text back; anything
+# load_matrix reads a canonical document of a {-1, 0, 1} matrix from its text
+# at a fixed stride, taking exactly the texts matrix_text writes; anything
 # else goes to json.loads and matrix_from_obj.  Each document below is read
 # both ways, and both must give one matrix or one error message.
 
@@ -198,14 +199,18 @@ def _text_path(text):
     return serialize._decode_matrix(io.StringIO(text))
 
 
+def _is_sign_matrix(m) -> bool:
+    return m.domain == RATIONAL and m.int_rows() is not None and set().union(*m.int_rows()) <= {-1, 0, 1}
+
+
 def _assert_paths_agree(text) -> bool:
     """Both readers give one matrix or one error message for ``text``; returns
     whether the text reader took it without ``json``, which it must do exactly
-    for the canonical documents of rational-integer matrices."""
+    for the canonical documents of {-1, 0, 1} matrices."""
     m, want = _outcome(_json_path, text)
     assert _outcome(_text_path, text)[1] == want
-    taken = serialize._integer_matrix(text) is not None
-    assert taken == (m is not None and m.domain == RATIONAL and m.int_rows() is not None and matrix_text(m) == text)
+    taken = serialize._sign_matrix(text) is not None
+    assert taken == (m is not None and _is_sign_matrix(m) and matrix_text(m) == text)
     return taken
 
 
@@ -256,7 +261,7 @@ def test_integer_fast_path_agrees_with_the_general_path(workload_documents, stei
     orders = {json.loads(t)["domain"].get("order") for t in docs.values()}
     assert kinds == {"cyclotomic", "quadratic"} and orders >= {1, 4, 5, 8, 12, 13, 31}
     taken = {name for name, text in docs.items() if _assert_paths_agree(text)}
-    # Every canonical integer document is read from its text, zeros included;
+    # Every canonical {-1, 0, 1} document is read from its text, zeros included;
     # the rational but non-integer QSD frames are not.
     large = {"kirkman12/primary", "kirkman12/complement", "steiner24"}
     assert large <= taken and not any(name.startswith("kirkman4_") for name in taken)
@@ -316,6 +321,59 @@ def test_text_reader_takes_the_json_verdict_on_edited_documents(kirkman_u12_docu
               large.replace(",1]],[[0,", ",1]],[[0,+", 1)]
     for edited in edits:
         _assert_paths_agree(edited)
+
+
+def _seeded_sign_matrices() -> dict[str, ExactMatrix]:
+    rng = random.Random(15)
+
+    def signs(rows, cols, values=(-1, 0, 1)):
+        return ExactMatrix.from_rows([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+    return {"1x1": signs(1, 1), "1x1 zero": signs(1, 1, (0,)), "1x1 minus": signs(1, 1, (-1,)),
+            "1xn": signs(1, 37), "nx1": signs(29, 1), "dense": signs(7, 11), "all zero": signs(5, 9, (0,)),
+            "all -1": signs(6, 4, (-1,)), "zero rows": ExactMatrix.from_rows([[0] * 8, [1, -1] * 4, [0] * 8])}
+
+
+def test_sign_reader_is_exact_on_seeded_shapes_and_single_byte_edits(kirkman_u12_documents, steiner_v24_document,
+                                                                      monkeypatch):
+    for name, m in _seeded_sign_matrices().items():
+        text = matrix_text(m)
+        assert _assert_paths_agree(text), name
+        assert _text_path(text) == m, name
+    # Every one-byte substitution, deletion and duplication, in head, body and tail.
+    text = matrix_text(ExactMatrix.from_rows([[1, -1, 0], [0, -1, 1]]))
+    assert _assert_paths_agree(text)
+    for i in range(len(text)):
+        for byte in "01-[], \u00e9":
+            _assert_paths_agree(text[:i] + byte + text[i + 1 :])
+        _assert_paths_agree(text[:i] + text[i + 1 :])
+        _assert_paths_agree(text[: i + 1] + text[i:])
+    large = [canonical_json(doc) for doc in kirkman_u12_documents] + [canonical_json(steiner_v24_document)]
+    for text in large:
+        assert _assert_paths_agree(text)
+    calls = []
+    loads = serialize.json.loads
+    monkeypatch.setattr(serialize.json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    assert [_text_path(text).rows for text in large] == [276, 300, 276]
+    assert calls == []
+
+
+def test_sign_reader_checks_the_length_before_building_entry_buffers():
+    # A document that declares n = rows * cols entries but holds four: refused
+    # before any buffer of n entries exists, then read by json with its verdict.
+    small = matrix_text(ExactMatrix.from_rows([[1, -1], [0, 1]]))
+    for side in (10**3, 10**6, 2**40):
+        text = small.replace('{"cols":2', f'{{"cols":{side}', 1).replace('"rows":2', f'"rows":{side}', 1)
+        tracemalloc.start()
+        try:
+            assert serialize._sign_matrix(text) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (side, peak)
+        assert not _assert_paths_agree(text)
+        assert _outcome(_text_path, text)[1] == (
+            "InputError", f"malformed matrix document: ValueError: expected {side * side} entries "
+                          f"for a {side}x{side} matrix, got 4")
 
 
 def test_load_matrix_of_a_file_takes_the_json_verdict(tmp_path):
