@@ -89,10 +89,13 @@ class CatalogRecord(Value):
 
     @staticmethod
     def from_obj(obj) -> "CatalogRecord":
-        return CatalogRecord(
-            obj["id"], obj["kind"], obj["params"], obj["certificates"],
-            obj["created_at"], obj["payload"],
-        )
+        """A field missing is a KeyError; one not of its JSON type (objects, else strings) a TypeError."""
+        record = CatalogRecord(*(obj[f] for f in CatalogRecord._fields))
+        types = {"params": dict, "certificates": dict}
+        wrong = [f for f in record._fields if type(getattr(record, f)) is not types.get(f, str)]
+        if wrong:
+            raise TypeError(f"fields {wrong} are not of their JSON types")
+        return record
 
 
 class Catalog:
@@ -110,7 +113,7 @@ class Catalog:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    try:  # not JSON, not an object, or an object that lacks a key
+                    try:  # not JSON, not an object, or an object that lacks a key or holds a value of the wrong type
                         out.append(CatalogRecord.from_obj(json.loads(line)))
                     except (ValueError, TypeError, KeyError) as exc:
                         raise InputError(f"{self.records_file} line {number} is not a catalog record: {exc!r}") from None
@@ -190,7 +193,7 @@ class Catalog:
         if recipe_id(rec) != record.id:
             raise CatalogError(f"recipe hash mismatch for {record.id}")
         primary = Frame(load_matrix(payload_dir / "primary.json"))
-        if certificate_to_obj(certify_etf(primary)) != record.certificates["primary"]:
+        if certificate_to_obj(certify_etf(primary)) != record.certificates.get("primary"):
             raise CatalogError(f"primary certificate drifted for {record.id}")
         if "complement" in record.certificates:
             pair = load_pair(payload_dir, primary)

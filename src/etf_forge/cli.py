@@ -23,6 +23,7 @@ from .serialize import (
     canonical_json,
     certificate_to_obj,
     design_from_obj,
+    design_to_obj,
     feasibility_to_obj,
     load,
     load_design_or_matrix,
@@ -75,13 +76,9 @@ def _construct_recipe(args) -> dict:
         left = load(Path(args.left) / "recipe.json")
         right = load(Path(args.right) / "recipe.json")
         return recipe("tensor", left=left, right=right)
-    design = design_from_obj(load(args.design))  # qsd-to-etf
-    blocks = [[x + 1 for x in block] for block in design.blocks]
-    return recipe(
-        "qsd-to-etf",
-        design={"generator": "blocks", "v": design.v, "blocks": blocks},
-        branch=args.branch,
-    )
+    design = design_to_obj(design_from_obj(load(args.design)))  # qsd-to-etf
+    return recipe("qsd-to-etf", design={"generator": "blocks", "v": design["v"], "blocks": design["blocks"]},
+                  branch=args.branch)
 
 
 def cmd_construct(args) -> int:

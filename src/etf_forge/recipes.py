@@ -35,7 +35,7 @@ from .errors import EtfForgeError, HadamardError, InputError
 from .frames import Frame, NaimarkPair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
-from .serialize import MAX_SIDE, RECIPE_SCHEMA, checked_design
+from .serialize import MAX_SIDE, RECIPE_SCHEMA, JsonObject, design_from_fields, in_range, json_ints
 from .value import Value
 
 
@@ -57,94 +57,58 @@ def recipe(kind: str, **inputs) -> dict:
     return {"schema": RECIPE_SCHEMA, "kind": kind, "inputs": inputs}
 
 
-class _Fields(dict):
-    """A recipe object whose missing required key is bad input."""
-
-    def __missing__(self, key):
-        raise InputError(f"recipe object has no {key!r}")
-
-
-def _object(value, what: str) -> _Fields:
-    if not isinstance(value, dict):
-        raise InputError(f"{what} is not a JSON object: {value!r}")
-    return _Fields(value)
-
-
-def _ints(values, read=int) -> tuple:
-    """``read`` of each value of a recipe list: int(), as recipes have always
-    been read, or ``_ints`` for a list of lists.  What it cannot read is bad input."""
-    try:
-        return tuple(map(read, values))
-    except (TypeError, OverflowError, ValueError):
-        raise InputError(f"recipe values {values!r} are not integers") from None
-
-
-def _int(value) -> int:
-    return _ints([value])[0]
-
-
-def _in_range(what: str, value: int, low: int, high: int) -> int:
-    """``value`` if it lies in low..high, else bad input.  Sizes are checked
-    before anything of that size is built."""
-    if not low <= value <= high:
-        raise InputError(f"{what} must lie in {low}..{high}, got {value}")
-    return value
-
-
 def hadamard_from_spec(spec) -> HadamardMatrix:
-    spec = _object(spec, "a Hadamard source")
+    spec = JsonObject(spec, "a Hadamard source")
     gen = spec.get("generator")
     if gen == "sylvester":
-        return sylvester(_in_range("Sylvester exponent", _int(spec["e"]), 0, MAX_SIDE.bit_length() - 1))
+        return sylvester(in_range("Sylvester exponent", spec["e"], 0, MAX_SIDE.bit_length() - 1))
     if gen == "paley":
-        return paley_one(_in_range("Paley prime", _int(spec["q"]), 3, MAX_SIDE - 1))
+        return paley_one(in_range("Paley prime", spec["q"], 3, MAX_SIDE - 1))
     if gen == "dft":
-        return dft(_in_range("Hadamard size", _int(spec["n"]), 1, MAX_SIDE))
+        return dft(in_range("Hadamard size", spec["n"], 1, MAX_SIDE))
     if gen == "size":
-        return hadamard_of_size(_in_range("Hadamard size", _int(spec["n"]), 1, MAX_SIDE))
+        return hadamard_of_size(in_range("Hadamard size", spec["n"], 1, MAX_SIDE))
     if gen == "kron":
         left, right = hadamard_from_spec(spec["left"]), hadamard_from_spec(spec["right"])
-        _in_range("Kronecker size", left.n * right.n, 1, MAX_SIDE)
+        in_range("Kronecker size", left.n * right.n, 1, MAX_SIDE)
         return kron(left, right)
     raise InputError(f"unknown Hadamard generator {gen!r}")
 
 
 def design_from_spec(spec) -> Design:
-    spec = _object(spec, "a design source")
+    spec = JsonObject(spec, "a design source")
     gen = spec.get("generator")
     if gen == "all-pairs":  # its Steiner frame has v^2 vectors
-        return all_pairs_design(_in_range("design v", _int(spec["v"]), 3, isqrt(MAX_SIDE)))
+        return all_pairs_design(in_range("design v", spec["v"], 3, isqrt(MAX_SIDE)))
     if gen == "round-robin":
-        return round_robin_resolution(_in_range("design v", _int(spec["v"]), 4, isqrt(MAX_SIDE)))
+        return round_robin_resolution(in_range("design v", spec["v"], 4, isqrt(MAX_SIDE)))
     if gen == "fano":
         return fano_plane()
     if gen == "blocks":
-        blocks = [tuple(x - 1 for x in block) for block in _ints(spec["blocks"], _ints)]
-        classes = spec.get("parallel_classes")
-        return checked_design(_int(spec["v"]), blocks, _ints(classes, _ints) if classes else None)
+        return design_from_fields(spec)
     raise InputError(f"unknown design generator {gen!r}")
 
 
 def replay(rec: dict) -> Artifact:
     """Re-run a recipe, certifying everything it builds.  A document that is
     not a recipe, or holds a value of the wrong kind, raises InputError."""
-    if _object(rec, "a recipe").get("schema") != RECIPE_SCHEMA:
+    if JsonObject(rec, "a recipe").get("schema") != RECIPE_SCHEMA:
         raise InputError(f"not a recipe document: schema {rec.get('schema')!r}")
     kind = rec.get("kind")
-    inputs = _object(rec.get("inputs", {}), "recipe inputs")
+    inputs = JsonObject(rec.get("inputs", {}), "recipe inputs")
 
     if kind == "simplex":
         h = hadamard_from_spec(inputs["hadamard"])
-        frame = flat_regular_simplex(h, _in_range("drop_row", _int(inputs.get("drop_row", 0)), 0, h.n - 1))
+        frame = flat_regular_simplex(h, in_range("drop_row", inputs.get("drop_row", 0), 0, h.n - 1))
         return Artifact(kind, rec, frame)
 
     if kind == "harmonic":
-        subset = _ints(inputs["subset"])
+        subset = json_ints(inputs["subset"], "subset")
         try:
-            group = AbelianGroup(_ints(inputs["group"]))
+            group = AbelianGroup(json_ints(inputs["group"], "group"))
         except HadamardError as exc:
             raise InputError(str(exc)) from None
-        _in_range("group order", group.size, 2, MAX_SIDE)
+        in_range("group order", group.size, 2, MAX_SIDE)
         if any(not 0 <= i < group.size for i in subset):
             raise InputError(f"subset indices must lie in 0..{group.size - 1}, got {list(subset)}")
         ds = verify_difference_set(group, subset)
@@ -157,7 +121,7 @@ def replay(rec: dict) -> Artifact:
             lift,
             hadamard_from_spec(inputs["f"]),
             hadamard_from_spec(inputs["g"]),
-            _in_range("column", _int(inputs.get("column", 1)), 1, lift.k),
+            in_range("column", inputs.get("column", 1), 1, lift.k),
         )
         if st.column == 1:
             pair = steiner_naimark(st)
@@ -165,7 +129,7 @@ def replay(rec: dict) -> Artifact:
         return Artifact(kind, rec, steiner_etf(st))
 
     if kind == "kirkman":
-        u = _in_range("Kirkman u", _int(inputs["u"]), 2, isqrt(MAX_SIDE) // 2)  # 4 u^2 vectors
+        u = in_range("Kirkman u", inputs["u"], 2, isqrt(MAX_SIDE) // 2)  # 4 u^2 vectors
         e = hadamard_from_spec(inputs["e"]) if "e" in inputs else hadamard_of_size(u)
         pair = kirkman_etf(standard_kirkman_inputs(u, e=e))
         return Artifact(kind, rec, pair.primary, pair)

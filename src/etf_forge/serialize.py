@@ -163,40 +163,63 @@ def design_to_obj(design: Design) -> dict:
     return obj
 
 
-def _json_ints(values) -> tuple[int, ...]:
-    """The values, each a JSON integer: int() would read 1.9, "1" and true as 1."""
-    values = tuple(values)
-    if any(type(x) is not int for x in values):
-        raise TypeError(f"expected integers, got {list(values)!r}")
-    return values
+class JsonObject(dict):
+    """A JSON object read from outside the program, named by ``what`` in its
+    errors: a value that is not an object, or a missing key, is bad input."""
+
+    def __init__(self, value, what: str):
+        if not isinstance(value, dict):
+            raise InputError(f"{what} is not a JSON object: {value!r}")
+        super().__init__(value)
+        self.what = what
+
+    def __missing__(self, key):
+        raise InputError(f"{self.what} has no {key!r}")
 
 
-def checked_design(v: int, blocks, classes=None) -> Design:
-    """The design on the 0-based ``blocks``; v outside 1..MAX_SIDE (checked first), a vertex
-    label outside 1..v or a repeated vertex is bad input, not a failed design identity."""
-    if not 1 <= v <= MAX_SIDE:
-        raise InputError(f"design v must lie in 1..{MAX_SIDE}, got {v}")
+def json_ints(value, what: str, depth: int = 1):
+    """``value`` as JSON integers: one at depth 0, a list of them at depth 1, a list of such
+    lists at depth 2.  An integer's type is exactly int (``int()`` reads 2.5, "2" and true);
+    a list is a list or, in a recipe built in-process, a tuple.  Else it is bad input."""
+    if depth == 0:
+        if type(value) is not int:
+            raise InputError(f"{what} {value!r} is not an integer")
+        return value
+    if type(value) not in (list, tuple) or depth == 1 and any(type(x) is not int for x in value):
+        raise InputError(f"{what} {value!r} are not integers")
+    return tuple(value) if depth == 1 else tuple(json_ints(x, what, depth - 1) for x in value)
+
+
+def in_range(what: str, value, low: int, high: int) -> int:
+    """``value`` if it is an integer in low..high, else bad input.  Sizes are
+    checked before anything of that size is built."""
+    if not low <= json_ints(value, what, 0) <= high:
+        raise InputError(f"{what} must lie in {low}..{high}, got {value}")
+    return value
+
+
+def design_from_fields(obj: JsonObject) -> Design:
+    """The design of an object's ``v``, 1-based ``blocks`` and optional 0-based
+    ``parallel_classes``, as design documents and ``"blocks"`` recipes hold
+    them.  v outside 1..MAX_SIDE (checked first), a vertex label outside 1..v
+    or a repeated vertex is bad input, not a failed design identity."""
+    v = in_range("design v", obj["v"], 1, MAX_SIDE)
+    blocks = [tuple(x - 1 for x in block) for block in json_ints(obj["blocks"], "design blocks", 2)]
     for i, block in enumerate(blocks, 1):
         if min(block, default=0) < 0 or max(block, default=0) >= v:
             raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")
         if len(set(block)) != len(block):
             raise InputError(f"design block {i} {[x + 1 for x in block]} repeats a vertex")
-    return Design(v, blocks, classes)
+    classes = obj.get("parallel_classes")
+    return Design(v, blocks, None if classes is None else json_ints(classes, "design parallel classes", 2))
 
 
 def design_from_obj(obj) -> Design:
-    if not isinstance(obj, dict):
-        raise InputError(f"not a design document: a JSON {type(obj).__name__}")
+    obj = JsonObject(obj, "a design document")
     if obj.get("schema") != DESIGN_SCHEMA:
         raise InputError(f"not a design document: schema {obj.get('schema')!r}")
-    try:
-        blocks = [tuple(x - 1 for x in _json_ints(block)) for block in obj["blocks"]]
-        classes = obj.get("parallel_classes")
-        classes = None if classes is None else [_json_ints(c) for c in classes]
-        declared = _json_ints(obj[key] for key in ("v", "k", "lambda", "r", "b"))
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"malformed design document: {type(exc).__name__}: {exc}") from None
-    design = checked_design(declared[0], blocks, classes)
+    declared = json_ints([obj[key] for key in ("v", "k", "lambda", "r", "b")], "design parameters")
+    design = design_from_fields(obj)
     if design.params.as_tuple() != declared:
         raise DesignError(
             f"declared parameters {declared} disagree with the block list "
@@ -247,35 +270,44 @@ def pair_to_obj(pair: NaimarkPair) -> dict:
     return obj
 
 
+def _fractions(values, what: str, positive: bool = False) -> tuple[Fraction, ...]:
+    """Each [num, den] integer pair with den > 0 (and num > 0 if ``positive``) as a Fraction."""
+    pairs = json_ints(values, what, 2)
+    if any(len(p) != 2 or p[1] < 1 or positive and p[0] < 1 for p in pairs):
+        raise InputError(f"{what} {values!r} are not [num, den] pairs with {'num > 0 and ' * positive}den > 0")
+    return tuple(Fraction(*p) for p in pairs)
+
+
 def load_pair(directory, primary: Frame) -> NaimarkPair:
     """Verify the pair stored in a directory against its declared metadata.
 
     ``primary`` is the frame read from ``primary.json``; a caller that
     certifies it first gets the complement's certificate derived.  The
     complement is ``complement.json`` with the row weights of ``pair.json``,
-    a pair document whose d, n and alpha must match the verified pair.
+    a pair document whose d, n and alpha must match the verified pair.  Its
+    types and weight count are read before anything is verified.
     """
     directory = Path(directory)
     pair_path = directory / "pair.json"
-    declared = load(pair_path) if pair_path.exists() else None
-    if declared is not None and (not isinstance(declared, dict) or declared.get("schema") != PAIR_SCHEMA):
-        raise InputError("pair.json is not a pair document")
-    weights = None
-    if declared and "complement_row_weights" in declared:
-        try:
-            weights = tuple(Fraction(num, den) for num, den in declared["complement_row_weights"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"pair.json complement_row_weights are not [num, den] pairs: {exc}") from None
-    complement = Frame(load_matrix(directory / "complement.json"), row_weights=weights)
-    pair = verify_naimark_pair(primary, complement)
+    declared = weights = None
+    if pair_path.exists():
+        declared = load(pair_path)
+        if not isinstance(declared, dict) or declared.get("schema") != PAIR_SCHEMA:
+            raise InputError("pair.json is not a pair document")
+        declared = JsonObject(declared, "pair.json")
+        json_ints([declared["d"], declared["n"]], "pair.json d and n")
+        _fractions([declared["alpha"]], "pair.json alpha")
+        if "complement_row_weights" in declared:
+            weights = _fractions(declared["complement_row_weights"], "pair.json complement_row_weights", True)
+    matrix = load_matrix(directory / "complement.json")
+    if weights is not None and len(weights) != matrix.rows:
+        raise InputError(f"pair.json has {len(weights)} complement_row_weights for {matrix.rows} complement rows")
+    pair = verify_naimark_pair(primary, Frame(matrix, row_weights=weights))
     if declared is not None:
         expected = pair_to_obj(pair)
         for key in ("d", "n", "alpha"):
-            if declared.get(key) != expected[key]:
-                raise FrameError(
-                    f"pair.json declares {key} {declared.get(key)!r}, "
-                    f"the verified pair has {expected[key]!r}"
-                )
+            if declared[key] != expected[key]:
+                raise FrameError(f"pair.json declares {key} {declared[key]!r}, the verified pair has {expected[key]!r}")
     return pair
 
 

@@ -1,5 +1,8 @@
 import json
+import math
 import random
+
+import pytest
 
 from etf_forge.cli import main
 from etf_forge.constructions import SteinerInputs, steiner_etf
@@ -703,5 +706,306 @@ def test_mutated_sign_documents_exit_cleanly_through_verify_etf(tmp_path, capsys
             else:
                 assert stdout == "" and err.count("\n") == 1, edited
             assert (code == 2) == (parsed is None), edited
+            codes.append(code)
+    assert set(codes) == {0, 1, 2}
+
+
+def _strict_field_cases():
+    """(base recipe, edits) pairs: each edit puts a bad value at one integer field of a recipe that replays.
+    A path ends at a scalar field or at one element of a list field; each list field is also edited whole."""
+    from etf_forge.designs import round_robin_resolution
+    from etf_forge.recipes import recipe
+
+    rr4 = design_to_obj(round_robin_resolution(4))
+    blocks = {"generator": "blocks", "v": 4, "blocks": rr4["blocks"], "parallel_classes": rr4["parallel_classes"]}
+    sylvester_1, size_4 = {"generator": "sylvester", "e": 1}, {"generator": "size", "n": 4}
+    bases = {
+        "kirkman": (recipe("kirkman", u=2, e=sylvester_1), [("u",), ("e", "e")]),
+        "paley": (recipe("simplex", hadamard={"generator": "paley", "q": 3}, drop_row=1), [("hadamard", "q"), ("drop_row",)]),
+        "dft": (recipe("simplex", hadamard={"generator": "dft", "n": 3}), [("hadamard", "n")]),
+        "steiner": (recipe("steiner", design={"generator": "all-pairs", "v": 4}, f=sylvester_1, g=size_4, column=1),
+                    [("design", "v"), ("g", "n"), ("column",)]),
+        "harmonic": (recipe("harmonic", group=[13], subset=[0, 1, 3, 9]), [("group", 0), ("subset", 2)]),
+        "blocks": (recipe("steiner", design=blocks, f=sylvester_1, g=size_4),
+                   [("design", "v"), ("design", "blocks", 1, 0), ("design", "parallel_classes", 0, 1)]),
+    }
+    lists = {"harmonic": [("group",), ("subset",)],
+             "blocks": [("design", "blocks"), ("design", "blocks", 1), ("design", "parallel_classes"),
+                        ("design", "parallel_classes", 0)]}
+    for name, (base, paths) in bases.items():
+        edits = [(path, bad) for path in paths for bad in (2.5, "2", True)]
+        edits += [(path, "123") for path in lists.get(name, [])]
+        yield name, base, edits
+
+
+def test_every_integer_recipe_field_is_strict(tmp_path, capsys):
+    # A recipe value is an integer only when its JSON type is: 2.5, "2" and
+    # true were once read by int(), and a string of digits as a list of them.
+    import copy
+
+    good, cat = tmp_path / "good", tmp_path / "cat"
+    for name, base, edits in _strict_field_cases():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(base))
+        code, _, err = run(capsys, "catalog", "--catalog", str(good), "add", str(path))
+        assert code == 0, (name, err)
+        for keys, bad in edits:
+            doc = copy.deepcopy(base)
+            parent = doc["inputs"]
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = bad
+            path.write_text(json.dumps(doc))
+            code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), "add", str(path))
+            _assert_input_error(code, err)
+            assert stdout == "" and ("not an integer" in err or "are not integers" in err), (name, keys, bad, err)
+    assert not (cat / "records.jsonl").exists()
+
+
+def test_malformed_pair_documents_are_exit_2(tmp_path, capsys):
+    # pair.json is read whole, by type, before the pair is verified: these
+    # once exited 1 as failed identities, or 0 for weights written [true, 1].
+    out = tmp_path / "pair"
+    run(capsys, "construct", "steiner", "--design", "all-pairs", "--v", "4", "--out", str(out))
+    good = load(out / "pair.json")
+    weights = good["complement_row_weights"]
+    cases = {
+        "n_missing": ({k: v for k, v in good.items() if k != "n"}, "pair.json has no 'n'"),
+        "alpha_text": (dict(good, alpha="abc"), "pair.json alpha 'abc' are not integers"),
+        "alpha_den": (dict(good, alpha=[8, 0]), "den > 0"),
+        "d_float": (dict(good, d=1.5), "pair.json d and n [1.5, 16] are not integers"),
+        "weights_short": (dict(good, complement_row_weights=weights[1:]), "has 9 complement_row_weights for 10"),
+        "weight_negative": (dict(good, complement_row_weights=[[-1, 1]] + weights[1:]), "num > 0 and den > 0"),
+        "weight_true": (dict(good, complement_row_weights=[[True, 1]] * len(weights)), "are not integers"),
+        "weight_triple": (dict(good, complement_row_weights=[[1, 1, 1]] + weights[1:]), "[num, den] pairs"),
+    }
+    for name, (doc, reason) in cases.items():
+        (out / "pair.json").write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "verify", "naimark-pair", str(out))
+        _assert_input_error(code, err)
+        assert reason in err and stdout == "", (name, err)
+    (out / "pair.json").write_text(json.dumps(good))
+    assert run(capsys, "verify", "naimark-pair", str(out))[0] == 0
+
+
+def test_catalog_records_of_the_wrong_type_are_exit_2(tmp_path, capsys):
+    # Every records.jsonl field has its JSON type; a payload of 5 once raised
+    # TypeError in audit, and an id of 7 AttributeError in show.
+    cat = tmp_path / "cat"
+    recipe_path = tmp_path / "kirkman.json"
+    recipe_path.write_text(json.dumps({"schema": "etf-forge/recipe/v1", "kind": "kirkman", "inputs": {"u": 2}}))
+    assert run(capsys, "catalog", "--catalog", str(cat), "add", str(recipe_path))[0] == 0
+    good = json.loads((cat / "records.jsonl").read_text())
+    for field, bad in (("payload", 5), ("id", 7), ("kind", None), ("created_at", []), ("params", []),
+                       ("certificates", "primary")):
+        (cat / "records.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: bad})) + "\n")
+        for argv in (["list"], ["show", good["id"][:8]], ["audit"]):
+            code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), *argv)
+            _assert_input_error(code, err)
+            assert f"records.jsonl line 2 is not a catalog record: TypeError(\"fields ['{field}']" in err, err
+            assert stdout == ""
+
+
+# Values a mutation may put at a node of a recipe, pair or record document:
+# JSON values of every type, small integers that keep the replays cheap, and
+# strings a lenient reader would take for numbers.
+FUZZ_VALUES = [2.5, "2", "12", True, None, -1, 0, 1, 2, 3, 4, 10 ** 30, [], [2], [[1, 1]], {}, "plus"]
+
+
+def _mutated(doc, rng: random.Random, top: bool = False):
+    """A copy of a JSON document with one seeded edit at a random node (with ``top``, a child of the
+    root): the node replaced, deleted or duplicated in its list, a key added to it, or the whole
+    document replaced."""
+    doc = json.loads(json.dumps(doc))
+    nodes = []  # (container, key) of every value below the root
+
+    def walk(x):
+        for key, value in x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ():
+            nodes.append((x, key))
+            if not top:
+                walk(value)
+    walk(doc)
+    if rng.random() < 0.03:
+        return rng.choice(FUZZ_VALUES)
+    container, key = rng.choice(nodes)
+    edit = rng.choice(["replace", "replace", "replace", "delete", "duplicate", "add"])
+    if edit == "replace":
+        container[key] = rng.choice(FUZZ_VALUES)
+    elif edit == "delete":
+        del container[key]
+    elif edit == "duplicate" and isinstance(container, list):
+        container.insert(key, container[key])
+    elif isinstance(container[key], dict):
+        container[key]["extra"] = rng.choice(FUZZ_VALUES)
+    return doc
+
+
+def _is_int(x, low=float("-inf"), high=float("inf")):
+    return type(x) is int and low <= x <= high
+
+
+def _is_ints(x):
+    return type(x) is list and all(type(i) is int for i in x)
+
+
+def _hadamard_source_is_malformed(spec) -> bool:
+    if not isinstance(spec, dict):
+        return True
+    if spec.get("generator") == "sylvester":
+        return not _is_int(spec.get("e"), 0, 13)
+    return spec.get("generator") != "size" or not _is_int(spec.get("n"), 1, 8192)
+
+
+def _recipe_is_malformed(doc) -> bool:
+    """The recipe rules, restated for the fuzzed kirkman, harmonic and all-pairs steiner recipes: a
+    type, a missing key or a value out of its range.  Failed identities are not malformed."""
+    if not isinstance(doc, dict) or doc.get("schema") != "etf-forge/recipe/v1":
+        return True
+    inputs, kind = doc.get("inputs", {}), doc.get("kind")
+    if not isinstance(inputs, dict):
+        return True
+    if kind == "kirkman":
+        return not _is_int(inputs.get("u"), 2, 45)
+    if kind == "harmonic":
+        group, subset = inputs.get("group"), inputs.get("subset")
+        if not (_is_ints(group) and _is_ints(subset) and group and min(group) >= 2):
+            return True
+        size = math.prod(group)
+        return not (size <= 8192 and all(0 <= i < size for i in subset))
+    if kind == "steiner":
+        design = inputs.get("design")
+        if not isinstance(design, dict) or design.get("generator") != "all-pairs" or not _is_int(design.get("v"), 3, 90):
+            return True
+        return (_hadamard_source_is_malformed(inputs.get("f")) or _hadamard_source_is_malformed(inputs.get("g"))
+                or not _is_int(inputs.get("column", 1), 1, 2))
+    return True
+
+
+def _pair_is_malformed(doc, rows: int) -> bool:
+    """The pair document rules: integer d and n, alpha [num, den] with den > 0, and one positive
+    [num, den] weight per complement row if weights are given."""
+    def fraction(p, positive=False):
+        return _is_ints(p) and len(p) == 2 and p[1] > 0 and (p[0] > 0 or not positive)
+
+    if not isinstance(doc, dict) or doc.get("schema") != "etf-forge/pair/v1":
+        return True
+    if not (_is_int(doc.get("d")) and _is_int(doc.get("n")) and fraction(doc.get("alpha"))):
+        return True
+    weights = doc.get("complement_row_weights", [[1, 1]] * rows)
+    return not (type(weights) is list and len(weights) == rows and all(fraction(w, True) for w in weights))
+
+
+def _record_is_malformed(line: str) -> bool:
+    """The records.jsonl rules: a JSON object with string id, kind, created_at and payload, and
+    object params and certificates.  A blank line is skipped."""
+    if not line.strip():
+        return False
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return True
+    types = {"id": str, "kind": str, "params": dict, "certificates": dict, "created_at": str, "payload": str}
+    return not isinstance(obj, dict) or any(type(obj.get(key)) is not kind for key, kind in types.items())
+
+
+def _clean_run(capsys, doc, *argv):
+    """(code, stdout, stderr) of one CLI run: an exception out of main fails the test, naming the document."""
+    try:
+        code, stdout, err = run(capsys, *argv)
+    except Exception as exc:  # a traceback
+        pytest.fail(f"{argv} raised {exc!r} on {doc!r}")
+    assert code in (0, 1, 2) and "Traceback" not in err and err.count("\n") <= 1, (doc, err)
+    if code == 2:
+        assert stdout == "" and err.startswith("input error: "), (doc, stdout, err)
+    return code, stdout, err
+
+
+@pytest.fixture(scope="module")
+def fuzzed_artifacts(tmp_path_factory):
+    """The Z13 harmonic, Steiner v=4 and Kirkman u=2 artifact directories."""
+    root = tmp_path_factory.mktemp("artifacts")
+    for name, argv in (("harmonic", ["harmonic", "--group", "13", "--subset", "0,1,3,9"]),
+                       ("steiner", ["steiner", "--design", "all-pairs", "--v", "4"]),
+                       ("kirkman", ["kirkman", "--u", "2"])):
+        assert main(["construct", *argv, "--out", str(root / name)]) == 0
+    return root
+
+
+def test_mutated_recipes_exit_cleanly_through_catalog_add(fuzzed_artifacts, tmp_path, capsys):
+    # Exit 2 exactly when the recipe rules refuse the edited recipe, and then
+    # no record is written; exit 0 records the edited recipe under its id.
+    from etf_forge.catalog import recipe_id
+
+    rng = random.Random(1601)
+    cat, path = tmp_path / "cat", tmp_path / "recipe.json"
+    records = cat / "records.jsonl"
+    codes = []
+    for name in ("harmonic", "steiner", "kirkman"):
+        base = load(fuzzed_artifacts / name / "recipe.json")
+        for _ in range(80):
+            doc = _mutated(base, rng)
+            path.write_text(json.dumps(doc))
+            before = records.read_text() if records.exists() else ""
+            code, stdout, err = _clean_run(capsys, doc, "catalog", "--catalog", str(cat), "add", str(path))
+            assert (code == 2) == _recipe_is_malformed(doc), (doc, err)
+            if code == 0:
+                assert json.loads(stdout)["id"] == recipe_id(doc)
+            elif code == 2:
+                assert (records.read_text() if records.exists() else "") == before, doc
+            codes.append(code)
+    assert set(codes) == {0, 1, 2}
+
+
+def test_mutated_pair_documents_exit_cleanly_through_verify_naimark_pair(fuzzed_artifacts, tmp_path, capsys):
+    # Exit 2 exactly when the pair document rules refuse the edited pair.json;
+    # exit 0 only when it declares the verified d, n and alpha.
+    import shutil
+
+    rng = random.Random(1602)
+    codes = []
+    for name in ("harmonic", "steiner", "kirkman"):
+        out = tmp_path / name
+        shutil.copytree(fuzzed_artifacts / name, out)
+        base = load(out / "pair.json")
+        rows = load(out / "complement.json")["rows"]
+        for _ in range(60):
+            doc = _mutated(base, rng)
+            (out / "pair.json").write_text(json.dumps(doc))
+            code, stdout, err = _clean_run(capsys, doc, "verify", "naimark-pair", str(out))
+            assert (code == 2) == _pair_is_malformed(doc, rows), (doc, err)
+            if code == 0:
+                assert json.loads(stdout) == {"alpha": doc["alpha"], "d": doc["d"], "n": doc["n"], "verified": True}
+            codes.append(code)
+    assert set(codes) == {0, 1, 2}
+
+
+def test_mutated_catalog_records_exit_cleanly_through_list_show_and_audit(fuzzed_artifacts, tmp_path, capsys):
+    # One records.jsonl line edited (or truncated): list, show and audit exit 2
+    # exactly when the line is not a record, show also when its id prefix
+    # finds no single record or that record's recipe file is missing;
+    # otherwise audit exits 0 or 1.
+    rng = random.Random(1603)
+    cat = tmp_path / "cat"
+    for name in ("harmonic", "steiner", "kirkman"):
+        assert run(capsys, "catalog", "--catalog", str(cat), "add", str(fuzzed_artifacts / name / "recipe.json"))[0] == 0
+    lines = (cat / "records.jsonl").read_text().splitlines()
+    codes = []
+    for _ in range(60):
+        i = rng.randrange(len(lines))
+        if rng.random() < 0.15:
+            edited = lines[i][: rng.randrange(1, len(lines[i]))]
+        else:
+            edited = json.dumps(_mutated(json.loads(lines[i]), rng, top=rng.random() < 0.5))
+        (cat / "records.jsonl").write_text("\n".join(lines[:i] + [edited] + lines[i + 1 :]) + "\n")
+        malformed = _record_is_malformed(edited)
+        prefix = json.loads(lines[i])["id"][:12]
+        found = [] if malformed else [r for x in lines[:i] + [edited] + lines[i + 1 :] if x.strip()
+                                      for r in [json.loads(x)] if r["id"].startswith(prefix)]
+        shown = len(found) == 1 and (cat / found[0]["payload"] / "recipe.json").is_file()
+        for argv in (["list"], ["show", prefix], ["audit"]):
+            code, _, err = _clean_run(capsys, edited, "catalog", "--catalog", str(cat), *argv)
+            refused = malformed or argv[0] == "show" and not shown
+            assert (code == 2) == refused, (argv, edited, err)
+            assert code != 1 or argv == ["audit"]
             codes.append(code)
     assert set(codes) == {0, 1, 2}

@@ -122,6 +122,32 @@ def test_design_declared_params_must_match():
         design_from_obj(obj)
 
 
+def test_design_documents_and_blocks_recipes_share_one_reader():
+    # One reader takes v, the 1-based blocks and the 0-based parallel classes,
+    # so a design document and a "blocks" recipe source give one design or
+    # one error message for the same fields.
+    from etf_forge.recipes import design_from_spec
+
+    design = round_robin_resolution(6)
+    doc = design_to_obj(design)
+    spec = {"generator": "blocks", "v": 6, "blocks": doc["blocks"], "parallel_classes": doc["parallel_classes"]}
+    bad_fields = [("blocks", "12"), ("blocks", [[1, True]] + doc["blocks"][1:]), ("blocks", [[1, 2.0]] + doc["blocks"][1:]),
+                  ("blocks", [[0, 2]] + doc["blocks"][1:]), ("blocks", [[1, 1]] + doc["blocks"][1:]),
+                  ("parallel_classes", "0"), ("parallel_classes", [[0, "1"]] + doc["parallel_classes"][1:])]
+    messages = []
+    for read, obj in ((design_from_obj, doc), (design_from_spec, spec)):
+        loaded = read(obj)
+        assert (loaded.blocks, loaded.parallel_classes) == (design.blocks, design.parallel_classes)
+        for key, bad in bad_fields:
+            with pytest.raises(InputError) as info:
+                read(dict(obj, **{key: bad}))
+            messages.append(str(info.value))
+        for v in ("6", 6.0, True):
+            with pytest.raises(InputError, match="not an integer|are not integers"):
+                read(dict(obj, v=v))
+    assert messages[: len(bad_fields)] == messages[len(bad_fields) :]
+
+
 def test_certificate_obj():
     cert = certify_etf(Frame(ExactMatrix.from_rows(FLAT_6x16)))
     obj = certificate_to_obj(cert)

@@ -156,3 +156,17 @@ def test_serialize_opens_files_only_in_load_and_dump():
     found = [f"serialize.py:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
     assert found == []
+
+
+def test_recipes_read_json_values_through_serialize():
+    # serialize.json_ints is the one reader of JSON integers.  A recipe value
+    # read by int() took 2.5, "2" and true as integers and "2222" as a list;
+    # a dict subclass here would be a second rule for a missing key.
+    path = PACKAGE / "recipes.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int":
+            found.append(f"recipes.py:{node.lineno} int(")
+        elif isinstance(node, ast.ClassDef) and "dict" in [ast.unparse(b) for b in node.bases]:
+            found.append(f"recipes.py:{node.lineno} class {node.name}(dict)")
+    assert found == []
