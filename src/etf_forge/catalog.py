@@ -89,12 +89,18 @@ class CatalogRecord(Value):
 
     @staticmethod
     def from_obj(obj) -> "CatalogRecord":
-        """A field missing is a KeyError; one not of its JSON type (objects, else strings) a TypeError."""
+        """A field missing is a KeyError; one not of its JSON type (objects, else strings) a TypeError;
+        an id that is not ASCII letters and digits, or a payload other than ``payloads/<id>`` (where
+        ``add`` puts it), a ValueError, so no record names a path outside its catalog."""
         record = CatalogRecord(*(obj[f] for f in CatalogRecord._fields))
         types = {"params": dict, "certificates": dict}
         wrong = [f for f in record._fields if type(getattr(record, f)) is not types.get(f, str)]
         if wrong:
             raise TypeError(f"fields {wrong} are not of their JSON types")
+        if not (record.id.isascii() and record.id.isalnum()):
+            raise ValueError(f"id {record.id!r} is not ASCII letters and digits")
+        if record.payload != f"payloads/{record.id}":
+            raise ValueError(f"payload {record.payload!r} is not 'payloads/{record.id}'")
         return record
 
 

@@ -4,11 +4,18 @@ Exit codes: 0 success, 1 domain failure (a verification or construction
 identity failed), 2 usage or parse failure.  All outputs are canonical JSON
 documents; matrices with rational integer entries can additionally be
 exported as CSV.
+
+The process entry is ``run()``, for ``python -m etf_forge.cli`` and the
+``etf-forge`` script alike: it freezes the heap that start-up built (the
+imported modules and ``site``), so the collections at interpreter exit skip
+it, then exits with ``main()``'s code.  ``main()`` freezes nothing, so tests
+and library callers keep their collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -268,5 +275,11 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry: freeze the start-up heap, then exit with ``main()``'s code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -85,6 +85,8 @@ class Design:
         self.parallel_classes = (
             tuple(tuple(c) for c in parallel_classes) if parallel_classes else None
         )
+        if not self.blocks:
+            raise DesignError("a design needs at least one block")
         self.params = verify_bibd(self.incidence)
         if self.parallel_classes is not None:
             self._check_resolution()

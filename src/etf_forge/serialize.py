@@ -37,6 +37,7 @@ FEASIBILITY_SCHEMA = "etf-forge/feasibility/v1"
 RECIPE_SCHEMA = "etf-forge/recipe/v1"
 PAIR_SCHEMA = "etf-forge/pair/v1"
 MAX_SIDE = 1 << 13  # the longest matrix side a recipe or a design document may ask for
+MAX_RADICAND = 1 << 40  # trial division factors any radicand below it in well under a second
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -64,6 +65,8 @@ def _domain_from_obj(obj):
     value = obj[key]
     if type(value) is not int or value < 1:
         raise InputError(f"domain {key} must be a positive integer, got {value!r}")
+    if kind == "quadratic" and value >= MAX_RADICAND:
+        raise InputError(f"domain radicand must be below 2**40, got {value}")
     if kind == "quadratic" and split_square(value)[0] != 1:
         raise InputError(f"domain radicand must be square-free, got {value}")
     return cyclo_domain(value) if kind == "cyclotomic" else quad_domain(value)

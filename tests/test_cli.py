@@ -368,6 +368,28 @@ def test_cli_import_loads_no_catalog_or_introspection_stdlib():
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "datetime"} == set()
 
 
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    # Only the process entry freezes the start-up heap; in-process callers of
+    # main keep their collector as it was.
+    import gc
+
+    before = gc.get_freeze_count()
+    assert run(capsys, "construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k"))[0] == 0
+    assert run(capsys, "feasibility", "15", "36")[0] == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_once_then_exits_with_the_code_of_main(monkeypatch):
+    import etf_forge.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    monkeypatch.setattr(cli.sys, "exit", lambda code: calls.append(("exit", code)))
+    cli.run()
+    assert calls == ["freeze", "main", ("exit", 7)]
+
+
 def test_catalog_show_lookup_failures_are_exit_2(tmp_path, capsys):
     cat = tmp_path / "cat"
     cat.mkdir()
@@ -610,6 +632,33 @@ def test_design_documents_bound_their_vertex_count(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_matrix_documents_bound_their_quadratic_radicand(tmp_path, capsys):
+    # A radicand is factored by trial division, so it is bounded before it is
+    # factored: the 31-digit one below once kept verify etf busy past 5 s.
+    import time
+
+    path = tmp_path / "m.json"
+    for radicand in (10 ** 30 + 57, 1 << 40):
+        path.write_text(json.dumps({"schema": "etf-forge/matrix/v1", "rows": 1, "cols": 1, "entries": [[1, 1, 0, 1]],
+                                    "domain": {"kind": "quadratic", "radicand": radicand}}))
+        started = time.monotonic()
+        code, stdout, err = run(capsys, "verify", "etf", str(path))
+        assert time.monotonic() - started < 1
+        _assert_input_error(code, err)
+        assert f"domain radicand must be below 2**40, got {radicand}" in err and stdout == ""
+
+
+def test_a_design_document_without_blocks_fails_its_identity(tmp_path, capsys):
+    # An empty block list is a failed design identity (exit 1); it once raised
+    # IndexError while the incidence matrix was built.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(design_to_obj(all_pairs_design(6)), blocks=[])))
+    for argv in (["verify", "qsd", str(path)], ["verify", "bibd", str(path)],
+                 ["construct", "qsd-to-etf", "--design", str(path), "--out", str(tmp_path / "o")]):
+        assert run(capsys, *argv) == (1, "", "error: a design needs at least one block\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_input_outside_the_recipes_is_exit_2(tmp_path, capsys):
     # cli.main maps only InputError and OSError to exit 2, so every bad input
     # is turned into an InputError where it is read, named by its place.
@@ -804,6 +853,19 @@ def test_catalog_records_of_the_wrong_type_are_exit_2(tmp_path, capsys):
             _assert_input_error(code, err)
             assert f"records.jsonl line 2 is not a catalog record: TypeError(\"fields ['{field}']" in err, err
             assert stdout == ""
+    # A payload is payloads/<id>, where add puts it: a NUL once raised ValueError
+    # from open, and an absolute or ../ path was followed out of the catalog.
+    rid = good["id"]
+    for field, bad in (("payload", {"payload": "a\0b"}), ("payload", {"payload": "/etc"}),
+                       ("payload", {"payload": f"../{rid}"}), ("payload", {"payload": f"payloads/../{rid}"}),
+                       ("id", {"id": "../x", "payload": "payloads/../x"}), ("id", {"id": "a\0b", "payload": "payloads/a\0b"})):
+        (cat / "records.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **bad)) + "\n")
+        reason = repr(ValueError(f"{field} {bad[field]!r} is not"))[:-2]
+        for argv in (["list"], ["show", rid[:8]], ["audit"]):
+            code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), *argv)
+            _assert_input_error(code, err)
+            assert f"records.jsonl line 2 is not a catalog record: {reason}" in err, err
+            assert stdout == ""
 
 
 # Values a mutation may put at a node of a recipe, pair or record document:
@@ -897,7 +959,8 @@ def _pair_is_malformed(doc, rows: int) -> bool:
 
 def _record_is_malformed(line: str) -> bool:
     """The records.jsonl rules: a JSON object with string id, kind, created_at and payload, and
-    object params and certificates.  A blank line is skipped."""
+    object params and certificates; the id ASCII letters and digits, the payload payloads/<id>.
+    A blank line is skipped."""
     if not line.strip():
         return False
     try:
@@ -905,7 +968,9 @@ def _record_is_malformed(line: str) -> bool:
     except ValueError:
         return True
     types = {"id": str, "kind": str, "params": dict, "certificates": dict, "created_at": str, "payload": str}
-    return not isinstance(obj, dict) or any(type(obj.get(key)) is not kind for key, kind in types.items())
+    if not isinstance(obj, dict) or any(type(obj.get(key)) is not kind for key, kind in types.items()):
+        return True
+    return not (obj["id"].isascii() and obj["id"].isalnum()) or obj["payload"] != f"payloads/{obj['id']}"
 
 
 def _clean_run(capsys, doc, *argv):
@@ -1008,4 +1073,51 @@ def test_mutated_catalog_records_exit_cleanly_through_list_show_and_audit(fuzzed
             assert (code == 2) == refused, (argv, edited, err)
             assert code != 1 or argv == ["audit"]
             codes.append(code)
+    assert set(codes) == {0, 1, 2}
+
+
+def _design_is_malformed(doc) -> bool:
+    """The design document rules of ``design_from_obj`` and ``design_from_fields``: the schema; integer
+    v, k, lambda, r and b, with v in 1..8192; blocks a list of integer lists whose labels lie in 1..v
+    without a repeat; parallel classes, unless absent or null, a list of integer lists.  Failed design
+    identities are not malformed."""
+    if not isinstance(doc, dict) or doc.get("schema") != "etf-forge/design/v1":
+        return True
+    if not all(_is_int(doc.get(key)) for key in ("v", "k", "lambda", "r", "b")) or not _is_int(doc["v"], 1, 8192):
+        return True
+    blocks, classes = doc.get("blocks"), doc.get("parallel_classes")
+    if type(blocks) is not list or not all(_is_ints(block) and len(set(block)) == len(block)
+                                           and all(1 <= x <= doc["v"] for x in block) for block in blocks):
+        return True
+    return classes is not None and not (type(classes) is list and all(_is_ints(c) for c in classes))
+
+
+def test_mutated_design_documents_exit_cleanly_through_verify_and_qsd_to_etf(tmp_path, capsys):
+    # The Steiner triple system of PG(3, 2) and the QSD of the Kirkman u=2
+    # primary (given its round-robin resolution), each edited once: verify qsd,
+    # verify bibd and construct qsd-to-etf exit 2 exactly when the design
+    # document rules refuse the edited document.
+    from etf_forge.constructions import kirkman_etf, standard_kirkman_inputs
+    from etf_forge.designs import Design, round_robin_resolution
+    from etf_forge.qsd_bridge import qsd_from_flat_etf
+
+    lines = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(1, 16) if a < b})
+    kirkman = qsd_from_flat_etf(kirkman_etf(standard_kirkman_inputs(2)).primary).certificate.design
+    index = {frozenset(block): i for i, block in enumerate(kirkman.blocks)}
+    rr = round_robin_resolution(6)
+    classes = [[index[frozenset(rr.blocks[i])] for i in c] for c in rr.parallel_classes]
+    bases = [design_to_obj(Design(15, [[x - 1 for x in line] for line in lines])),
+             design_to_obj(Design(6, kirkman.blocks, classes))]
+    rng = random.Random(1701)
+    path, codes = tmp_path / "design.json", []
+    for base in bases:
+        for _ in range(100):
+            doc = _mutated(base, rng)
+            path.write_text(json.dumps(doc))
+            for argv in (["verify", "qsd", str(path)], ["verify", "bibd", str(path)],
+                         ["construct", "qsd-to-etf", "--design", str(path), "--branch", rng.choice(["plus", "minus"]),
+                          "--out", str(tmp_path / "out")]):
+                code, _, err = _clean_run(capsys, doc, *argv)
+                assert (code == 2) == _design_is_malformed(doc), (argv, doc, err)
+                codes.append(code)
     assert set(codes) == {0, 1, 2}

@@ -170,3 +170,31 @@ def test_recipes_read_json_values_through_serialize():
         elif isinstance(node, ast.ClassDef) and "dict" in [ast.unparse(b) for b in node.bases]:
             found.append(f"recipes.py:{node.lineno} class {node.name}(dict)")
     assert found == []
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # gc.freeze takes every live object out of the collector's reach for the
+    # rest of the process, so only cli.run, the process entry, may call it;
+    # main and the library leave an in-process caller's collector alone.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(inner): node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "freeze" and ast.unparse(node.value) == "gc"
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc" and "freeze" in [a.name for a in node.names]):
+                found.append(f"{path.name}:{owner.get(id(node))}")
+    assert found == ["cli.py:run"]
+
+
+def test_both_ways_to_start_the_program_call_cli_run():
+    # `python -m etf_forge.cli` and the etf-forge console script start the
+    # same way, so both freeze the start-up heap.
+    path = PACKAGE / "cli.py"
+    blocks = [ast.unparse(node.body) for node in ast.parse(path.read_text(), str(path)).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert blocks == ["run()"]
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["etf-forge", "=", '"etf_forge.cli:run"']
