@@ -29,16 +29,15 @@ class Frame(Value):
     (all ones when absent).  Weighted rows appear only in complements whose
     closed form involves sqrt(k) blocks.
 
-    Frames are immutable; the Gram matrix and the certificate are computed
-    once and cached.
+    Frames are immutable; only the certificate is cached, so a frame keeps
+    no matrix alive but its own (``gram`` forms the Gram matrix at each call).
     """
 
     matrix: ExactMatrix
     row_weights: tuple[Fraction, ...] | None = None
-    _gram: ExactMatrix | None = None
     _certificate: "EtfCertificate | None" = None
 
-    __eq__ = object.__eq__  # by identity: the matrix is unhashable and the caches are per object
+    __eq__ = object.__eq__  # by identity: the matrix is unhashable and the cache is per object
     __hash__ = object.__hash__
 
     def __post_init__(self):
@@ -79,11 +78,8 @@ def welch_bound_sq(d: int, n: int) -> Fraction:
 
 def gram(frame: Frame) -> ExactMatrix:
     """The n x n matrix of pairwise inner products, weights included."""
-    if frame._gram is None:
-        m = frame.matrix  # unweighted, a {-1, 0, 1} frame's Gram matrix takes one triangle
-        g = matmul(m.adjoint(), m if frame.row_weights is None else m.scale_rows(frame.row_weights))
-        object.__setattr__(frame, "_gram", g)
-    return frame._gram
+    m = frame.matrix  # unweighted, a {-1, 0, 1} frame's Gram matrix takes one triangle
+    return matmul(m.adjoint(), m if frame.row_weights is None else m.scale_rows(frame.row_weights))
 
 
 def _row_product_diagonal(m: ExactMatrix, weights) -> tuple[list[Fraction], list[list]]:

@@ -21,9 +21,10 @@ once per distinct entry (``per_entry``, ``squared_moduli``): frames repeat few.
 
 A product takes one of two integer routes, chosen from the operands' values
 alone.  A {-1, 0, 1} matrix times its own transpose computes one triangle by
-popcounts (two AND popcounts per entry when an entry is zero) and mirrors it,
-and ``row_product_triangle`` takes that triangle from the rows alone; how b
-was built (``adjoint()``, ``transpose()`` or fresh planes) plays no part.
+popcounts (two AND popcounts per entry when an entry is zero, else one XOR
+popcount indexing a table of the n + 1 possible entries, each one shared
+object) and mirrors it, and ``row_product_triangle`` takes that triangle from
+the rows alone; how b was built (``adjoint()``, ``transpose()`` or fresh planes) plays no part.
 Every other product is row-packed: each distinct entry's planes are one integer
 (Kronecker substitution), each row of b is one integer with entry j at slot
 offset j * width, each output row is one big-integer multiply-accumulate
@@ -299,8 +300,9 @@ def _int_matmul(a: list[list[int]]) -> list[list[int]] | None:
     if signs is None:
         return None
     (support, negative, full), n = signs, len(a[0])
-    if full:  # a product of signs is +1 unless they differ
-        return [[n - 2 * (x ^ y).bit_count() for y in negative[i:]] for i, x in enumerate(negative)]
+    if full:  # a product of signs is +1 unless they differ; the n + 1 possible entries are shared objects
+        value = [n - 2 * c for c in range(n + 1)]
+        return [[value[(x ^ y).bit_count()] for y in negative[i:]] for i, x in enumerate(negative)]
     return [[(s & t).bit_count() - 2 * (s & t & (x ^ y)).bit_count() for t, y in zip(support[i:], negative[i:])]
             for i, (s, x) in enumerate(zip(support, negative))]
 

@@ -17,8 +17,8 @@ from math import lcm
 
 from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd, verify_qsd
 from .errors import DesignError, FrameError
-from .frames import Frame, certify_etf, gram
-from .matrices import RATIONAL, ExactMatrix, quad_domain, rational_rows
+from .frames import Frame, certify_etf
+from .matrices import RATIONAL, ExactMatrix, matmul, quad_domain, rational_rows
 from .scalars import QuadElem, rational_sqrt
 from .value import Value
 
@@ -97,9 +97,9 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
     planes = [[[den if k == 0 else 0, *map(v.__getitem__, row)] for row in x_t] for k, v in enumerate(values)]
     frame = Frame(ExactMatrix(domain, den, planes))
     certify_etf(frame)
-    den, g = rational_rows(gram(frame))
+    den, (g,) = rational_rows(matmul(frame.matrix.adjoint().take_rows([0]), frame.matrix))  # the Gram's row 0
     for j in range(1, p.b + 1):
-        if g[0][j] != w * den:
+        if g[j] != w * den:
             raise FrameError(f"first-column inner product at {j} is not +w")
     link = QsdEtfLink(w, p.k, delta, eps, branch, p, cert.x, cert.y)
     return frame, link

@@ -39,6 +39,9 @@ PAIR_SCHEMA = "etf-forge/pair/v1"
 MAX_SIDE = 1 << 13  # the longest matrix side a recipe or a design document may ask for
 MAX_RADICAND = 1 << 40  # trial division factors any radicand below it in well under a second
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_SIGN_HEAD = b'{"cols":%d,"domain":{"kind":"cyclotomic","order":1},"entries":['  # of a {-1, 0, 1} matrix document
+_SIGN_TAIL = b'],"rows":%d,"schema":"' + MATRIX_SCHEMA.encode() + b'"}\n'
+_SIGN_COLUMNS = (b"[", b"[", b"0", b",", b"1\xfe\xff", b",", b"1", b"]", b"]", b",")  # what byte k of an entry (and its comma) may be
 
 
 def canonical_json(obj) -> str:
@@ -103,17 +106,18 @@ def _entry_planes(entries, domain) -> tuple[int, list[list[int]]]:
     else:  # a + b sqrt(t) as the terms a sqrt(t)^0 and b sqrt(t)^1
         size = 2
         entries = [((0, a_num, a_den), (1, b_num, b_den)) for a_num, a_den, b_num, b_den in entries]
-    dens = set()
+    dens, exps = set(), set()  # planes reach the largest exponent present, not the order
     for entry in entries:
         for e, num, d in entry:
             if type(e) is not int or type(num) is not int or type(d) is not int:
                 raise TypeError(f"a term needs an integer exponent, numerator and denominator, got {[e, num, d]!r}")
             dens.add(d)
+            exps.add(e)
     if 0 in dens:
         raise ZeroDivisionError("a term has denominator 0")
     den = lcm(*dens)
     scale = {d: den // d for d in dens}
-    flat = [[0] * len(entries) for _ in range(size)]  # flat[e][i]: entry i's term in zeta^e or sqrt(t)^e
+    flat = [[0] * len(entries) for _ in range(1 + max((e % size for e in exps), default=0))]  # flat[e][i]: entry i's term in zeta^e
     for i, entry in enumerate(entries):
         for e, num, d in entry:
             flat[e % size][i] += num * scale[d]
@@ -322,13 +326,13 @@ def dump(obj, path) -> None:
 
 
 def load(path, decode=None):
-    """The JSON value of the file at ``path``, or ``decode`` of the open file;
-    a ``ValueError`` is bad input."""
-    with open(path) as fh:
+    """The JSON value of the file at ``path``, or ``decode`` of the file opened
+    in binary; a ``ValueError`` is bad input."""
+    with open(path, "rb") as fh:
         enabled = gc.isenabled()
         gc.disable()  # a decoded document is acyclic: a collection while it is alive walks it and frees nothing
         try:
-            return json.load(fh) if decode is None else decode(fh)
+            return json.loads(fh.read().decode()) if decode is None else decode(fh)  # strict UTF-8: loads(bytes) skips a BOM
         except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise InputError(f"{path} is not valid JSON: {exc}") from None
         finally:
@@ -336,37 +340,35 @@ def load(path, decode=None):
                 gc.enable()
 
 
-def _sign_matrix(text: str) -> ExactMatrix | None:
-    """The {-1, 0, 1} matrix whose canonical document is ``text``, else None.  With ``[]`` written
-    ``[[0,c,1]]`` for c = 0xfe and ``-1`` as c = 0xff (bytes an ASCII text never holds), every entry must
-    be ``[[0,c,1]],`` with c in {1, 0xfe, 0xff}, so exactly what ``matrix_text`` writes is taken."""
-    head, _, rest = text.partition(',"domain":')
+def _sign_matrix(data: bytes) -> ExactMatrix | None:
+    """The {-1, 0, 1} matrix whose canonical document is ``data``, else None.  With ``-1`` written c = 0xff and
+    ``[]`` as ``[[0,c,1]]`` for c = 0xfe (bytes ASCII never holds), every entry must be ``[[0,c,1]]`` with c in
+    {1, 0xfe, 0xff}, so exactly what ``matrix_text`` writes is taken.  With no zero, at most one copy is made."""
     try:
-        cols, rows = int(head.removeprefix('{"cols":')), int(rest.rpartition('],"rows":')[2].partition(",")[0])
+        cols = int(data[:64].partition(b',"domain":')[0].removeprefix(b'{"cols":'))
+        rows = int(data[-64:].rpartition(b'],"rows":')[2].partition(b",")[0])
     except ValueError:
         return None
-    head = f'{{"cols":{cols},"domain":{{"kind":"cyclotomic","order":1}},"entries":['
-    tail, n = f'],"rows":{rows},"schema":"{MATRIX_SCHEMA}"}}\n', rows * cols
-    if not text.isascii() or min(rows, cols) < 1 or not (text.startswith(head) and text.endswith(tail)):
+    head, tail, n = _SIGN_HEAD % cols, _SIGN_TAIL % rows, rows * cols
+    if not data.isascii() or min(rows, cols) < 1 or not (data.startswith(head) and data.endswith(tail)):
         return None
-    body = text[len(head) : len(text) - len(tail)].encode()
-    fixed = body.replace(b"[]", b"[[0,\xfe,1]]").replace(b"-1", b"\xff") + b","
-    if len(fixed) != 10 * n:  # before any buffer of n entries is built
+    fixed = data.replace(b"-1", b"\xff").replace(b"[]", b"[[0,\xfe,1]]")
+    start, stop = len(head), len(fixed) - len(tail)  # column k of the body holds byte k of every entry
+    if stop - start != 10 * n - 1 or any(fixed[start + k : stop : 10].translate(None, ok)
+                                         for k, ok in enumerate(_SIGN_COLUMNS)):
         return None
-    codes, template = fixed[4::10], bytearray(fixed)
-    template[4::10] = b"1" * n
-    if template != b"[[0,1,1]]," * n or codes.translate(None, b"1\xfe\xff"):
-        return None
-    return from_flat(RATIONAL, cols, 1, [memoryview(codes.translate(bytes.maketrans(b"1\xfe", b"\1\0"))).cast("b").tolist()])
+    signs = memoryview(fixed[start + 4 : stop : 10].translate(bytes.maketrans(b"1\xfe", b"\1\0"))).cast("b")
+    del fixed
+    return ExactMatrix(RATIONAL, 1, [[signs[i : i + cols].tolist() for i in range(0, n, cols)]])
 
 
 def _decode_matrix(fh, designs: bool = False):
     """The matrix of a matrix document (see ``_sign_matrix``, else ``json``);
     with ``designs``, the JSON value of a design document instead."""
-    text = fh.read()
-    if (m := _sign_matrix(text)) is not None:
+    data = fh.read()
+    if (m := _sign_matrix(data)) is not None:
         return m
-    obj = json.loads(text)
+    obj = json.loads(data.decode())
     return obj if designs and isinstance(obj, dict) and obj.get("schema") == DESIGN_SCHEMA else matrix_from_obj(obj)
 
 

@@ -648,6 +648,22 @@ def test_matrix_documents_bound_their_quadratic_radicand(tmp_path, capsys):
         assert f"domain radicand must be below 2**40, got {radicand}" in err and stdout == ""
 
 
+def test_matrix_documents_allocate_planes_only_for_their_exponents(tmp_path, capsys):
+    # A document's planes reach its largest exponent mod the order, not the
+    # order: one entry at order 10^9 + 7 once kept verify etf busy past 10 s.
+    import time
+
+    path = tmp_path / "m.json"
+    order = 10**9 + 7
+    for exponent in (0, order, -3 * order):
+        path.write_text(json.dumps({"schema": "etf-forge/matrix/v1", "rows": 1, "cols": 1,
+                                    "entries": [[[exponent, 1, 1]]], "domain": {"kind": "cyclotomic", "order": order}}))
+        started = time.monotonic()
+        code, stdout, err = run(capsys, "verify", "etf", str(path))
+        assert time.monotonic() - started < 1
+        assert (code, err) == (0, "") and json.loads(stdout)["domain"] == {"kind": "cyclotomic", "order": order}
+
+
 def test_a_design_document_without_blocks_fails_its_identity(tmp_path, capsys):
     # An empty block list is a failed design identity (exit 1); it once raised
     # IndexError while the incidence matrix was built.

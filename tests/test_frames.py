@@ -566,3 +566,17 @@ def test_certify_etf_of_the_u12_primary_is_one_product(workload_frames, monkeypa
     cert = certify_etf(Frame(workload_frames["kirkman12/primary"].matrix))
     assert (cert.d, cert.n, cert.flat) == (276, 576, True)
     assert products == [("_int_matmul", 576)]
+
+
+def test_certified_frames_hold_no_matrix_but_their_own(workload_frames):
+    # A frame caches only its certificate: the Gram matrix that certify_etf
+    # reads and the stacked row product of the pair check die with the call.
+    for name in ("kirkman12", "steiner8"):
+        primary, complement = (Frame(workload_frames[f"{name}/{role}"].matrix, workload_frames[f"{name}/{role}"].row_weights)
+                               for role in ("primary", "complement"))
+        certify_etf(primary)
+        verify_naimark_pair(primary, complement)
+        for frame in (primary, complement):
+            assert frame._certificate is not None, name
+            assert [f for f, value in vars(frame).items() if isinstance(value, ExactMatrix)] == ["matrix"], name
+            assert not any(isinstance(value, ExactMatrix) for value in vars(frame._certificate).values()), name

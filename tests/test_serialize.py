@@ -222,7 +222,7 @@ def _json_path(text):
 
 
 def _text_path(text):
-    return serialize._decode_matrix(io.StringIO(text))
+    return serialize._decode_matrix(io.BytesIO(text.encode()))
 
 
 def _is_sign_matrix(m) -> bool:
@@ -235,7 +235,7 @@ def _assert_paths_agree(text) -> bool:
     for the canonical documents of {-1, 0, 1} matrices."""
     m, want = _outcome(_json_path, text)
     assert _outcome(_text_path, text)[1] == want
-    taken = serialize._sign_matrix(text) is not None
+    taken = serialize._sign_matrix(text.encode()) is not None
     assert taken == (m is not None and _is_sign_matrix(m) and matrix_text(m) == text)
     return taken
 
@@ -391,7 +391,7 @@ def test_sign_reader_checks_the_length_before_building_entry_buffers():
         text = small.replace('{"cols":2', f'{{"cols":{side}', 1).replace('"rows":2', f'"rows":{side}', 1)
         tracemalloc.start()
         try:
-            assert serialize._sign_matrix(text) is None
+            assert serialize._sign_matrix(text.encode()) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,9 +402,26 @@ def test_sign_reader_checks_the_length_before_building_entry_buffers():
                           f"for a {side}x{side} matrix, got 4")
 
 
+def test_load_matrix_of_a_sign_document_peaks_below_three_file_sizes(kirkman_u12_documents, tmp_path):
+    # The reader holds the file's bytes and one more buffer of their size,
+    # then slices the rows from one signed byte per entry; the peak counts the
+    # matrix it returns.
+    path = tmp_path / "primary.json"
+    path.write_text(canonical_json(kirkman_u12_documents[0]))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        m = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.rows * m.cols >= 100_000 and m == matrix_from_obj(kirkman_u12_documents[0])
+    assert peak <= 3 * size, (peak, size)
+
+
 def test_load_matrix_of_a_file_takes_the_json_verdict(tmp_path):
-    # The json route is matrix_from_obj(load(path)).  Universal newlines turn a
-    # CRLF line end into the canonical one before either reader sees it.
+    # The json route is matrix_from_obj(load(path)).  Both readers see the
+    # file's bytes: a CRLF line end is not canonical, so json reads it.
     text = matrix_text(kirkman_etf(standard_kirkman_inputs(2, e=sylvester(1))).complement.matrix)
     data = text.encode()
     cases = {
@@ -490,8 +507,8 @@ def test_load_pauses_the_collector_only_inside_the_decode(tmp_path, monkeypatch)
     good.write_text(canonical_json(matrix_to_obj(dft(3).body)))
     bad.write_text("{not json")
     states = []
-    decode = json.load
-    monkeypatch.setattr(serialize.json, "load", lambda fh: states.append(gc.isenabled()) or decode(fh))
+    decode = json.loads
+    monkeypatch.setattr(serialize.json, "loads", lambda text: states.append(gc.isenabled()) or decode(text))
     assert gc.isenabled()
     assert matrix_from_obj(load(good)) == dft(3).body
     assert gc.isenabled()

@@ -198,3 +198,25 @@ def test_both_ways_to_start_the_program_call_cli_run():
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.split() == ["etf-forge", "=", '"etf_forge.cli:run"']
+
+
+def test_frames_cache_only_their_certificate():
+    # A cached Gram matrix outlived every certificate read from it, through
+    # the pair check and the writes after it; a frame keeps its matrix, its
+    # row weights and its certificate.
+    path = PACKAGE / "frames.py"
+    fields = [node.target.id for cls in ast.parse(path.read_text(), str(path)).body
+              if isinstance(cls, ast.ClassDef) and cls.name == "Frame" for node in cls.body
+              if isinstance(node, ast.AnnAssign)]
+    assert fields == ["matrix", "row_weights", "_certificate"]
+
+
+def test_the_matrix_reader_never_encodes_the_document():
+    # load_matrix reads a file's bytes once; decoding them to text and
+    # encoding the text back held two more copies of the document.
+    path = PACKAGE / "serialize.py"
+    readers = [node for node in ast.parse(path.read_text(), str(path)).body
+               if isinstance(node, ast.FunctionDef) and node.name in ("_sign_matrix", "_decode_matrix")]
+    found = [f"serialize.py:{node.lineno} {reader.name}" for reader in readers for node in ast.walk(reader)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode"]
+    assert len(readers) == 2 and found == []

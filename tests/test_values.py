@@ -17,7 +17,7 @@ from etf_forge.designs import (
     round_robin_resolution,
 )
 from etf_forge.errors import DesignError, FrameError, HadamardError
-from etf_forge.frames import EtfCertificate, Frame, NaimarkPair, gram
+from etf_forge.frames import EtfCertificate, Frame, NaimarkPair, certify_etf
 from etf_forge.hadamard import AbelianGroup, HadamardMatrix, sylvester
 from etf_forge.matrices import CycloDomain, ExactMatrix, QuadDomain, cyclo_domain
 from etf_forge.qsd_bridge import FeasibilityReport, FlatEtfExtraction, GerzonReport, QsdEtfLink, RadicalCheck
@@ -236,12 +236,13 @@ def test_frame_compares_by_identity_and_hides_its_caches():
     a, b = Frame(M2x4), Frame(M2x4)
     assert a == a and a != b and a.__eq__(b) is NotImplemented
     assert hash(a) == object.__hash__(a) and len({a, b}) == 2
-    assert gram(a) is gram(a) is a._gram  # the cache fills once, past the frozen fields
+    simplex = Frame(ExactMatrix.from_rows([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]))
+    assert certify_etf(simplex) is certify_etf(simplex) is simplex._certificate  # the cache fills once, past the frozen fields
     assert repr(a) == FRAME_REPR
     with pytest.raises(AttributeError, match="cannot assign to field 'matrix'"):
         a.matrix = M2x4
-    with pytest.raises(AttributeError, match="cannot assign to field '_gram'"):
-        a._gram = None
+    with pytest.raises(AttributeError, match="cannot assign to field '_certificate'"):
+        a._certificate = None
 
 
 def test_catalog_record_to_obj():
