@@ -4,8 +4,10 @@ Layout: one directory holding ``records.jsonl`` (one canonical JSON record
 per line) and a ``payloads/`` tree with one subdirectory per record that
 stores the recipe, the matrices, and the certificates.  Record ids are the
 SHA-256 of the canonical recipe JSON, so identical recipes always produce
-identical ids.  Appends take an exclusive lock on ``catalog.lock``; readers
-need no lock.  A payload is written to a temporary directory under
+identical ids; the hash comes from the interpreter's built-in ``_sha256``
+module, and from ``hashlib`` (which maps OpenSSL into the process) only where
+that module is missing.  Appends take an exclusive lock on ``catalog.lock``;
+readers need no lock.  A payload is written to a temporary directory under
 ``payloads/`` and moved into place under the lock, together with its record
 line, so a crash never leaves a recorded payload half written and a recorded
 payload is never rewritten.  A staging directory carries its writer's pid
@@ -46,9 +48,11 @@ def catalog_path(override=None) -> Path:
 
 
 def recipe_id(rec: dict) -> str:
-    import hashlib  # imported here: only the catalog commands hash a recipe
-
-    return hashlib.sha256(canonical_json(rec).encode()).hexdigest()
+    try:  # imported here: only the catalog commands hash a recipe
+        from _sha256 import sha256  # the interpreter's own; hashlib would map OpenSSL into the process
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
+    return sha256(canonical_json(rec).encode()).hexdigest()
 
 
 def write_artifact(artifact: Artifact, out_dir: Path) -> dict:
@@ -142,7 +146,7 @@ class Catalog:
     def add(self, rec: dict) -> CatalogRecord:
         """Replay the recipe and re-certify; unless its id is already recorded,
         persist the payload and append the record.  Returns the record."""
-        import datetime  # imported here, like hashlib in recipe_id
+        import datetime  # imported here, like the hash in recipe_id
 
         artifact = replay(rec)
         rid = recipe_id(rec)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, compress, count, zip_longest
 from math import gcd, lcm
@@ -69,8 +70,10 @@ class ExactMatrix:
     def __init__(self, domain: Domain, den: int, planes: list[list[list[int]]]):
         if not (planes and planes[0] and planes[0][0]):
             raise DomainError("matrix dimensions must be positive")
-        while len(planes) > 1 and not any(map(any, planes[-1])):
-            planes = planes[:-1]
+        top = len(planes)  # trailing all-zero planes are dropped by one slice
+        while top > 1 and not any(map(any, planes[top - 1])):
+            top -= 1
+        planes = planes[:top]
         g = gcd(den, *(gcd(*r) for p in planes for r in p)) if den != 1 else 1
         if g != 1:
             den //= g
@@ -212,16 +215,17 @@ def from_flat(domain: Domain, cols: int, den: int, flat) -> ExactMatrix:
     return ExactMatrix(domain, den, [[p[i : i + cols] for i in range(0, len(p), cols)] for p in flat])
 
 
-def per_entry(m: ExactMatrix, fn) -> list[list]:
-    """Rows of fn's values at m's entries; fn maps the list of distinct entries (coordinate tuples) to one value each."""
+def per_entry(m: ExactMatrix, fn) -> Iterator[list]:
+    """Rows of fn's values at m's entries, each built when it is reached; fn maps the list of
+    distinct entries (coordinate tuples) to one value each, and is called once, before any row."""
     if len(m.planes) == 1:  # the integers themselves are the keys: no tuple per entry
         distinct = list(set().union(*m.planes[0]))
         value = dict(zip(distinct, fn([(x,) for x in distinct]))).__getitem__
-        return [list(map(value, r)) for r in m.planes[0]]
+        return (list(map(value, r)) for r in m.planes[0])
     first, pos = {}, count()  # an entry's code is the position where it first appears: one hash per tuple
     codes = [list(map(first.setdefault, zip(*rs), pos)) for rs in zip(*m.planes)]
     value = dict(zip(first.values(), fn(list(first)))).__getitem__
-    return [list(map(value, r)) for r in codes]
+    return (list(map(value, r)) for r in codes)
 
 
 def _common(mats) -> tuple[Domain, int, list]:
@@ -257,7 +261,7 @@ def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list
                 products = [unpack(pack(c, k) * pack(x, k), k, len(c) + len(x) - 1) for c, x in zip(cs, conj)]
                 return [c[0] if not any(c[1:]) else None for c in zip(*domain.reduce(list(zip(*products))))]
 
-            return den, per_entry(m, moduli)
+            return den, list(per_entry(m, moduli))
     if len(m.planes) == 1:
         return m.den, m.planes[0]
     return m.den, [[c[0] if not any(c[1:]) else None for c in zip(*rs)] for rs in zip(*m.planes)]

@@ -8,10 +8,12 @@ content hashes are stable.  A cyclotomic entry is a list of
 quadratic entry is [a_num, a_den, b_num, b_den].  Vertices in design files
 are 1-based; parallel classes hold 0-based indices into the block list.
 
-A matrix document is written as text from the planes (``matrix_text``).
+A matrix document is written as text from the planes, one row of entry
+texts at a time (``dump``; ``matrix_text`` joins the same pieces).
 ``load_matrix`` reads the canonical text of a {-1, 0, 1} matrix at a fixed
-stride and any other document through ``json``, with one verdict either way;
-every document is read by ``load`` and written by ``dump``.
+stride, in pieces of the body, and any other document through ``json``, with
+one verdict either way; every document is read by ``load`` and written by
+``dump``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import gc
 import json
 from fractions import Fraction
-from itertools import chain
+from collections.abc import Iterator
 from math import gcd, lcm
 from pathlib import Path
 
@@ -42,6 +44,8 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _SIGN_HEAD = b'{"cols":%d,"domain":{"kind":"cyclotomic","order":1},"entries":['  # of a {-1, 0, 1} matrix document
 _SIGN_TAIL = b'],"rows":%d,"schema":"' + MATRIX_SCHEMA.encode() + b'"}\n'
 _SIGN_COLUMNS = (b"[", b"[", b"0", b",", b"1\xfe\xff", b",", b"1", b"]", b"]", b",")  # what byte k of an entry (and its comma) may be
+_SIGN_VALUES = bytes.maketrans(b"1\xfe", b"\1\0")  # an entry's code as its value, 0xff being -1 as a signed byte
+_SIGN_PIECE = 1 << 16  # bytes of the body rewritten at a time, up to the end of an entry
 
 
 def canonical_json(obj) -> str:
@@ -75,9 +79,10 @@ def _domain_from_obj(obj):
     return cyclo_domain(value) if kind == "cyclotomic" else quad_domain(value)
 
 
-def matrix_text(m: ExactMatrix) -> str:
-    """The canonical v1 document, written straight from the planes: each
-    distinct entry is encoded once, and one join looks up each entry's text."""
+def _matrix_pieces(m: ExactMatrix) -> Iterator[str]:
+    """The canonical v1 document in pieces, written straight from the planes:
+    the head, then one row of entry texts at a time (each distinct entry is
+    encoded once, and each row looks up its entries' texts), then the tail."""
     def frac(x):
         g = gcd(x, m.den)
         return [x // g, m.den // g]
@@ -86,9 +91,17 @@ def matrix_text(m: ExactMatrix) -> str:
         if m.domain.kind == "quadratic":
             return [_encode(frac(c[0]) + frac(c[1] if len(c) > 1 else 0)) for c in cs]
         return [_encode([[e, *frac(x)] for e, x in enumerate(c) if x]) for c in cs]
-    entries = ",".join(chain.from_iterable(per_entry(m, texts)))
-    return (f'{{"cols":{m.cols},"domain":{_encode(_domain_obj(m.domain))},"entries":[{entries}],'
-            f'"rows":{m.rows},"schema":"{MATRIX_SCHEMA}"}}\n')
+    yield f'{{"cols":{m.cols},"domain":{_encode(_domain_obj(m.domain))},"entries":['
+    separator = ""
+    for row in per_entry(m, texts):
+        yield separator + ",".join(row)
+        separator = ","
+    yield f'],"rows":{m.rows},"schema":"{MATRIX_SCHEMA}"}}\n'
+
+
+def matrix_text(m: ExactMatrix) -> str:
+    """The canonical v1 document: the join of the pieces ``dump`` writes."""
+    return "".join(_matrix_pieces(m))
 
 
 def matrix_to_obj(m: ExactMatrix) -> dict:
@@ -319,10 +332,11 @@ def load_pair(directory, primary: Frame) -> NaimarkPair:
 
 
 def dump(obj, path) -> None:
-    """Write ``obj`` as canonical JSON; an ``ExactMatrix`` as its matrix document."""
-    text = matrix_text(obj) if isinstance(obj, ExactMatrix) else canonical_json(obj)
+    """Write ``obj`` as canonical JSON; an ``ExactMatrix`` as its matrix
+    document, one row of entry texts at a time, so no whole text is held."""
+    pieces = _matrix_pieces(obj) if isinstance(obj, ExactMatrix) else [canonical_json(obj)]
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def load(path, decode=None):
@@ -340,35 +354,46 @@ def load(path, decode=None):
                 gc.enable()
 
 
-def _sign_matrix(data: bytes) -> ExactMatrix | None:
-    """The {-1, 0, 1} matrix whose canonical document is ``data``, else None.  With ``-1`` written c = 0xff and
-    ``[]`` as ``[[0,c,1]]`` for c = 0xfe (bytes ASCII never holds), every entry must be ``[[0,c,1]]`` with c in
-    {1, 0xfe, 0xff}, so exactly what ``matrix_text`` writes is taken.  With no zero, at most one copy is made."""
+def _sign_matrix(doc: list[bytes]) -> ExactMatrix | None:
+    """The {-1, 0, 1} matrix whose canonical document is the one item of ``doc``, else None.  With ``-1`` written
+    c = 0xff and ``[]`` as ``[[0,c,1]]`` for c = 0xfe (bytes ASCII never holds), every entry must be ``[[0,c,1]]``
+    with c in {1, 0xfe, 0xff}, so exactly what ``matrix_text`` writes is taken.  The body is rewritten and checked
+    one piece of about ``_SIGN_PIECE`` bytes at a time, each cut between two entries.  A document that is taken is
+    removed from ``doc``, so its bytes are freed before the rows are sliced from one signed byte per entry."""
+    data = doc[0]
     try:
         cols = int(data[:64].partition(b',"domain":')[0].removeprefix(b'{"cols":'))
         rows = int(data[-64:].rpartition(b'],"rows":')[2].partition(b",")[0])
     except ValueError:
         return None
     head, tail, n = _SIGN_HEAD % cols, _SIGN_TAIL % rows, rows * cols
-    if not data.isascii() or min(rows, cols) < 1 or not (data.startswith(head) and data.endswith(tail)):
+    start, stop = len(head), len(data) - len(tail)  # n entries of 2 to 10 bytes and n - 1 commas
+    if (not data.isascii() or min(rows, cols) < 1 or not (data.startswith(head) and data.endswith(tail))
+            or not 3 * n - 1 <= stop - start <= 11 * n - 1):
         return None
-    fixed = data.replace(b"-1", b"\xff").replace(b"[]", b"[[0,\xfe,1]]")
-    start, stop = len(head), len(fixed) - len(tail)  # column k of the body holds byte k of every entry
-    if stop - start != 10 * n - 1 or any(fixed[start + k : stop : 10].translate(None, ok)
-                                         for k, ok in enumerate(_SIGN_COLUMNS)):
+    signs = bytearray()
+    while start < stop:  # a piece ends at the "]" before a "],[" comma, so no -1 or [] straddles a cut
+        end = data.find(b"],[", start + _SIGN_PIECE, stop) + 1 or stop
+        piece = data[start:end].replace(b"-1", b"\xff").replace(b"[]", b"[[0,\xfe,1]]")
+        if len(piece) % 10 != 9 or any(piece[k::10].translate(None, ok) for k, ok in enumerate(_SIGN_COLUMNS)):
+            return None  # column k of a piece holds byte k of each of its entries
+        signs += piece[4::10].translate(_SIGN_VALUES)
+        start = end + 1
+    if len(signs) != n:
         return None
-    signs = memoryview(fixed[start + 4 : stop : 10].translate(bytes.maketrans(b"1\xfe", b"\1\0"))).cast("b")
-    del fixed
+    doc.clear()
+    del data, piece  # a rewritten piece of zeros is about three times its text
+    signs = memoryview(signs).cast("b")
     return ExactMatrix(RATIONAL, 1, [[signs[i : i + cols].tolist() for i in range(0, n, cols)]])
 
 
 def _decode_matrix(fh, designs: bool = False):
     """The matrix of a matrix document (see ``_sign_matrix``, else ``json``);
     with ``designs``, the JSON value of a design document instead."""
-    data = fh.read()
-    if (m := _sign_matrix(data)) is not None:
+    doc = [fh.read()]
+    if (m := _sign_matrix(doc)) is not None:
         return m
-    obj = json.loads(data.decode())
+    obj = json.loads(doc[0].decode())
     return obj if designs and isinstance(obj, dict) and obj.get("schema") == DESIGN_SCHEMA else matrix_from_obj(obj)
 
 

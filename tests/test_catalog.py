@@ -30,6 +30,20 @@ def test_recipe_ids_are_stable():
     assert recipe_id(kirkman_recipe(2)) != recipe_id(kirkman_recipe(4))
 
 
+def test_recipe_id_is_the_sha256_of_the_canonical_recipe():
+    # recipe_id hashes with the interpreter's own SHA-256 module; hashlib is
+    # the oracle and is imported here only.
+    import hashlib
+
+    from etf_forge.serialize import canonical_json
+    from test_cli import _strict_field_cases
+
+    bases = {name: base for name, base, _ in _strict_field_cases()}
+    assert len(bases) == 6
+    for name, rec in bases.items():
+        assert recipe_id(rec) == hashlib.sha256(canonical_json(rec).encode()).hexdigest(), name
+
+
 def test_catalog_add_list_show(tmp_path):
     catalog = Catalog(tmp_path / "cat")
     record = catalog.add(kirkman_recipe())

@@ -368,6 +368,41 @@ def test_cli_import_loads_no_catalog_or_introspection_stdlib():
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "datetime"} == set()
 
 
+def test_catalog_children_leave_openssl_unloaded(tmp_path):
+    # hashlib maps OpenSSL into the process (3-4 MB of a child's peak);
+    # recipe_id hashes with the interpreter's built-in _sha256 module.
+    import os
+    import subprocess
+    import sys
+
+    pytest.importorskip("_sha256")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert main(["construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k")]) == 0
+    cat = str(tmp_path / "cat")
+    for argv in (["add", str(tmp_path / "k" / "recipe.json")], ["audit"]):
+        code = (f"import sys\nfrom etf_forge.cli import main\ncode = main(['catalog', '--catalog', {cat!r}, *{argv!r}])\n"
+                "print(code, '_hashlib' in sys.modules, 'hashlib' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stderr.split() == ["0", "False", "False"], (argv, proc.stderr)
+
+
+def test_matrix_documents_are_read_from_a_pipe(tmp_path):
+    # A document piped to /dev/stdin can be read only once: both readers
+    # (the {-1, 0, 1} text and json) work from that one read.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert main(["construct", "harmonic", "--group", "13", "--subset", "0,1,3,9", "--out", str(tmp_path / "h")]) == 0
+    assert main(["construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k")]) == 0
+    for path in (tmp_path / "h" / "primary.json", tmp_path / "k" / "complement.json"):
+        proc = subprocess.run([sys.executable, "-m", "etf_forge.cli", "verify", "etf", "/dev/stdin"],
+                              input=path.read_text(), capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), path
+        assert json.loads(proc.stdout) == certificate_to_obj(certify_etf(Frame(matrix_from_obj(load(path)))))
+
+
 def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
     # Only the process entry freezes the start-up heap; in-process callers of
     # main keep their collector as it was.

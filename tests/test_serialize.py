@@ -235,7 +235,7 @@ def _assert_paths_agree(text) -> bool:
     for the canonical documents of {-1, 0, 1} matrices."""
     m, want = _outcome(_json_path, text)
     assert _outcome(_text_path, text)[1] == want
-    taken = serialize._sign_matrix(text.encode()) is not None
+    taken = serialize._sign_matrix([text.encode()]) is not None
     assert taken == (m is not None and _is_sign_matrix(m) and matrix_text(m) == text)
     return taken
 
@@ -391,7 +391,7 @@ def test_sign_reader_checks_the_length_before_building_entry_buffers():
         text = small.replace('{"cols":2', f'{{"cols":{side}', 1).replace('"rows":2', f'"rows":{side}', 1)
         tracemalloc.start()
         try:
-            assert serialize._sign_matrix(text.encode()) is None
+            assert serialize._sign_matrix([text.encode()]) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,6 +417,62 @@ def test_load_matrix_of_a_sign_document_peaks_below_three_file_sizes(kirkman_u12
         tracemalloc.stop()
     assert m.rows * m.cols >= 100_000 and m == matrix_from_obj(kirkman_u12_documents[0])
     assert peak <= 3 * size, (peak, size)
+
+
+@pytest.mark.parametrize("name, bound", [("steiner24", 2.7), ("kirkman12", 1.5)])
+def test_load_matrix_frees_the_document_before_it_builds_the_rows(name, bound, kirkman_u12_documents,
+                                                                  steiner_v24_document, tmp_path):
+    # The body is rewritten one piece at a time and the file's bytes are freed
+    # before the rows are sliced, so the peak is the larger of the bytes with
+    # one piece and one byte per entry, and the matrix with that byte per
+    # entry.  The Steiner primary writes each of its 145,728 zeros in 3 bytes
+    # and holds it in a list slot of 8.
+    doc = steiner_v24_document if name == "steiner24" else kirkman_u12_documents[0]
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_json(doc))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        m = load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == matrix_from_obj(doc)
+    assert peak <= bound * size, (peak, size)
+
+
+@pytest.mark.parametrize("piece", [1, 16])
+def test_sign_reader_cuts_its_pieces_after_an_entry(piece, monkeypatch):
+    # The body is rewritten in pieces of at least _SIGN_PIECE bytes, each cut
+    # at the "]" before a "],[" comma.  With pieces this small, a short body
+    # is cut after most of its entries, and every one-byte substitution,
+    # deletion and duplication in it takes the json verdict.
+    monkeypatch.setattr(serialize, "_SIGN_PIECE", piece)
+    rng = random.Random(19)
+    text = matrix_text(ExactMatrix.from_rows([[rng.choice((-1, 0, 1)) for _ in range(5)] for _ in range(3)]))
+    assert _assert_paths_agree(text)
+    start = text.index('"entries":[') + len('"entries":[')
+    for i in range(start - 1, text.rindex('],"rows":') + 1):
+        for byte in "01-[],":
+            _assert_paths_agree(text[:i] + byte + text[i + 1 :])
+        _assert_paths_agree(text[:i] + text[i + 1 :])
+        _assert_paths_agree(text[: i + 1] + text[i:])
+
+
+def test_dump_of_a_576_wide_sign_matrix_holds_no_whole_document(kirkman_u12_documents, tmp_path):
+    # dump writes a matrix one row of entry texts at a time; the entry list,
+    # its join and the document text were each about the file's size.
+    m = matrix_from_obj(kirkman_u12_documents[0])
+    path = tmp_path / "primary.json"
+    tracemalloc.start()
+    try:
+        dump(m, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == canonical_json(kirkman_u12_documents[0]) == matrix_text(m)
+    assert m.cols == 576 and peak < size / 10, (peak, size)
 
 
 def test_load_matrix_of_a_file_takes_the_json_verdict(tmp_path):
