@@ -1,17 +1,19 @@
 """A persistent, append-only catalog of certified artifacts.
 
 Layout: one directory holding ``records.jsonl`` (one canonical JSON record
-per line) and a ``payloads/`` tree with one subdirectory per record that
-stores the recipe, the matrices, and the certificates.  Record ids are the
-SHA-256 of the canonical recipe JSON, so identical recipes always produce
-identical ids; the hash comes from the interpreter's built-in ``_sha256``
-module, and from ``hashlib`` (which maps OpenSSL into the process) only where
-that module is missing.  Appends take an exclusive lock on ``catalog.lock``;
-readers need no lock.  A payload is written to a temporary directory under
-``payloads/`` and moved into place under the lock, together with its record
-line, so a crash never leaves a recorded payload half written and a recorded
-payload is never rewritten.  A staging directory carries its writer's pid
-and is removed under the lock once that process is gone.
+per line) and a ``payloads/`` tree with one subdirectory per record: the
+artifact directory that ``recipes.write_artifact`` writes (the recipe, the
+matrices and the certificates) and whose pair ``recipes.load_pair`` reads.
+Record ids are the SHA-256 of the canonical recipe JSON, so identical recipes
+always produce identical ids; the hash comes from the interpreter's built-in
+``_sha256`` module (``_sha2`` from CPython 3.12 on), and from ``hashlib``
+(which maps OpenSSL into the process) only where neither is present.  Appends
+take an exclusive lock on ``catalog.lock``; readers need no lock.  A payload
+is written to a temporary directory under ``payloads/`` and moved into place
+under the lock, together with its record line, so a crash never leaves a
+recorded payload half written and a recorded payload is never rewritten.  A
+staging directory carries its writer's pid and is removed under the lock once
+that process is gone.
 """
 
 from __future__ import annotations
@@ -25,16 +27,8 @@ from pathlib import Path
 
 from .errors import CatalogError, EtfForgeError, InputError, RecordLookupError
 from .frames import Frame, certify_etf
-from .recipes import Artifact, replay
-from .serialize import (
-    canonical_json,
-    certificate_to_obj,
-    dump,
-    load,
-    load_matrix,
-    load_pair,
-    pair_to_obj,
-)
+from .recipes import Artifact, load_pair, replay, write_artifact
+from .serialize import canonical_json, certificate_to_obj, load, load_matrix
 from .value import Value
 
 ENV_VAR = "ETF_FORGE_CATALOG"
@@ -50,23 +44,12 @@ def catalog_path(override=None) -> Path:
 def recipe_id(rec: dict) -> str:
     try:  # imported here: only the catalog commands hash a recipe
         from _sha256 import sha256  # the interpreter's own; hashlib would map OpenSSL into the process
-    except ImportError:  # an interpreter built without it
-        from hashlib import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256  # its name from CPython 3.12 on
+        except ImportError:  # an interpreter built without either
+            from hashlib import sha256
     return sha256(canonical_json(rec).encode()).hexdigest()
-
-
-def write_artifact(artifact: Artifact, out_dir: Path) -> dict:
-    """Write the recipe, each frame's matrix and certificate, and the pair
-    document; returns the certificate documents by role."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump(artifact.recipe, out_dir / "recipe.json")
-    if artifact.pair is not None:
-        dump(pair_to_obj(artifact.pair), out_dir / "pair.json")
-    certs = {role: certificate_to_obj(certify_etf(frame)) for role, frame in artifact.frames().items()}
-    for role, frame in artifact.frames().items():
-        dump(frame.matrix, out_dir / f"{role}.json")
-        dump(certs[role], out_dir / f"certificate_{role}.json")
-    return certs
 
 
 def _params_summary(artifact: Artifact) -> dict:

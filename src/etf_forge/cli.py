@@ -19,23 +19,20 @@ import gc
 import sys
 from pathlib import Path
 
-from .catalog import Catalog, write_artifact
-from .designs import Design, verify_bibd, verify_qsd, verify_srg
+from .catalog import Catalog
+from .designs import design_from_obj, design_to_obj, verify_bibd, verify_qsd, verify_srg
 from .errors import EtfForgeError, InputError
 from .frames import Frame, certify_etf
 from .hadamard import verify_hadamard
 from .qsd_bridge import flat_feasibility, gerzon_bounds
-from .recipes import Artifact, recipe, replay
+from .recipes import load_pair, recipe, replay, write_artifact
 from .serialize import (
     canonical_json,
     certificate_to_obj,
-    design_from_obj,
-    design_to_obj,
     feasibility_to_obj,
     load,
     load_design_or_matrix,
     load_matrix,
-    load_pair,
     matrix_to_csv,
 )
 
@@ -49,15 +46,6 @@ def _int_list(option: str, text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise InputError(f"{option} must be comma-separated integers, got {text!r}") from None
-
-
-def _write_artifact(artifact: Artifact, out_dir: Path, fmt: str) -> None:
-    write_artifact(artifact, out_dir)
-    if fmt == "csv":
-        for role, frame in artifact.frames().items():
-            if frame.matrix.int_rows() is None:
-                raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
-            (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
 
 
 def _construct_recipe(args) -> dict:
@@ -91,7 +79,13 @@ def _construct_recipe(args) -> dict:
 def cmd_construct(args) -> int:
     rec = _construct_recipe(args)
     artifact = replay(rec)
-    _write_artifact(artifact, Path(args.out), args.format)
+    out_dir = Path(args.out)
+    write_artifact(artifact, out_dir)
+    if args.format == "csv":
+        for role, frame in artifact.frames().items():
+            if frame.matrix.int_rows() is None:
+                raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
+            (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
     summary = {"kind": artifact.kind, "d": artifact.primary.d, "n": artifact.primary.n, "out": str(args.out)}
     if artifact.pair is not None:
         summary["complement_d"] = artifact.pair.complement.d
@@ -111,7 +105,7 @@ def cmd_verify(args) -> int:
         return 0
     if what == "bibd":
         source = load_design_or_matrix(args.path)
-        params = source.params if isinstance(source, Design) else verify_bibd(source)
+        params = design_from_obj(source).params if isinstance(source, dict) else verify_bibd(source)
         _print({"v": params.v, "k": params.k, "lambda": params.lam, "r": params.r,
                 "b": params.b, "fisher": params.fisher})
         return 0
@@ -133,11 +127,10 @@ def cmd_verify(args) -> int:
 
 def cmd_feasibility(args) -> int:
     if not args.n - 1 > args.d > 1:
-        sys.stderr.write(
+        raise InputError(
             "need n - 1 > d > 1: dimensions outside the quasi-symmetric regime "
-            "(d + 1 vector frames are plain simplices)\n"
+            "(d + 1 vector frames are plain simplices)"
         )
-        return 2
     report = flat_feasibility(args.d, args.n)
     _print(feasibility_to_obj(report))
     checks = []

@@ -2,9 +2,12 @@
 an incidence matrix, quasi-symmetric design detection, and the block-graph /
 strongly-regular-graph parameter machinery.
 
-Vertices and blocks are 0-based internally; the JSON interchange format uses
-1-based vertex labels (see serialize).  Generators use fixed, documented
-labelings so downstream constructions are bit-reproducible.
+Vertices and blocks are 0-based internally.  A design document
+(``design_to_obj``, ``design_from_obj``) holds 1-based vertex labels and
+0-based indices into the block list for its parallel classes; one parser,
+``design_from_fields``, reads design documents and ``"blocks"`` recipes.
+Generators use fixed, documented labelings so downstream constructions are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from functools import cached_property
 from itertools import combinations
 from math import isqrt
 
-from .errors import DesignError
+from .errors import DesignError, InputError
 from .matrices import RATIONAL, ExactMatrix, row_product_triangle
 from .scalars import QuadElem
+from .serialize import DESIGN_SCHEMA, MAX_SIDE, JsonObject, in_range, json_ints
 from .value import Value
 
 
@@ -54,13 +58,13 @@ def verify_bibd(x: ExactMatrix) -> DesignParams:
     if len(row_sums) != 1:
         raise DesignError(f"block sizes are not constant: {sorted(row_sums)}")
     k = row_sums.pop()
-    col_sums = {sum(r[j] for r in rows) for j in range(v)}
+    _, xtx = row_product_triangle(x.transpose())  # X^T X, 0/1 entries: den 1
+    col_sums = {row[0] for row in xtx}  # the diagonal: x^2 = x on 0/1 entries
     if len(col_sums) != 1:
         raise DesignError(f"vertex replication counts are not constant: {sorted(col_sums)}")
     r = col_sums.pop()
     if not v > k > 0:
         raise DesignError(f"need v > k > 0, got v={v}, k={k}")
-    _, xtx = row_product_triangle(x.transpose())  # X^T X, 0/1 entries: den 1
     pair_counts = set().union(*(row[1:] for row in xtx))
     if len(pair_counts) != 1:
         raise DesignError(f"pair counts are not constant: {sorted(pair_counts)}")
@@ -128,6 +132,52 @@ class Design:
     def __repr__(self):
         p = self.params
         return f"Design(v={p.v}, k={p.k}, lam={p.lam}, r={p.r}, b={p.b})"
+
+
+def design_to_obj(design: Design) -> dict:
+    p = design.params
+    obj = {
+        "schema": DESIGN_SCHEMA,
+        "v": p.v,
+        "k": p.k,
+        "lambda": p.lam,
+        "r": p.r,
+        "b": p.b,
+        "blocks": [[x + 1 for x in block] for block in design.blocks],
+    }
+    if design.parallel_classes is not None:
+        obj["parallel_classes"] = [list(c) for c in design.parallel_classes]
+    return obj
+
+
+def design_from_fields(obj: JsonObject) -> Design:
+    """The design of an object's ``v``, 1-based ``blocks`` and optional 0-based
+    ``parallel_classes``, as design documents and ``"blocks"`` recipes hold
+    them.  v outside 1..MAX_SIDE (checked first), a vertex label outside 1..v
+    or a repeated vertex is bad input, not a failed design identity."""
+    v = in_range("design v", obj["v"], 1, MAX_SIDE)
+    blocks = [tuple(x - 1 for x in block) for block in json_ints(obj["blocks"], "design blocks", 2)]
+    for i, block in enumerate(blocks, 1):
+        if min(block, default=0) < 0 or max(block, default=0) >= v:
+            raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")
+        if len(set(block)) != len(block):
+            raise InputError(f"design block {i} {[x + 1 for x in block]} repeats a vertex")
+    classes = obj.get("parallel_classes")
+    return Design(v, blocks, None if classes is None else json_ints(classes, "design parallel classes", 2))
+
+
+def design_from_obj(obj) -> Design:
+    obj = JsonObject(obj, "a design document")
+    if obj.get("schema") != DESIGN_SCHEMA:
+        raise InputError(f"not a design document: schema {obj.get('schema')!r}")
+    declared = json_ints([obj[key] for key in ("v", "k", "lambda", "r", "b")], "design parameters")
+    design = design_from_fields(obj)
+    if design.params.as_tuple() != declared:
+        raise DesignError(
+            f"declared parameters {declared} disagree with the block list "
+            f"{design.params.as_tuple()}"
+        )
+    return design
 
 
 def all_pairs_design(v: int) -> Design:

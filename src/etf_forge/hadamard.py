@@ -13,6 +13,7 @@ from operator import mul
 
 from .errors import HadamardError
 from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, rational_rows, row_product_triangle, squared_moduli
+from .scalars import factorize
 from .value import Value
 
 
@@ -91,20 +92,9 @@ def sylvester(e: int) -> HadamardMatrix:
     return verify_hadamard(ExactMatrix.from_rows(rows, RATIONAL))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def paley_one(q: int) -> HadamardMatrix:
     """Quadratic-character construction of size q + 1 for prime q = 3 mod 4."""
-    if not _is_prime(q):
+    if q < 2 or factorize(q) != {q: 1}:
         raise HadamardError(f"{q} is not prime")
     if q % 4 != 3:
         raise HadamardError(f"{q} is not congruent to 3 mod 4")
@@ -171,7 +161,7 @@ def hadamard_of_size(n: int) -> HadamardMatrix:
             return sylvester(1)
         for q in sorted(
             (q for q in range(3, size) if (q + 1 <= size) and size % (q + 1) == 0
-             and q % 4 == 3 and _is_prime(q)),
+             and q % 4 == 3 and factorize(q) == {q: 1}),
             reverse=True,
         ):
             attempts.append(f"paley({q}) x size({size // (q + 1)})")

@@ -48,6 +48,7 @@ from .scalars import (  # the domains and their constructors are importable from
     CycloDomain,
     Domain,
     QuadDomain,
+    convolve,
     cyclo_domain,
     element,
     pack,
@@ -254,11 +255,10 @@ def rational_rows(m: ExactMatrix, squared: bool = False) -> tuple[int, list[list
         domain, den = m.domain, m.den * m.den
         if len(m.planes) == 1:
             m = ExactMatrix(domain, den, [[[x * x for x in r] for r in m.planes[0]]])
-        else:  # x times its conjugate, once per distinct entry, at one slot width and in one reduction
+        else:  # x times its conjugate, once per distinct entry, then one reduction
             def moduli(cs):  # the integer where the squared modulus is rational, else None
                 conj = list(zip(*domain.conjugate(list(zip(*cs)), (0,) * len(cs))))
-                k = slot_bits((len(cs[0]) * max(map(abs, chain.from_iterable(cs))) ** 2).bit_length() + 1)
-                products = [unpack(pack(c, k) * pack(x, k), k, len(c) + len(x) - 1) for c, x in zip(cs, conj)]
+                products = [convolve(c, x) for c, x in zip(cs, conj)]
                 return [c[0] if not any(c[1:]) else None for c in zip(*domain.reduce(list(zip(*products))))]
 
             return den, list(per_entry(m, moduli))

@@ -13,11 +13,19 @@ Design sources: {"generator": "all-pairs", "v": int},
 {"generator": "round-robin", "v": int}, {"generator": "fano"}, or
 {"generator": "blocks", "v": int, "blocks": [[1-based vertices]],
 "parallel_classes": [[0-based block indices]]?}.
+
+An artifact directory is owned here: ``write_artifact`` writes the recipe,
+each frame's matrix (``primary.json``, and ``complement.json`` for a pair)
+and certificate (``certificate_<role>.json``), and a pair's ``pair.json``;
+``load_pair`` reads the complement and ``pair.json`` back and verifies the
+pair.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 from .constructions import (
     SteinerInputs,
@@ -30,13 +38,16 @@ from .constructions import (
     tensor_etf,
     verify_difference_set,
 )
-from .designs import Design, all_pairs_design, fano_plane, lift_permutation, round_robin_resolution, verify_qsd
-from .errors import EtfForgeError, HadamardError, InputError
-from .frames import Frame, NaimarkPair
+from .designs import Design, all_pairs_design, design_from_fields, fano_plane, lift_permutation, round_robin_resolution, verify_qsd
+from .errors import EtfForgeError, FrameError, HadamardError, InputError
+from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
 from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
 from .qsd_bridge import QsdEtfLink, etf_from_qsd
-from .serialize import MAX_SIDE, RECIPE_SCHEMA, JsonObject, design_from_fields, in_range, json_ints
+from .serialize import MAX_SIDE, JsonObject, certificate_to_obj, dump, frac_pair, in_range, json_ints, load, load_matrix
 from .value import Value
+
+RECIPE_SCHEMA = "etf-forge/recipe/v1"
+PAIR_SCHEMA = "etf-forge/pair/v1"
 
 
 class Artifact(Value):
@@ -51,6 +62,73 @@ class Artifact(Value):
     def frames(self) -> dict[str, Frame]:
         """The constructed frames by role: the primary, and a pair's complement."""
         return {"primary": self.primary} | ({"complement": self.pair.complement} if self.pair else {})
+
+
+def write_artifact(artifact: Artifact, out_dir: Path) -> dict:
+    """Write the recipe, each frame's matrix and certificate, and the pair
+    document; returns the certificate documents by role."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dump(artifact.recipe, out_dir / "recipe.json")
+    if artifact.pair is not None:
+        dump(pair_to_obj(artifact.pair), out_dir / "pair.json")
+    certs = {role: certificate_to_obj(certify_etf(frame)) for role, frame in artifact.frames().items()}
+    for role, frame in artifact.frames().items():
+        dump(frame.matrix, out_dir / f"{role}.json")
+        dump(certs[role], out_dir / f"certificate_{role}.json")
+    return certs
+
+
+def pair_to_obj(pair: NaimarkPair) -> dict:
+    obj = {
+        "schema": PAIR_SCHEMA,
+        "d": pair.primary.d,
+        "n": pair.primary.n,
+        "alpha": frac_pair(pair.alpha),
+    }
+    if pair.complement.row_weights is not None:
+        obj["complement_row_weights"] = [frac_pair(w) for w in pair.complement.row_weights]
+    return obj
+
+
+def _fractions(values, what: str, positive: bool = False) -> tuple[Fraction, ...]:
+    """Each [num, den] integer pair with den > 0 (and num > 0 if ``positive``) as a Fraction."""
+    pairs = json_ints(values, what, 2)
+    if any(len(p) != 2 or p[1] < 1 or positive and p[0] < 1 for p in pairs):
+        raise InputError(f"{what} {values!r} are not [num, den] pairs with {'num > 0 and ' * positive}den > 0")
+    return tuple(Fraction(*p) for p in pairs)
+
+
+def load_pair(directory, primary: Frame) -> NaimarkPair:
+    """Verify the pair stored in a directory against its declared metadata.
+
+    ``primary`` is the frame read from ``primary.json``; a caller that
+    certifies it first gets the complement's certificate derived.  The
+    complement is ``complement.json`` with the row weights of ``pair.json``,
+    a pair document whose d, n and alpha must match the verified pair.  Its
+    types and weight count are read before anything is verified.
+    """
+    directory = Path(directory)
+    pair_path = directory / "pair.json"
+    declared = weights = None
+    if pair_path.exists():
+        declared = load(pair_path)
+        if not isinstance(declared, dict) or declared.get("schema") != PAIR_SCHEMA:
+            raise InputError("pair.json is not a pair document")
+        declared = JsonObject(declared, "pair.json")
+        json_ints([declared["d"], declared["n"]], "pair.json d and n")
+        _fractions([declared["alpha"]], "pair.json alpha")
+        if "complement_row_weights" in declared:
+            weights = _fractions(declared["complement_row_weights"], "pair.json complement_row_weights", True)
+    matrix = load_matrix(directory / "complement.json")
+    if weights is not None and len(weights) != matrix.rows:
+        raise InputError(f"pair.json has {len(weights)} complement_row_weights for {matrix.rows} complement rows")
+    pair = verify_naimark_pair(primary, Frame(matrix, row_weights=weights))
+    if declared is not None:
+        expected = pair_to_obj(pair)
+        for key in ("d", "n", "alpha"):
+            if declared[key] != expected[key]:
+                raise FrameError(f"pair.json declares {key} {declared[key]!r}, the verified pair has {expected[key]!r}")
+    return pair
 
 
 def recipe(kind: str, **inputs) -> dict:

@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 from .errors import DomainError
 from .value import Value
 
-def _factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (inputs here are small)."""
     factors: dict[int, int] = {}
     d = 2
@@ -50,7 +50,7 @@ def euler_phi(m: int) -> int:
     if m == 1:
         return 1
     phi = 1
-    for p, e in _factorize(m).items():
+    for p, e in factorize(m).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -69,7 +69,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in range(1, m + 1):
         if m % d:
             continue
-        primes = _factorize(m // d)
+        primes = factorize(m // d)
         if any(e > 1 for e in primes.values()):
             continue  # mu(m / d) = 0
         if len(primes) % 2 == 0:  # mu = 1: multiply by 1 - x^d
@@ -431,7 +431,7 @@ def split_square(n: int) -> tuple[int, int]:
     if n < 1:
         raise DomainError("expected a positive integer")
     s, t = 1, 1
-    for p, e in _factorize(n).items():
+    for p, e in factorize(n).items():
         s *= p ** (e // 2)
         if e % 2:
             t *= p

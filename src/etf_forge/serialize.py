@@ -1,12 +1,14 @@
-"""Bit-exact JSON interchange for matrices, designs, certificates, and
-feasibility reports, plus CSV export for integer matrices.
+"""The document layer: bit-exact JSON interchange for matrices, certificates
+and feasibility reports, the strict readers of JSON values from outside the
+program, and CSV export for integer matrices.  Its only package imports are
+``errors``, ``matrices`` and ``scalars``: design documents are read and
+written in ``designs``, and an artifact directory in ``recipes``.
 
 All writers emit canonical JSON (sorted keys, no insignificant whitespace,
 one trailing newline), so export -> import -> export is byte-identical and
 content hashes are stable.  A cyclotomic entry is a list of
 [exponent, numerator, denominator] terms over the reduced power basis; a
-quadratic entry is [a_num, a_den, b_num, b_den].  Vertices in design files
-are 1-based; parallel classes hold 0-based indices into the block list.
+quadratic entry is [a_num, a_den, b_num, b_den].
 
 A matrix document is written as text from the planes, one row of entry
 texts at a time (``dump``; ``matrix_text`` joins the same pieces).
@@ -23,21 +25,15 @@ import json
 from fractions import Fraction
 from collections.abc import Iterator
 from math import gcd, lcm
-from pathlib import Path
 
-from .designs import Design
-from .errors import DesignError, DomainError, FrameError, InputError
-from .frames import EtfCertificate, Frame, NaimarkPair, verify_naimark_pair
+from .errors import DomainError, InputError
 from .matrices import RATIONAL, ExactMatrix, cyclo_domain, from_flat, per_entry, quad_domain
-from .qsd_bridge import FeasibilityReport
 from .scalars import split_square
 
 MATRIX_SCHEMA = "etf-forge/matrix/v1"
 DESIGN_SCHEMA = "etf-forge/design/v1"
 CERTIFICATE_SCHEMA = "etf-forge/certificate/v1"
 FEASIBILITY_SCHEMA = "etf-forge/feasibility/v1"
-RECIPE_SCHEMA = "etf-forge/recipe/v1"
-PAIR_SCHEMA = "etf-forge/pair/v1"
 MAX_SIDE = 1 << 13  # the longest matrix side a recipe or a design document may ask for
 MAX_RADICAND = 1 << 40  # trial division factors any radicand below it in well under a second
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -53,7 +49,8 @@ def canonical_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
-def _frac_pair(q: Fraction) -> list[int]:
+def frac_pair(q: Fraction) -> list[int]:
+    """A rational as its [numerator, denominator] document."""
     q = Fraction(q)
     return [q.numerator, q.denominator]
 
@@ -167,22 +164,6 @@ def matrix_to_csv(m: ExactMatrix) -> str:
     return "\n".join(",".join(str(x) for x in row) for row in ints) + "\n"
 
 
-def design_to_obj(design: Design) -> dict:
-    p = design.params
-    obj = {
-        "schema": DESIGN_SCHEMA,
-        "v": p.v,
-        "k": p.k,
-        "lambda": p.lam,
-        "r": p.r,
-        "b": p.b,
-        "blocks": [[x + 1 for x in block] for block in design.blocks],
-    }
-    if design.parallel_classes is not None:
-        obj["parallel_classes"] = [list(c) for c in design.parallel_classes]
-    return obj
-
-
 class JsonObject(dict):
     """A JSON object read from outside the program, named by ``what`` in its
     errors: a value that is not an object, or a missing key, is bad input."""
@@ -218,51 +199,23 @@ def in_range(what: str, value, low: int, high: int) -> int:
     return value
 
 
-def design_from_fields(obj: JsonObject) -> Design:
-    """The design of an object's ``v``, 1-based ``blocks`` and optional 0-based
-    ``parallel_classes``, as design documents and ``"blocks"`` recipes hold
-    them.  v outside 1..MAX_SIDE (checked first), a vertex label outside 1..v
-    or a repeated vertex is bad input, not a failed design identity."""
-    v = in_range("design v", obj["v"], 1, MAX_SIDE)
-    blocks = [tuple(x - 1 for x in block) for block in json_ints(obj["blocks"], "design blocks", 2)]
-    for i, block in enumerate(blocks, 1):
-        if min(block, default=0) < 0 or max(block, default=0) >= v:
-            raise InputError(f"design block {i} {[x + 1 for x in block]} has a vertex label outside 1..{v}")
-        if len(set(block)) != len(block):
-            raise InputError(f"design block {i} {[x + 1 for x in block]} repeats a vertex")
-    classes = obj.get("parallel_classes")
-    return Design(v, blocks, None if classes is None else json_ints(classes, "design parallel classes", 2))
-
-
-def design_from_obj(obj) -> Design:
-    obj = JsonObject(obj, "a design document")
-    if obj.get("schema") != DESIGN_SCHEMA:
-        raise InputError(f"not a design document: schema {obj.get('schema')!r}")
-    declared = json_ints([obj[key] for key in ("v", "k", "lambda", "r", "b")], "design parameters")
-    design = design_from_fields(obj)
-    if design.params.as_tuple() != declared:
-        raise DesignError(
-            f"declared parameters {declared} disagree with the block list "
-            f"{design.params.as_tuple()}"
-        )
-    return design
-
-
-def certificate_to_obj(cert: EtfCertificate) -> dict:
+def certificate_to_obj(cert) -> dict:
+    """The document of a ``frames.EtfCertificate``."""
     return {
         "schema": CERTIFICATE_SCHEMA,
         "d": cert.d,
         "n": cert.n,
-        "beta": _frac_pair(cert.beta),
-        "alpha": _frac_pair(cert.alpha),
-        "gamma_sq": _frac_pair(cert.gamma_sq),
+        "beta": frac_pair(cert.beta),
+        "alpha": frac_pair(cert.alpha),
+        "gamma_sq": frac_pair(cert.gamma_sq),
         "welch_equality": cert.welch_equality,
         "flat": cert.flat,
         "domain": _domain_obj(cert.domain),
     }
 
 
-def feasibility_to_obj(report: FeasibilityReport) -> dict:
+def feasibility_to_obj(report) -> dict:
+    """The document of a ``qsd_bridge.FeasibilityReport``."""
     def radical(check):
         return {"integer": check.is_integer, "value": check.value, "odd": check.odd}
 
@@ -276,59 +229,6 @@ def feasibility_to_obj(report: FeasibilityReport) -> dict:
         "n_mod_16": report.n_mod_16,
         "verdict": "pass" if report.verdict else "fail",
     }
-
-
-def pair_to_obj(pair: NaimarkPair) -> dict:
-    obj = {
-        "schema": PAIR_SCHEMA,
-        "d": pair.primary.d,
-        "n": pair.primary.n,
-        "alpha": _frac_pair(pair.alpha),
-    }
-    if pair.complement.row_weights is not None:
-        obj["complement_row_weights"] = [_frac_pair(w) for w in pair.complement.row_weights]
-    return obj
-
-
-def _fractions(values, what: str, positive: bool = False) -> tuple[Fraction, ...]:
-    """Each [num, den] integer pair with den > 0 (and num > 0 if ``positive``) as a Fraction."""
-    pairs = json_ints(values, what, 2)
-    if any(len(p) != 2 or p[1] < 1 or positive and p[0] < 1 for p in pairs):
-        raise InputError(f"{what} {values!r} are not [num, den] pairs with {'num > 0 and ' * positive}den > 0")
-    return tuple(Fraction(*p) for p in pairs)
-
-
-def load_pair(directory, primary: Frame) -> NaimarkPair:
-    """Verify the pair stored in a directory against its declared metadata.
-
-    ``primary`` is the frame read from ``primary.json``; a caller that
-    certifies it first gets the complement's certificate derived.  The
-    complement is ``complement.json`` with the row weights of ``pair.json``,
-    a pair document whose d, n and alpha must match the verified pair.  Its
-    types and weight count are read before anything is verified.
-    """
-    directory = Path(directory)
-    pair_path = directory / "pair.json"
-    declared = weights = None
-    if pair_path.exists():
-        declared = load(pair_path)
-        if not isinstance(declared, dict) or declared.get("schema") != PAIR_SCHEMA:
-            raise InputError("pair.json is not a pair document")
-        declared = JsonObject(declared, "pair.json")
-        json_ints([declared["d"], declared["n"]], "pair.json d and n")
-        _fractions([declared["alpha"]], "pair.json alpha")
-        if "complement_row_weights" in declared:
-            weights = _fractions(declared["complement_row_weights"], "pair.json complement_row_weights", True)
-    matrix = load_matrix(directory / "complement.json")
-    if weights is not None and len(weights) != matrix.rows:
-        raise InputError(f"pair.json has {len(weights)} complement_row_weights for {matrix.rows} complement rows")
-    pair = verify_naimark_pair(primary, Frame(matrix, row_weights=weights))
-    if declared is not None:
-        expected = pair_to_obj(pair)
-        for key in ("d", "n", "alpha"):
-            if declared[key] != expected[key]:
-                raise FrameError(f"pair.json declares {key} {declared[key]!r}, the verified pair has {expected[key]!r}")
-    return pair
 
 
 def dump(obj, path) -> None:
@@ -403,8 +303,7 @@ def load_matrix(path) -> ExactMatrix:
     return load(path, _decode_matrix)
 
 
-def load_design_or_matrix(path) -> Design | ExactMatrix:
-    """The design or the matrix document at ``path``, read once by ``load``
-    as ``load_matrix`` reads a matrix."""
-    obj = load(path, lambda fh: _decode_matrix(fh, designs=True))
-    return obj if isinstance(obj, ExactMatrix) else design_from_obj(obj)
+def load_design_or_matrix(path) -> dict | ExactMatrix:
+    """The JSON value of the design document at ``path``, or its matrix,
+    read once by ``load`` as ``load_matrix`` reads a matrix."""
+    return load(path, lambda fh: _decode_matrix(fh, designs=True))

@@ -24,6 +24,8 @@ from etf_forge.designs import (
     Design,
     QsdCertificate,
     all_pairs_design,
+    design_from_obj,
+    design_to_obj,
     etf_params_from_srg,
     lift_permutation,
     srg_params_from_qsd,
@@ -49,8 +51,6 @@ from etf_forge.qsd_bridge import (
 )
 from etf_forge.serialize import (
     canonical_json,
-    design_from_obj,
-    design_to_obj,
     matrix_from_obj,
     matrix_to_obj,
 )

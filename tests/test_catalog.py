@@ -44,6 +44,28 @@ def test_recipe_id_is_the_sha256_of_the_canonical_recipe():
         assert recipe_id(rec) == hashlib.sha256(canonical_json(rec).encode()).hexdigest(), name
 
 
+def test_recipe_id_takes_the_builtin_module_of_cpython_312(monkeypatch):
+    # CPython 3.12 renamed _sha256 to _sha2.  With _sha256 and hashlib both
+    # unimportable, recipe_id must hash with a module named _sha2; the stub
+    # delegates to hashlib's sha256, taken before hashlib is blocked.
+    import hashlib
+    import sys
+    import types
+
+    from etf_forge.serialize import canonical_json
+
+    calls = []
+    stub = types.ModuleType("_sha2")
+    stub.sha256 = lambda data, _sha256=hashlib.sha256: calls.append(data) or _sha256(data)
+    rec = kirkman_recipe()
+    oracle = hashlib.sha256(canonical_json(rec).encode()).hexdigest()
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "hashlib", None)
+    monkeypatch.setitem(sys.modules, "_sha2", stub)
+    assert recipe_id(rec) == oracle
+    assert calls == [canonical_json(rec).encode()]
+
+
 def test_catalog_add_list_show(tmp_path):
     catalog = Catalog(tmp_path / "cat")
     record = catalog.add(kirkman_recipe())

@@ -6,7 +6,7 @@ import pytest
 
 from etf_forge.cli import main
 from etf_forge.constructions import SteinerInputs, steiner_etf
-from etf_forge.designs import all_pairs_design, lift_permutation
+from etf_forge.designs import all_pairs_design, design_to_obj, lift_permutation
 from etf_forge.errors import InputError
 from etf_forge.frames import Frame, certify_etf
 from etf_forge.hadamard import sylvester
@@ -14,7 +14,6 @@ from etf_forge.matrices import ExactMatrix
 from etf_forge.serialize import (
     canonical_json,
     certificate_to_obj,
-    design_to_obj,
     load,
     matrix_from_obj,
     matrix_text,
@@ -193,9 +192,9 @@ def test_feasibility_command(capsys):
 
 
 def test_feasibility_simplex_regime_is_usage_error(capsys):
-    code, _, err = run(capsys, "feasibility", "6", "7")
-    assert code == 2
-    assert "simplices" in err
+    code, stdout, err = run(capsys, "feasibility", "6", "7")
+    _assert_input_error(code, err)
+    assert "simplices" in err and stdout == ""
 
 
 def test_catalog_commands(tmp_path, capsys):
@@ -370,12 +369,15 @@ def test_cli_import_loads_no_catalog_or_introspection_stdlib():
 
 def test_catalog_children_leave_openssl_unloaded(tmp_path):
     # hashlib maps OpenSSL into the process (3-4 MB of a child's peak);
-    # recipe_id hashes with the interpreter's built-in _sha256 module.
+    # recipe_id hashes with the interpreter's built-in _sha256 module (_sha2
+    # from CPython 3.12 on).
+    import importlib.util
     import os
     import subprocess
     import sys
 
-    pytest.importorskip("_sha256")
+    if not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+        pytest.skip("the interpreter has no built-in SHA-256 module")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert main(["construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k")]) == 0
     cat = str(tmp_path / "cat")
@@ -596,9 +598,9 @@ def test_pair_design_without_v_is_exit_2(tmp_path, capsys):
 def _verify_bibd_by_json(path):
     """``verify bibd`` as it read its input before it read through ``load``
     with a decoder: the JSON value first, then a design or a matrix from it."""
-    from etf_forge.designs import verify_bibd
+    from etf_forge.designs import design_from_obj, verify_bibd
     from etf_forge.errors import EtfForgeError, InputError
-    from etf_forge.serialize import design_from_obj, matrix_from_obj
+    from etf_forge.serialize import matrix_from_obj
 
     try:
         obj = load(path)

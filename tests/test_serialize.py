@@ -16,7 +16,14 @@ from etf_forge.constructions import (
     steiner_etf,
     verify_difference_set,
 )
-from etf_forge.designs import all_pairs_design, fano_plane, lift_permutation, round_robin_resolution
+from etf_forge.designs import (
+    all_pairs_design,
+    design_from_obj,
+    design_to_obj,
+    fano_plane,
+    lift_permutation,
+    round_robin_resolution,
+)
 from etf_forge.errors import DesignError, DomainError, InputError
 from etf_forge.frames import Frame, certify_etf
 from etf_forge.hadamard import AbelianGroup, dft, hadamard_of_size, sylvester
@@ -27,8 +34,6 @@ from etf_forge.recipes import recipe, replay
 from etf_forge.serialize import (
     canonical_json,
     certificate_to_obj,
-    design_from_obj,
-    design_to_obj,
     dump,
     feasibility_to_obj,
     load,

@@ -220,3 +220,18 @@ def test_the_matrix_reader_never_encodes_the_document():
     found = [f"serialize.py:{node.lineno} {reader.name}" for reader in readers for node in ast.walk(reader)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode"]
     assert len(readers) == 2 and found == []
+
+
+def test_serialize_imports_only_the_layers_below_documents():
+    # serialize is the document layer: the objects its documents describe
+    # (designs, frames, pairs, feasibility reports) import it, not the other
+    # way, so loading it loads no verifier or construction.
+    path = PACKAGE / "serialize.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found |= {n for n in names if n.split(".")[0] == "etf_forge"}
+    assert found == {"errors", "matrices", "scalars"}
