@@ -34,7 +34,7 @@ MATRIX_SCHEMA = "etf-forge/matrix/v1"
 DESIGN_SCHEMA = "etf-forge/design/v1"
 CERTIFICATE_SCHEMA = "etf-forge/certificate/v1"
 FEASIBILITY_SCHEMA = "etf-forge/feasibility/v1"
-MAX_SIDE = 1 << 13  # the longest matrix side a recipe or a design document may ask for
+MAX_SIDE = 1 << 13  # the longest matrix side a recipe or design document may ask for; the largest cyclotomic order
 MAX_RADICAND = 1 << 40  # trial division factors any radicand below it in well under a second
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _SIGN_HEAD = b'{"cols":%d,"domain":{"kind":"cyclotomic","order":1},"entries":['  # of a {-1, 0, 1} matrix document
@@ -69,6 +69,8 @@ def _domain_from_obj(obj):
     value = obj[key]
     if type(value) is not int or value < 1:
         raise InputError(f"domain {key} must be a positive integer, got {value!r}")
+    if kind == "cyclotomic" and value > MAX_SIDE:  # conjugation and reduction cost scale with it
+        raise InputError(f"domain order must be at most {MAX_SIDE}, got {value}")
     if kind == "quadratic" and value >= MAX_RADICAND:
         raise InputError(f"domain radicand must be below 2**40, got {value}")
     if kind == "quadratic" and split_square(value)[0] != 1:

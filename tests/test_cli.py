@@ -1,10 +1,12 @@
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from etf_forge.cli import main
+from etf_forge.cli import COMMANDS, main
 from etf_forge.constructions import SteinerInputs, steiner_etf
 from etf_forge.designs import all_pairs_design, design_to_obj, lift_permutation
 from etf_forge.errors import InputError
@@ -12,6 +14,7 @@ from etf_forge.frames import Frame, certify_etf
 from etf_forge.hadamard import sylvester
 from etf_forge.matrices import ExactMatrix
 from etf_forge.serialize import (
+    MAX_SIDE,
     canonical_json,
     certificate_to_obj,
     load,
@@ -261,6 +264,42 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+# Every level's --help and a usage error at each: argparse ends each one with
+# SystemExit before any handler runs.
+USAGE_CASES = [
+    [], ["--help"], ["bogus"],
+    *([group, "--help"] for group in ("construct", "verify", "feasibility", "catalog")),
+    *([group] for group in ("construct", "verify", "catalog")),
+    ["catalog", "--catalog", "c", "--help"],
+    *(["construct", name, "--help"] for name in ("simplex", "harmonic", "steiner", "kirkman", "tensor", "qsd-to-etf")),
+    ["construct", "simplex"], ["construct", "harmonic", "--group", "2"], ["construct", "steiner", "--design", "pairs"],
+    ["construct", "kirkman", "--u", "two"], ["construct", "tensor", "--left", "a"],
+    ["construct", "qsd-to-etf", "--design", "d", "--branch", "up"],
+    *(["verify", name, "--help"] for name in ("etf", "hadamard", "bibd", "qsd", "srg", "naimark-pair")),
+    ["verify", "etf"], ["verify", "hadamard", "a", "b"], ["verify", "bibd"], ["verify", "qsd", "--strict", "a"],
+    ["verify", "srg"], ["verify", "naimark-pair"],
+    ["feasibility", "15", "x"],
+    *(["catalog", name, "--help"] for name in ("add", "list", "show", "audit")),
+    ["catalog", "add"], ["catalog", "list", "extra"], ["catalog", "show"], ["catalog", "audit", "--fix"],
+]
+
+
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    # cli_usage.json holds stdout, stderr and the exit code of each case, as
+    # the front end printed them when its parser was built whole.
+    expected = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
+    if list(sys.version_info[:2]) != expected["python"]:
+        pytest.skip(f"argparse's wording is pinned for Python {expected['python']}")
+    monkeypatch.setenv("COLUMNS", "80")  # the help formatter's width
+    got = {}
+    for argv in USAGE_CASES:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out = capsys.readouterr()
+        got[" ".join(argv)] = [exit_.value.code, out.out, out.err]
+    assert got == expected["cases"]
+
+
 def _malformed_matrix_files(tmp_path, capsys):
     run(capsys, "construct", "simplex", "--size", "4", "--out", str(tmp_path / "s"))
     obj = load(tmp_path / "s" / "primary.json")
@@ -403,6 +442,67 @@ def test_matrix_documents_are_read_from_a_pipe(tmp_path):
                               input=path.read_text(), capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, ""), path
         assert json.loads(proc.stdout) == certificate_to_obj(certify_etf(Frame(matrix_from_obj(load(path)))))
+
+
+def test_a_subcommand_builds_only_its_own_group(tmp_path, capsys, monkeypatch):
+    # The top level lists every group, so each group has a parser; only the
+    # group that runs gets its subcommands' parsers.
+    import argparse
+
+    assert run(capsys, "construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k"))[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: init(self, *a, **k) or built.append(self.prog))
+    assert run(capsys, "verify", "etf", str(tmp_path / "k" / "primary.json"))[0] == 0
+    assert sorted(built) == sorted(["etf-forge", *(f"etf-forge {group}" for group in COMMANDS),
+                                    *(f"etf-forge verify {name}" for name in COMMANDS["verify"][2])])
+
+
+def test_readme_command_lines_name_table_entries():
+    # Each `etf-forge <group> [group options] <subcommand>` line of the
+    # README's command-line block names an entry of cli.COMMANDS.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("etf-forge ")]
+    assert lines
+    for words in lines:
+        assert words[1] in COMMANDS, " ".join(words)
+        _, options, table = COMMANDS[words[1]]
+        rest = words[2:]
+        while rest and rest[0] in [flag for flag, _ in options]:
+            rest = rest[2:]  # a group option and its value
+        assert not isinstance(table, dict) or rest and rest[0] in table, " ".join(words)
+
+
+def test_a_closed_or_failing_stdout_is_an_output_error(tmp_path):
+    # Exit 2 with one `output error:` line: never a traceback, never exit 1
+    # (a failed identity) and never `input error:`.  Without PYTHONUNBUFFERED
+    # the document waits in stdout's buffer until main flushes it, and the
+    # flush at interpreter exit must not fail again (exit 120).
+    import os
+    import subprocess
+
+    assert main(["construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k")]) == 0
+    argv = [sys.executable, "-m", "etf_forge.cli", "verify", "etf", str(tmp_path / "k" / "primary.json")]
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    buffered["PYTHONPATH"] = os.pathsep.join(sys.path)
+    read, broken = os.pipe()
+    os.close(read)  # a reader that has gone: every write fails with EPIPE
+    full = os.open("/dev/full", os.O_WRONLY)  # every write fails with ENOSPC
+    unbuffered = dict(buffered, PYTHONUNBUFFERED="1")
+    try:
+        for stdout, env, preexec, reason in (
+            (None, buffered, lambda: os.close(1), "stdout is closed"),
+            (full, buffered, None, "[Errno 28] No space left on device"),
+            (full, unbuffered, None, "[Errno 28] No space left on device"),
+            (broken, buffered, None, "[Errno 32] Broken pipe"),
+        ):
+            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, preexec_fn=preexec)
+            assert (proc.returncode, proc.stderr) == (2, f"output error: {reason}\n"), (reason, env is unbuffered)
+    finally:
+        os.close(broken)
+        os.close(full)
 
 
 def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
@@ -685,20 +785,26 @@ def test_matrix_documents_bound_their_quadratic_radicand(tmp_path, capsys):
         assert f"domain radicand must be below 2**40, got {radicand}" in err and stdout == ""
 
 
-def test_matrix_documents_allocate_planes_only_for_their_exponents(tmp_path, capsys):
-    # A document's planes reach its largest exponent mod the order, not the
-    # order: one entry at order 10^9 + 7 once kept verify etf busy past 10 s.
+def test_matrix_documents_bound_their_cyclotomic_order(tmp_path, capsys):
+    # Conjugation and reduction scale with the declared order, not with the
+    # document: one entry at order 100,003 once took 0.61 s through verify etf.
+    # So an order above MAX_SIDE is refused before anything is allocated; up
+    # to it, the planes reach the largest exponent mod the order only.
     import time
 
     path = tmp_path / "m.json"
-    order = 10**9 + 7
-    for exponent in (0, order, -3 * order):
-        path.write_text(json.dumps({"schema": "etf-forge/matrix/v1", "rows": 1, "cols": 1,
-                                    "entries": [[[exponent, 1, 1]]], "domain": {"kind": "cyclotomic", "order": order}}))
-        started = time.monotonic()
-        code, stdout, err = run(capsys, "verify", "etf", str(path))
-        assert time.monotonic() - started < 1
-        assert (code, err) == (0, "") and json.loads(stdout)["domain"] == {"kind": "cyclotomic", "order": order}
+    for order, exponents in ((MAX_SIDE + 1, (0,)), (10**9 + 7, (0, 1)), (MAX_SIDE, (0, MAX_SIDE, -3 * MAX_SIDE))):
+        for exponent in exponents:
+            path.write_text(json.dumps({"schema": "etf-forge/matrix/v1", "rows": 1, "cols": 1,
+                                        "entries": [[[exponent, 1, 1]]], "domain": {"kind": "cyclotomic", "order": order}}))
+            started = time.monotonic()
+            code, stdout, err = run(capsys, "verify", "etf", str(path))
+            assert time.monotonic() - started < 1
+            if order > MAX_SIDE:
+                _assert_input_error(code, err)
+                assert f"domain order must be at most {MAX_SIDE}, got {order}" in err and stdout == ""
+            else:
+                assert (code, err) == (0, "") and json.loads(stdout)["domain"] == {"kind": "cyclotomic", "order": order}
 
 
 def test_a_design_document_without_blocks_fails_its_identity(tmp_path, capsys):

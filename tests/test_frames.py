@@ -140,6 +140,16 @@ def test_certify_failure_messages():
         certify_etf(Frame(ExactMatrix.from_rows(perturbed)))
 
 
+def test_a_failed_coherence_equality_is_reported_as_not_tight():
+    # With equal norms beta and one squared modulus gamma^2 off the diagonal,
+    # the coherence equality is the Welch equality (tr G)^2 = d ||G||_F^2,
+    # which holds exactly when the frame is tight.  A frame that fails it is
+    # not tight, so the row-product check raises first and the coherence
+    # message never reaches a caller.
+    with pytest.raises(FrameError, match=r"^not tight: rows 0 and 1 are not orthogonal$"):
+        certify_etf(Frame(ExactMatrix.from_rows([[2, 1], [1, 2]])))
+
+
 def test_irrational_gamma_rejected_in_quadratic_domain():
     r2 = QuadElem(2, 0, 1)
     rows = [[1, 1, r2 * Fraction(1, 2) + Fraction(1, 2)], [1, -1, 0]]
@@ -178,6 +188,12 @@ def test_verify_naimark_pair_is_one_product(monkeypatch):
     monkeypatch.setattr(frames, "gram", no_gram)
     verify_naimark_pair(steiner_frame(), steiner_complement())
     assert products == [(16, 16)]
+
+
+def test_verify_naimark_pair_names_the_dimensions():
+    primary = Frame(ExactMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, -1]]))
+    with pytest.raises(FrameError, match=r"^complement dimension must be 2, got 1$"):
+        verify_naimark_pair(primary, Frame(ExactMatrix.from_rows([[1, -1, -1, 1]])))
 
 
 def test_verify_naimark_pair_primary_block_failures():

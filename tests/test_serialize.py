@@ -32,6 +32,7 @@ from etf_forge.qsd_bridge import etf_from_qsd, flat_feasibility, qsd_from_flat_e
 from etf_forge.scalars import QuadElem
 from etf_forge.recipes import recipe, replay
 from etf_forge.serialize import (
+    MAX_SIDE,
     canonical_json,
     certificate_to_obj,
     dump,
@@ -283,6 +284,30 @@ def workload_documents(kirkman_u12_documents) -> dict[str, str]:
         for role, frame in replay(rec).frames().items():
             docs[f"{name}/{role}"] = frame.matrix
     return {name: matrix_text(m) if isinstance(m, ExactMatrix) else canonical_json(m) for name, m in docs.items()}
+
+
+def test_every_recipe_kind_writes_orders_within_the_bound():
+    # matrix_from_obj refuses a cyclotomic order above MAX_SIDE.  A frame the
+    # program builds has order at most its vector count n: exp(G) <= |G| = n
+    # over a group G, N for a DFT of size N, lcm(m1, m2) <= n1 n2 for a
+    # tensor.  So the bound refuses no frame with at most MAX_SIDE vectors.
+    lines = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(1, 16) if a < b})
+    recipes = [
+        recipe("simplex", hadamard={"generator": "dft", "n": 13}),
+        recipe("harmonic", group=[13], subset=[0, 1, 3, 9]),
+        recipe("steiner", design={"generator": "all-pairs", "v": 4}, f={"generator": "sylvester", "e": 1},
+               g={"generator": "dft", "n": 4}),
+        recipe("kirkman", u=2),
+        recipe("tensor", left=recipe("harmonic", group=[4, 4], subset=[1, 2, 3, 4, 8, 12]), right=recipe("kirkman", u=2)),
+        recipe("qsd-to-etf", design={"generator": "blocks", "v": 15, "blocks": lines}),
+    ]
+    orders = set()
+    for rec in recipes:
+        for role, frame in replay(rec).frames().items():
+            doc = json.loads(matrix_text(frame.matrix))
+            orders.add(doc["domain"].get("order"))
+            assert doc["domain"].get("order", 1) <= doc["cols"] <= MAX_SIDE, (rec["kind"], role)
+    assert orders == {None, 1, 4, 13}
 
 
 def test_integer_fast_path_agrees_with_the_general_path(workload_documents, steiner_v24_document, monkeypatch):

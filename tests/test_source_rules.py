@@ -235,3 +235,15 @@ def test_serialize_imports_only_the_layers_below_documents():
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             found |= {n for n in names if n.split(".")[0] == "etf_forge"}
     assert found == {"errors", "matrices", "scalars"}
+
+
+def test_the_cli_dispatches_only_through_its_table():
+    # Each subcommand's handler is its COMMANDS entry, handed back by argparse
+    # as args.run; a test of args.cmd or args.<group>_cmd is a second dispatch
+    # that a new subcommand would have to be added to.
+    path = PACKAGE / "cli.py"
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Compare) for side in (node.left, *node.comparators)
+             if isinstance(side, ast.Attribute) and ast.unparse(side.value) == "args"
+             and (side.attr == "cmd" or side.attr.endswith("_cmd"))]
+    assert found == []
