@@ -10,10 +10,13 @@ its help, its options and its handler.  ``main`` builds the subcommand
 parsers of the group it runs only, and writes what the handler returns.
 
 The process entry is ``run()``, for ``python -m etf_forge.cli`` and the
-``etf-forge`` script alike: it freezes the heap that start-up built (the
-imported modules and ``site``), so the collections at interpreter exit skip
-it, then exits with ``main()``'s code.  ``main()`` freezes nothing, so tests
-and library callers keep their collector as it was.
+``etf-forge`` script alike: it freezes the heap that start-up built (``site``,
+``argparse`` and this module), so the collections at interpreter exit skip
+it, then exits with ``main()``'s code.  The other layers are deferred
+modules (see the package docstring) that load inside ``main()`` when the
+subcommand first reaches them, after the freeze, so the freeze does not
+cover them.  ``main()`` freezes nothing, so tests and library callers keep
+their collector as it was.
 """
 
 from __future__ import annotations
@@ -24,22 +27,8 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import Catalog
-from .designs import design_from_obj, design_to_obj, verify_bibd, verify_qsd, verify_srg
+from . import catalog, designs, frames, hadamard, qsd_bridge, recipes, serialize
 from .errors import EtfForgeError, InputError
-from .frames import Frame, certify_etf
-from .hadamard import verify_hadamard
-from .qsd_bridge import flat_feasibility, gerzon_bounds
-from .recipes import load_pair, recipe, replay, write_artifact
-from .serialize import (
-    canonical_json,
-    certificate_to_obj,
-    feasibility_to_obj,
-    load,
-    load_design_or_matrix,
-    load_matrix,
-    matrix_to_csv,
-)
 
 
 def _int_list(option: str, text: str) -> list[int]:
@@ -49,15 +38,22 @@ def _int_list(option: str, text: str) -> list[int]:
         raise InputError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
+class _OutputError(Exception):
+    """A write of the command's own output failed: exit 2 with an ``output error:`` line."""
+
+
 def _construct(args, rec: dict) -> tuple[int, list]:
-    artifact = replay(rec)
+    artifact = recipes.replay(rec)
     out_dir = Path(args.out)
-    write_artifact(artifact, out_dir)
-    if args.format == "csv":
-        for role, frame in artifact.frames().items():
-            if frame.matrix.int_rows() is None:
-                raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
-            (out_dir / f"{role}.csv").write_text(matrix_to_csv(frame.matrix))
+    try:
+        recipes.write_artifact(artifact, out_dir)
+        if args.format == "csv":
+            for role, frame in artifact.frames().items():
+                if frame.matrix.int_rows() is None:
+                    raise EtfForgeError(f"{role} matrix has non-integer entries; no CSV written")
+                (out_dir / f"{role}.csv").write_text(serialize.matrix_to_csv(frame.matrix))
+    except OSError as exc:
+        raise _OutputError(exc) from None
     summary = {"kind": artifact.kind, "d": artifact.primary.d, "n": artifact.primary.n, "out": str(args.out)}
     if artifact.pair is not None:
         summary["complement_d"] = artifact.pair.complement.d
@@ -66,12 +62,12 @@ def _construct(args, rec: dict) -> tuple[int, list]:
 
 def _simplex(args) -> tuple[int, list]:
     source = {"generator": "dft" if args.dft else "size", "n": args.size}
-    return _construct(args, recipe("simplex", hadamard=source, drop_row=args.drop_row))
+    return _construct(args, recipes.recipe("simplex", hadamard=source, drop_row=args.drop_row))
 
 
 def _harmonic(args) -> tuple[int, list]:
     group, subset = _int_list("--group", args.group), _int_list("--subset", args.subset)
-    return _construct(args, recipe("harmonic", group=group, subset=subset))
+    return _construct(args, recipes.recipe("harmonic", group=group, subset=subset))
 
 
 def _steiner(args) -> tuple[int, list]:
@@ -83,52 +79,52 @@ def _steiner(args) -> tuple[int, list]:
         design, k, r = {"generator": args.design, "v": args.v}, 2, args.v - 1
     f = {"generator": "sylvester", "e": 1} if k == 2 else {"generator": "dft", "n": k}
     g = {"generator": "dft" if args.complex_g else "size", "n": r + 1}
-    return _construct(args, recipe("steiner", design=design, f=f, g=g, column=args.column))
+    return _construct(args, recipes.recipe("steiner", design=design, f=f, g=g, column=args.column))
 
 
 def _kirkman(args) -> tuple[int, list]:
-    return _construct(args, recipe("kirkman", u=args.u))
+    return _construct(args, recipes.recipe("kirkman", u=args.u))
 
 
 def _tensor(args) -> tuple[int, list]:
-    left, right = load(Path(args.left) / "recipe.json"), load(Path(args.right) / "recipe.json")
-    return _construct(args, recipe("tensor", left=left, right=right))
+    left, right = serialize.load(Path(args.left) / "recipe.json"), serialize.load(Path(args.right) / "recipe.json")
+    return _construct(args, recipes.recipe("tensor", left=left, right=right))
 
 
 def _qsd_to_etf(args) -> tuple[int, list]:
-    design = design_to_obj(design_from_obj(load(args.design)))
+    design = designs.design_to_obj(designs.design_from_obj(serialize.load(args.design)))
     design = {"generator": "blocks", "v": design["v"], "blocks": design["blocks"]}
-    return _construct(args, recipe("qsd-to-etf", design=design, branch=args.branch))
+    return _construct(args, recipes.recipe("qsd-to-etf", design=design, branch=args.branch))
 
 
 def _verify_etf(args) -> tuple[int, list]:
-    return 0, [certificate_to_obj(certify_etf(Frame(load_matrix(args.path))))]
+    return 0, [serialize.certificate_to_obj(frames.certify_etf(frames.Frame(serialize.load_matrix(args.path))))]
 
 
 def _verify_hadamard(args) -> tuple[int, list]:
-    h = verify_hadamard(load_matrix(args.path))
+    h = hadamard.verify_hadamard(serialize.load_matrix(args.path))
     return 0, [{"n": h.n, "kind": h.kind, "verified": True}]
 
 
 def _verify_bibd(args) -> tuple[int, list]:
-    source = load_design_or_matrix(args.path)
-    p = design_from_obj(source).params if isinstance(source, dict) else verify_bibd(source)
+    source = serialize.load_design_or_matrix(args.path)
+    p = designs.design_from_obj(source).params if isinstance(source, dict) else designs.verify_bibd(source)
     return 0, [{"v": p.v, "k": p.k, "lambda": p.lam, "r": p.r, "b": p.b, "fisher": p.fisher}]
 
 
 def _verify_qsd(args) -> tuple[int, list]:
-    cert = verify_qsd(design_from_obj(load(args.path)))
+    cert = designs.verify_qsd(designs.design_from_obj(serialize.load(args.path)))
     p = cert.params
     return 0, [{"v": p.v, "k": p.k, "lambda": p.lam, "r": p.r, "b": p.b, "x": cert.x, "y": cert.y}]
 
 
 def _verify_srg(args) -> tuple[int, list]:
-    srg = verify_srg(load_matrix(args.path))
+    srg = designs.verify_srg(serialize.load_matrix(args.path))
     return 0, [{"b": srg.b, "a": srg.a, "c": srg.c, "mu": srg.mu}]
 
 
 def _verify_naimark_pair(args) -> tuple[int, list]:
-    pair = load_pair(args.path, Frame(load_matrix(Path(args.path) / "primary.json")))
+    pair = recipes.load_pair(args.path, frames.Frame(serialize.load_matrix(Path(args.path) / "primary.json")))
     return 0, [{"alpha": [pair.alpha.numerator, pair.alpha.denominator],
                 "d": pair.primary.d, "n": pair.primary.n, "verified": True}]
 
@@ -137,36 +133,36 @@ def _feasibility(args) -> tuple[int, list]:
     if not args.n - 1 > args.d > 1:
         raise InputError("need n - 1 > d > 1: dimensions outside the quasi-symmetric regime "
                          "(d + 1 vector frames are plain simplices)")
-    report = flat_feasibility(args.d, args.n)
-    bounds = [gerzon_bounds(args.d, args.n, field, kind)
+    report = qsd_bridge.flat_feasibility(args.d, args.n)
+    bounds = [qsd_bridge.gerzon_bounds(args.d, args.n, field, kind)
               for field in ("real", "complex") for kind in ("flat", "hadamard")]
     checks = [{"field": g.field, "kind": g.kind, "passed": g.passed, "violated": g.violated,
                "upper_bound": [g.upper_bound.numerator, g.upper_bound.denominator]} for g in bounds]
     code = 0 if report.verdict and all(g.passed for g in bounds if g.field == "real") else 1
     gerzon = {"schema": "etf-forge/gerzon/v1", "d": args.d, "n": args.n, "checks": checks}
-    return code, [feasibility_to_obj(report), gerzon]
+    return code, [serialize.feasibility_to_obj(report), gerzon]
 
 
 def _catalog_add(args) -> tuple[int, list]:
-    record = Catalog(args.catalog).add(load(args.recipe))
+    record = catalog.Catalog(args.catalog).add(serialize.load(args.recipe))
     return 0, [{"id": record.id, "kind": record.kind, "params": record.params}]
 
 
 def _catalog_list(args) -> tuple[int, list]:
-    records = sorted(Catalog(args.catalog).records(), key=lambda r: r.id)
+    records = sorted(catalog.Catalog(args.catalog).records(), key=lambda r: r.id)
     return 0, [{"id": r.id, "kind": r.kind, "params": r.params, "created_at": r.created_at} for r in records]
 
 
 def _catalog_show(args) -> tuple[int, list]:
-    catalog = Catalog(args.catalog)
-    record = catalog.find(args.id)
-    return 0, [{"record": record.to_obj(), "recipe": load(catalog.root / record.payload / "recipe.json")}]
+    store = catalog.Catalog(args.catalog)
+    record = store.find(args.id)
+    return 0, [{"record": record.to_obj(), "recipe": serialize.load(store.root / record.payload / "recipe.json")}]
 
 
 def _catalog_audit(args) -> tuple[int, list]:
-    catalog = Catalog(args.catalog)
-    failures = catalog.audit()
-    return 1 if failures else 0, [{"audited": len(catalog.records()), "failures": failures}]
+    store = catalog.Catalog(args.catalog)
+    failures = store.audit()
+    return 1 if failures else 0, [{"audited": len(store.records()), "failures": failures}]
 
 
 _OUT = (("--out", dict(default=".", help="output directory")),
@@ -241,13 +237,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, documents = args.run(args)
+    except _OutputError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
+        return 2
     except (InputError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except EtfForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    text = "".join(map(canonical_json, documents))
+    text = "".join(map(serialize.canonical_json, documents))
     try:
         if sys.stdout is None:  # fd 1 was closed when the process started
             raise OSError("stdout is closed")

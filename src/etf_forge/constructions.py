@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .designs import Design, PermutationLift, lift_permutation, round_robin_resolution
+from . import designs
 from .errors import DesignError, FrameError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
 from .hadamard import AbelianGroup, HadamardMatrix, char_table, hadamard_of_size, kron as kron_hadamard, sylvester
@@ -36,7 +36,7 @@ class SteinerInputs(Value):
     is the 1-based column of f whose conjugate weights the lifted blocks.
     """
 
-    lift: PermutationLift
+    lift: designs.PermutationLift
     f: HadamardMatrix
     g: HadamardMatrix
     column: int = 1
@@ -55,7 +55,7 @@ class KirkmanInputs(Value):
 
     steiner: SteinerInputs
     e: HadamardMatrix
-    design: Design
+    design: designs.Design
 
     def __post_init__(self):
         if self.design.parallel_classes is None:
@@ -219,10 +219,10 @@ def standard_kirkman_inputs(u: int, e: HadamardMatrix | None = None) -> KirkmanI
         e = hadamard_of_size(u)
     if e.n != u:
         raise FrameError(f"E must have size {u}, got {e.n}")
-    design = round_robin_resolution(2 * u)
+    design = designs.round_robin_resolution(2 * u)
     f = sylvester(1)
     g = kron_hadamard(e, f)
-    lift = lift_permutation(design)
+    lift = designs.lift_permutation(design)
     return KirkmanInputs(SteinerInputs(lift, f, g, column=1), e, design)
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from . import hadamard
 from .errors import FrameError
-from .hadamard import HadamardMatrix, verify_hadamard
 from .matrices import Domain, ExactMatrix, matmul, rational_rows, row_product_triangle, scaled_identity, squared_moduli, vstack
 from .value import Value
 
@@ -250,7 +250,7 @@ def verify_naimark_pair(primary: Frame, complement: Frame) -> NaimarkPair:
     return NaimarkPair(primary, complement, alpha)
 
 
-def certify_hadamard_etf(pair: NaimarkPair) -> HadamardMatrix:
+def certify_hadamard_etf(pair: NaimarkPair) -> hadamard.HadamardMatrix:
     """Stack a flat pair into an n x n matrix and verify it is Hadamard."""
     for name, frame in (("primary", pair.primary), ("complement", pair.complement)):
         if frame.is_weighted():
@@ -259,10 +259,10 @@ def certify_hadamard_etf(pair: NaimarkPair) -> HadamardMatrix:
         if not cert.flat:
             raise FrameError(f"{name} is not flat")
     stacked = vstack(pair.primary.matrix, pair.complement.matrix)
-    return verify_hadamard(stacked)
+    return hadamard.verify_hadamard(stacked)
 
 
-def gram_to_hadamard(frame: Frame) -> HadamardMatrix:
+def gram_to_hadamard(frame: Frame) -> hadamard.HadamardMatrix:
     """Rescale the Gram matrix of an ETF with d = (n - sqrt(n)) / 2 into a
     self-adjoint unit-diagonal Hadamard matrix.
 
@@ -284,10 +284,10 @@ def gram_to_hadamard(frame: Frame) -> HadamardMatrix:
     den, values = rational_rows(h)
     if any(values[j][j] != den for j in range(n)):
         raise FrameError("rescaled Gram matrix does not have a unit diagonal")
-    return verify_hadamard(h)
+    return hadamard.verify_hadamard(h)
 
 
-def hadamard_to_gram(h: HadamardMatrix) -> tuple[ExactMatrix, int]:
+def hadamard_to_gram(h: hadamard.HadamardMatrix) -> tuple[ExactMatrix, int]:
     """Read a scaled ETF Gram matrix out of a self-adjoint unit-diagonal
     Hadamard matrix; returns (G, d) with G = sqrt(n) I - H and d the rank
     (n - sqrt(n)) / 2 certified by the polynomial identity G^2 = 2 sqrt(n) G.

@@ -27,22 +27,9 @@ from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
-from .constructions import (
-    SteinerInputs,
-    flat_regular_simplex,
-    harmonic_etf,
-    kirkman_etf,
-    standard_kirkman_inputs,
-    steiner_etf,
-    steiner_naimark,
-    tensor_etf,
-    verify_difference_set,
-)
-from .designs import Design, all_pairs_design, design_from_fields, fano_plane, lift_permutation, round_robin_resolution, verify_qsd
+from . import constructions, designs, hadamard, qsd_bridge
 from .errors import EtfForgeError, FrameError, HadamardError, InputError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
-from .hadamard import AbelianGroup, HadamardMatrix, dft, hadamard_of_size, kron, paley_one, sylvester
-from .qsd_bridge import QsdEtfLink, etf_from_qsd
 from .serialize import MAX_SIDE, JsonObject, certificate_to_obj, dump, frac_pair, in_range, json_ints, load, load_matrix
 from .value import Value
 
@@ -57,7 +44,7 @@ class Artifact(Value):
     recipe: dict
     primary: Frame
     pair: NaimarkPair | None = None
-    link: QsdEtfLink | None = None
+    link: qsd_bridge.QsdEtfLink | None = None
 
     def frames(self) -> dict[str, Frame]:
         """The constructed frames by role: the primary, and a pair's complement."""
@@ -135,35 +122,35 @@ def recipe(kind: str, **inputs) -> dict:
     return {"schema": RECIPE_SCHEMA, "kind": kind, "inputs": inputs}
 
 
-def hadamard_from_spec(spec) -> HadamardMatrix:
+def hadamard_from_spec(spec) -> hadamard.HadamardMatrix:
     spec = JsonObject(spec, "a Hadamard source")
     gen = spec.get("generator")
     if gen == "sylvester":
-        return sylvester(in_range("Sylvester exponent", spec["e"], 0, MAX_SIDE.bit_length() - 1))
+        return hadamard.sylvester(in_range("Sylvester exponent", spec["e"], 0, MAX_SIDE.bit_length() - 1))
     if gen == "paley":
-        return paley_one(in_range("Paley prime", spec["q"], 3, MAX_SIDE - 1))
+        return hadamard.paley_one(in_range("Paley prime", spec["q"], 3, MAX_SIDE - 1))
     if gen == "dft":
-        return dft(in_range("Hadamard size", spec["n"], 1, MAX_SIDE))
+        return hadamard.dft(in_range("Hadamard size", spec["n"], 1, MAX_SIDE))
     if gen == "size":
-        return hadamard_of_size(in_range("Hadamard size", spec["n"], 1, MAX_SIDE))
+        return hadamard.hadamard_of_size(in_range("Hadamard size", spec["n"], 1, MAX_SIDE))
     if gen == "kron":
         left, right = hadamard_from_spec(spec["left"]), hadamard_from_spec(spec["right"])
         in_range("Kronecker size", left.n * right.n, 1, MAX_SIDE)
-        return kron(left, right)
+        return hadamard.kron(left, right)
     raise InputError(f"unknown Hadamard generator {gen!r}")
 
 
-def design_from_spec(spec) -> Design:
+def design_from_spec(spec) -> designs.Design:
     spec = JsonObject(spec, "a design source")
     gen = spec.get("generator")
     if gen == "all-pairs":  # its Steiner frame has v^2 vectors
-        return all_pairs_design(in_range("design v", spec["v"], 3, isqrt(MAX_SIDE)))
+        return designs.all_pairs_design(in_range("design v", spec["v"], 3, isqrt(MAX_SIDE)))
     if gen == "round-robin":
-        return round_robin_resolution(in_range("design v", spec["v"], 4, isqrt(MAX_SIDE)))
+        return designs.round_robin_resolution(in_range("design v", spec["v"], 4, isqrt(MAX_SIDE)))
     if gen == "fano":
-        return fano_plane()
+        return designs.fano_plane()
     if gen == "blocks":
-        return design_from_fields(spec)
+        return designs.design_from_fields(spec)
     raise InputError(f"unknown design generator {gen!r}")
 
 
@@ -177,39 +164,39 @@ def replay(rec: dict) -> Artifact:
 
     if kind == "simplex":
         h = hadamard_from_spec(inputs["hadamard"])
-        frame = flat_regular_simplex(h, in_range("drop_row", inputs.get("drop_row", 0), 0, h.n - 1))
+        frame = constructions.flat_regular_simplex(h, in_range("drop_row", inputs.get("drop_row", 0), 0, h.n - 1))
         return Artifact(kind, rec, frame)
 
     if kind == "harmonic":
         subset = json_ints(inputs["subset"], "subset")
         try:
-            group = AbelianGroup(json_ints(inputs["group"], "group"))
+            group = hadamard.AbelianGroup(json_ints(inputs["group"], "group"))
         except HadamardError as exc:
             raise InputError(str(exc)) from None
         in_range("group order", group.size, 2, MAX_SIDE)
         if any(not 0 <= i < group.size for i in subset):
             raise InputError(f"subset indices must lie in 0..{group.size - 1}, got {list(subset)}")
-        ds = verify_difference_set(group, subset)
-        pair = harmonic_etf(ds)
+        ds = constructions.verify_difference_set(group, subset)
+        pair = constructions.harmonic_etf(ds)
         return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "steiner":
-        lift = lift_permutation(design_from_spec(inputs["design"]))
-        st = SteinerInputs(
+        lift = designs.lift_permutation(design_from_spec(inputs["design"]))
+        st = constructions.SteinerInputs(
             lift,
             hadamard_from_spec(inputs["f"]),
             hadamard_from_spec(inputs["g"]),
             in_range("column", inputs.get("column", 1), 1, lift.k),
         )
         if st.column == 1:
-            pair = steiner_naimark(st)
+            pair = constructions.steiner_naimark(st)
             return Artifact(kind, rec, pair.primary, pair)
-        return Artifact(kind, rec, steiner_etf(st))
+        return Artifact(kind, rec, constructions.steiner_etf(st))
 
     if kind == "kirkman":
         u = in_range("Kirkman u", inputs["u"], 2, isqrt(MAX_SIDE) // 2)  # 4 u^2 vectors
-        e = hadamard_from_spec(inputs["e"]) if "e" in inputs else hadamard_of_size(u)
-        pair = kirkman_etf(standard_kirkman_inputs(u, e=e))
+        e = hadamard_from_spec(inputs["e"]) if "e" in inputs else hadamard.hadamard_of_size(u)
+        pair = constructions.kirkman_etf(constructions.standard_kirkman_inputs(u, e=e))
         return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "tensor":
@@ -217,14 +204,14 @@ def replay(rec: dict) -> Artifact:
         right = replay(inputs["right"])
         if left.pair is None or right.pair is None:
             raise EtfForgeError("tensor inputs must be complementary pairs")
-        pair = tensor_etf(left.pair, right.pair)
+        pair = constructions.tensor_etf(left.pair, right.pair)
         return Artifact(kind, rec, pair.primary, pair)
 
     if kind == "qsd-to-etf":
         branch = inputs.get("branch", "plus")
         if branch not in ("plus", "minus"):
             raise InputError(f"branch must be 'plus' or 'minus', got {branch!r}")
-        frame, link = etf_from_qsd(verify_qsd(design_from_spec(inputs["design"])), branch)
+        frame, link = qsd_bridge.etf_from_qsd(designs.verify_qsd(design_from_spec(inputs["design"])), branch)
         return Artifact(kind, rec, frame, link=link)
 
     raise InputError(f"unknown recipe kind {kind!r}")

@@ -402,8 +402,112 @@ def test_cli_import_loads_no_catalog_or_introspection_stdlib():
         return set(proc.stdout.split())
 
     added = loaded("import etf_forge.cli") - loaded("pass")
-    assert "etf_forge.cli" in added and "etf_forge.catalog" in added
+    assert "etf_forge.cli" in added
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "datetime"} == set()
+
+
+def test_a_child_executes_only_the_layers_its_subcommand_reaches(tmp_path, capsys):
+    # Every submodule is registered at `import etf_forge`, but a deferred one
+    # is a plain module only once its body has run, and every child compiles
+    # each module it runs.
+    import os
+    import subprocess
+
+    assert run(capsys, "construct", "harmonic", "--group", "7", "--subset", "1,2,4", "--out", str(tmp_path / "h"))[0] == 0
+    assert run(capsys, "catalog", "--catalog", str(tmp_path / "cat"), "add", str(tmp_path / "h" / "recipe.json"))[0] == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = ("import sys, types\nfrom etf_forge.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, *sorted(name for name, module in sys.modules.items()\n"
+             "                    if name.startswith('etf_forge.') and type(module) is types.ModuleType), file=sys.stderr)")
+    base = {"cli", "errors", "value", "scalars", "matrices", "serialize"}
+    for argv, layers in (
+        (["verify", "etf", str(tmp_path / "h" / "primary.json")], {"frames"}),
+        (["verify", "naimark-pair", str(tmp_path / "h")], {"frames", "recipes"}),
+        (["construct", "harmonic", "--group", "2,2,2,2", "--subset", "1,5,2,10,3,15", "--out", str(tmp_path / "h16")],
+         {"frames", "recipes", "hadamard", "constructions"}),
+        (["construct", "kirkman", "--u", "2", "--out", str(tmp_path / "k")],
+         {"frames", "recipes", "hadamard", "constructions", "designs"}),
+        (["feasibility", "15", "36"], {"frames", "designs", "qsd_bridge"}),
+        (["catalog", "--catalog", str(tmp_path / "cat"), "list"], {"frames", "recipes", "catalog"}),
+    ):
+        proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, check=True)
+        code, *executed = proc.stderr.split()
+        assert code in ("0", "1") and set(executed) == {f"etf_forge.{m}" for m in base | layers}, argv
+
+
+# What `etf_forge` re-exported when its entry imported every module eagerly.
+PACKAGE_EXPORTS = {
+    "errors": "CatalogError DesignError DomainError EtfForgeError FrameError HadamardError InputError",
+    "scalars": "CycloElem QuadElem rational_sqrt",
+    "matrices": "RATIONAL ExactMatrix cyclo_domain kron matmul quad_domain scaled_identity vstack",
+    "designs": "Design DesignParams PermutationLift QsdCertificate SrgParams all_pairs_design complement_design "
+               "etf_params_from_srg fano_plane lift_permutation round_robin_resolution srg_params_from_qsd "
+               "verify_bibd verify_qsd verify_srg",
+    "hadamard": "AbelianGroup HadamardMatrix char_table dft hadamard_of_size paley_one sylvester verify_hadamard",
+    "frames": "EtfCertificate Frame NaimarkPair certify_etf certify_hadamard_etf gram gram_to_hadamard "
+              "hadamard_to_gram verify_naimark_pair welch_bound_sq",
+    "constructions": "DifferenceSet KirkmanInputs SteinerInputs flat_regular_simplex harmonic_etf kirkman_etf "
+                     "standard_kirkman_inputs steiner_etf steiner_naimark tensor_etf verify_difference_set",
+    "qsd_bridge": "FeasibilityReport FlatEtfExtraction GerzonReport QsdEtfLink canonical_sign etf_from_qsd "
+                  "flat_family_qsd_params flat_feasibility gerzon_bounds qsd_frame_scalars qsd_from_flat_etf "
+                  "qsd_gives_etf qsd_params_from_rbibd",
+    "catalog": "Catalog",
+    "recipes": "Artifact recipe replay",
+}
+
+
+def test_the_package_re_exports_every_name_of_its_modules():
+    import importlib
+
+    import etf_forge
+
+    assert etf_forge.__version__ == "0.1.0"
+    star = {}
+    exec("from etf_forge import *", star)
+    for module, names in PACKAGE_EXPORTS.items():
+        home = importlib.import_module(f"etf_forge.{module}")
+        assert getattr(etf_forge, module) is home
+        for name in names.split():
+            assert getattr(etf_forge, name) is getattr(home, name) is star[name], f"{module}.{name}"
+            assert name in dir(etf_forge)
+    with pytest.raises(AttributeError):
+        etf_forge.no_such_name
+
+
+def test_threads_that_first_touch_a_deferred_module_together_all_see_it(tmp_path):
+    # A module whose body is still running must make a thread that finds a
+    # name missing wait for it, not raise AttributeError.  Each round is a
+    # fresh interpreter, where qsd_bridge's body has not run.
+    import os
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    names = PACKAGE_EXPORTS["qsd_bridge"].split()[:8]
+    child = f"""
+import sys, threading
+import etf_forge
+sys.setswitchinterval(1e-6)
+names, errors = {names!r}, []
+barrier = threading.Barrier(len(names))
+
+def touch(name):
+    barrier.wait(30)
+    try:
+        getattr(sys.modules["etf_forge.qsd_bridge"], name)
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=touch, args=(name,)) for name in names]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+print(len(errors), sum(t.is_alive() for t in threads), *errors)
+"""
+    for _ in range(10):
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True,
+                              timeout=120)
+        assert proc.stdout == "0 0\n"  # no thread failed, none is still waiting
 
 
 def test_catalog_children_leave_openssl_unloaded(tmp_path):
@@ -503,6 +607,14 @@ def test_a_closed_or_failing_stdout_is_an_output_error(tmp_path):
     finally:
         os.close(broken)
         os.close(full)
+
+
+def test_a_failing_artifact_write_is_an_output_error(tmp_path, capsys):
+    # The construction succeeded; what failed is writing its files.
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    code, stdout, err = run(capsys, "construct", "simplex", "--size", "4", "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"output error: [Errno 20] Not a directory: {str(out)!r}\n")
 
 
 def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
@@ -841,14 +953,14 @@ def test_a_value_error_inside_a_verifier_is_not_blamed_on_the_input(tmp_path, ca
     # A fault in the mathematics must surface as a traceback, not as exit 2.
     import pytest
 
-    import etf_forge.cli as cli
+    import etf_forge.frames as frames
 
     run(capsys, "construct", "simplex", "--size", "4", "--out", str(tmp_path / "s"))
 
     def broken(frame):
         raise ValueError("a fault inside certify_etf")
 
-    monkeypatch.setattr(cli, "certify_etf", broken)
+    monkeypatch.setattr(frames, "certify_etf", broken)
     with pytest.raises(ValueError, match="a fault inside certify_etf"):
         main(["verify", "etf", str(tmp_path / "s" / "primary.json")])
 
