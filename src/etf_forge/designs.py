@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import isqrt
 
 from .errors import DesignError, InputError
@@ -42,19 +42,24 @@ class DesignParams(Value):
         return (self.v, self.k, self.lam, self.r, self.b)
 
 
+def _zero_one_rows(x: ExactMatrix) -> list[list[int]]:
+    rows = x.int_rows()
+    if rows is None or not set().union(*rows) <= {0, 1}:
+        raise DesignError("incidence matrix must be 0/1 valued")
+    return rows
+
+
 def verify_bibd(x: ExactMatrix) -> DesignParams:
     """Check the three incidence identities exactly and return the parameters.
 
     Requires constant row sums k, constant column sums r, and
     X^T X = (r - lam) I + lam J for a single off-diagonal constant lam.
     """
-    rows = x.int_rows()
-    if rows is None or any(e not in (0, 1) for r in rows for e in r):
-        raise DesignError("incidence matrix must be 0/1 valued")
+    rows = _zero_one_rows(x)
     b, v = x.rows, x.cols
     if v < 2:
         raise DesignError("need at least two vertices")
-    row_sums = {sum(r) for r in rows}
+    row_sums = set(map(sum, rows))
     if len(row_sums) != 1:
         raise DesignError(f"block sizes are not constant: {sorted(row_sums)}")
     k = row_sums.pop()
@@ -107,14 +112,11 @@ class Design:
                     raise DesignError(f"block {i} repeats vertex {vertex}")
                 row[vertex] = 1
             rows.append(row)
-        return ExactMatrix.from_rows(rows, RATIONAL)
+        return ExactMatrix(RATIONAL, 1, [rows])
 
     @staticmethod
     def from_incidence(x: ExactMatrix, parallel_classes=None) -> "Design":
-        rows = x.int_rows()
-        if rows is None:
-            raise DesignError("incidence matrix must be 0/1 valued")
-        blocks = [tuple(j for j, e in enumerate(row) if e == 1) for row in rows]
+        blocks = [tuple(compress(range(x.cols), row)) for row in _zero_one_rows(x)]
         return Design(x.cols, blocks, parallel_classes)
 
     def _check_resolution(self):
@@ -249,12 +251,9 @@ def lift_permutation(design: Design) -> PermutationLift:
     col_count = [0] * p.v
     slots = []
     for i, row in enumerate(rows):
-        row_count = 0
-        for j, e in enumerate(row):
-            if e:
-                slots.append((i, j, row_count, col_count[j]))
-                row_count += 1
-                col_count[j] += 1
+        for row_count, j in enumerate(compress(range(p.v), row)):
+            slots.append((i, j, row_count, col_count[j]))
+            col_count[j] += 1
     lift = PermutationLift(p.b, p.k, p.v, p.r, tuple(slots))
     if len(slots) != p.b * p.k:
         raise DesignError("lift does not cover every incidence")
@@ -390,13 +389,12 @@ def verify_srg(a: ExactMatrix) -> SrgParams:
     if a.rows != a.cols or rows is None:
         raise DesignError("adjacency matrix must be square and 0/1 valued")
     n = a.rows
-    for i in range(n):
-        if rows[i][i] != 0:
+    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+        if row[i] != 0:
             raise DesignError("adjacency matrix must have a zero diagonal")
-        for j in range(n):
-            if rows[i][j] not in (0, 1) or rows[i][j] != rows[j][i]:
-                raise DesignError("adjacency matrix must be symmetric and 0/1 valued")
-    degrees = {sum(row) for row in rows}
+        if not set(row) <= {0, 1} or tuple(row) != column:
+            raise DesignError("adjacency matrix must be symmetric and 0/1 valued")
+    degrees = set(map(sum, rows))
     if len(degrees) != 1:
         raise DesignError(f"graph is not regular: degrees {sorted(degrees)}")
     deg = degrees.pop()
@@ -404,9 +402,9 @@ def verify_srg(a: ExactMatrix) -> SrgParams:
         raise DesignError("complete and empty graphs are excluded")
     _, sq = row_product_triangle(a)  # A A* = A^2: A is symmetric 0/1, so den is 1 and A^2 symmetric
     common_adj, common_non = set(), set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            (common_adj if rows[i][j] else common_non).add(sq[i][j - i])
+    for i, (row, upper) in enumerate(zip(rows, sq)):  # upper[j - i] is entry (i, j) of A^2
+        common_adj.update(compress(upper[1:], row[i + 1:]))
+        common_non.update(compress(upper[1:], map((0).__eq__, row[i + 1:])))
     if len(common_adj) != 1 or len(common_non) != 1:
         raise DesignError("common-neighbor counts are not constant")
     c = common_adj.pop()

@@ -97,7 +97,7 @@ class ExactMatrix:
             raise DomainError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        if all(type(x) is int for x in entries):  # its own plane: no coordinate tuple per entry
+        if {int}.issuperset(map(type, entries)):  # its own plane: no coordinate tuple per entry
             return from_flat(domain, cols, 1, [entries])
         forms = [domain.lower(x) for x in entries]
         den = lcm(*{d for d, _ in forms})
@@ -109,7 +109,9 @@ class ExactMatrix:
         nc = len(rows[0])
         if any(len(r) != nc for r in rows):
             raise DomainError("ragged rows")
-        return ExactMatrix.from_entries(domain, len(rows), nc, [x for r in rows for x in r])
+        if {int}.issuperset(map(type, chain.from_iterable(rows))):  # the rows are the plane
+            return ExactMatrix(domain, 1, [rows])
+        return ExactMatrix.from_entries(domain, len(rows), nc, chain.from_iterable(rows))
 
     @staticmethod
     def identity(n: int, domain: Domain = RATIONAL) -> "ExactMatrix":

@@ -12,7 +12,9 @@ are taken symbolically and integrality is decided by integer square roots.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd, verify_qsd
@@ -111,16 +113,13 @@ def canonical_sign(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...], tuple[
     nonnegative (zero inner products keep their original sign).
     """
     rows = m.int_rows()
-    if rows is None or any(x not in (1, -1) for r in rows for x in r):
+    if rows is None or not set().union(*rows) <= {1, -1}:
         raise FrameError("canonical signing applies to +/-1 matrices only")
     row_signs = tuple(r[0] for r in rows)
-    rows = [[s * x for x in r] for s, r in zip(row_signs, rows)]
-    col_signs = []
-    for j in range(m.cols):
-        total = sum(r[j] for r in rows)
-        col_signs.append(-1 if total < 0 else 1)
-    rows = [[s * x for s, x in zip(col_signs, r)] for r in rows]
-    return ExactMatrix.from_rows(rows, RATIONAL), row_signs, tuple(col_signs)
+    rows = [r if s == 1 else list(map(operator.neg, r)) for s, r in zip(row_signs, rows)]
+    col_signs = tuple(-1 if total < 0 else 1 for total in map(sum, zip(*rows)))
+    rows = [list(map(operator.mul, col_signs, r)) for r in rows]
+    return ExactMatrix(RATIONAL, 1, [rows]), row_signs, col_signs
 
 
 class FlatEtfExtraction(Value):
@@ -153,10 +152,9 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
     if not cert.flat or frame.matrix.int_rows() is None:
         raise FrameError("extraction applies to real flat frames only")
     signed, _, _ = canonical_sign(frame.matrix)
-    s_rows = signed.int_rows()
     v, b = d, n - 1
-    incidence = [[(1 - s_rows[i][1 + j]) // 2 for i in range(v)] for j in range(b)]
-    design = Design.from_incidence(ExactMatrix.from_rows(incidence, RATIONAL))
+    columns = list(zip(*signed.int_rows()))[1:]  # block j: the vertices where column j + 1 is -1
+    design = Design(v, [tuple(compress(range(v), map((-1).__eq__, c))) for c in columns])
     qsd = verify_qsd(design)
 
     w_sq = Fraction(d * (n - d), n - 1)

@@ -188,7 +188,7 @@ def json_ints(value, what: str, depth: int = 1):
         if type(value) is not int:
             raise InputError(f"{what} {value!r} is not an integer")
         return value
-    if type(value) not in (list, tuple) or depth == 1 and any(type(x) is not int for x in value):
+    if type(value) not in (list, tuple) or depth == 1 and not {int}.issuperset(map(type, value)):
         raise InputError(f"{what} {value!r} are not integers")
     return tuple(value) if depth == 1 else tuple(json_ints(x, what, depth - 1) for x in value)
 

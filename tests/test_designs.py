@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -276,3 +278,180 @@ def test_dimension_equals_vertex_count_for_qsd_chains():
         if srg.a == 2 * srg.mu:
             d, _ = etf_params_from_srg(srg)
             assert d == cert.params.v
+
+
+# -- per-entry oracles for the row-level checks -------------------------
+#
+# Each oracle scans entry by entry and forms X^T X (or A^2) by plain sums, so
+# it shares no row-level idiom with the library; a verdict is the parameters
+# or the DesignError's message.
+
+
+def per_entry_bibd(x: ExactMatrix):
+    rows = x.int_rows()
+    if rows is None or any(e not in (0, 1) for r in rows for e in r):
+        raise DesignError("incidence matrix must be 0/1 valued")
+    b, v = len(rows), len(rows[0])
+    if v < 2:
+        raise DesignError("need at least two vertices")
+    row_sums = {sum(r) for r in rows}
+    if len(row_sums) != 1:
+        raise DesignError(f"block sizes are not constant: {sorted(row_sums)}")
+    (k,) = row_sums
+    xtx = [[sum(rows[i][p] * rows[i][q] for i in range(b)) for q in range(v)] for p in range(v)]
+    col_sums = {xtx[p][p] for p in range(v)}
+    if len(col_sums) != 1:
+        raise DesignError(f"vertex replication counts are not constant: {sorted(col_sums)}")
+    (r,) = col_sums
+    if not v > k > 0:
+        raise DesignError(f"need v > k > 0, got v={v}, k={k}")
+    pair_counts = {xtx[p][q] for p in range(v) for q in range(p + 1, v)}
+    if len(pair_counts) != 1:
+        raise DesignError(f"pair counts are not constant: {sorted(pair_counts)}")
+    (lam,) = pair_counts
+    if b * k != v * r or (v - 1) * lam != r * (k - 1):
+        raise DesignError("parameter relations bk = vr, (v-1)lam = r(k-1) failed")
+    if not 0 <= lam < r < b:
+        raise DesignError(f"need 0 <= lam < r < b, got lam={lam}, r={r}, b={b}")
+    return (v, k, lam, r, b)
+
+
+def per_entry_srg(a: ExactMatrix):
+    rows = a.int_rows()
+    if a.rows != a.cols or rows is None:
+        raise DesignError("adjacency matrix must be square and 0/1 valued")
+    n = a.rows
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise DesignError("adjacency matrix must have a zero diagonal")
+        for j in range(n):
+            if rows[i][j] not in (0, 1) or rows[i][j] != rows[j][i]:
+                raise DesignError("adjacency matrix must be symmetric and 0/1 valued")
+    degrees = {sum(row) for row in rows}
+    if len(degrees) != 1:
+        raise DesignError(f"graph is not regular: degrees {sorted(degrees)}")
+    (deg,) = degrees
+    if deg == 0 or deg == n - 1:
+        raise DesignError("complete and empty graphs are excluded")
+    common = {0: set(), 1: set()}
+    for i in range(n):
+        for j in range(i + 1, n):
+            common[rows[i][j]].add(sum(rows[i][h] * rows[h][j] for h in range(n)))
+    if len(common[1]) != 1 or len(common[0]) != 1:
+        raise DesignError("common-neighbor counts are not constant")
+    return (n, deg, *common[1], *common[0])
+
+
+def verdict(check, m):
+    try:
+        result = check(m)
+    except DesignError as exc:
+        return ("refused", str(exc))
+    return ("ok", result if isinstance(result, tuple) else result.as_tuple())
+
+
+def seeded_incidences(seed):
+    """Incidence-like matrices from one seed: designs, their complements and
+    mutations of them (one entry flipped, or set to 2, -1 or 1/2, rows cut),
+    and random 0/1 matrices."""
+    rng = random.Random(seed)
+    base = [INCIDENCE_6x4, [list(r) for r in fano_plane().incidence.int_rows()],
+            [list(r) for r in all_pairs_design(6).incidence.int_rows()],
+            [list(r) for r in complement_design(all_pairs_design(7)).incidence.int_rows()]]
+    out = []
+    for rows in base:
+        out.append(rows)
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        for value in (1 - rows[i][j], 2, -1, Fraction(1, 2)):
+            out.append([r if h != i else r[:j] + [value] + r[j + 1:] for h, r in enumerate(rows)])
+        out.append(rows[: rng.randrange(1, len(rows))])
+    for _ in range(6):
+        b, v = rng.randint(1, 8), rng.randint(1, 7)
+        out.append([[int(rng.random() < 0.5) for _ in range(v)] for _ in range(b)])
+    return [ExactMatrix.from_rows(rows) for rows in out]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_bibd_matches_the_per_entry_oracle(seed):
+    verdicts = [(verdict(verify_bibd, m), verdict(per_entry_bibd, m)) for m in seeded_incidences(seed)]
+    assert all(ours == oracle for ours, oracle in verdicts)
+    assert {ours[0] for ours, _ in verdicts} == {"ok", "refused"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_incidence_reads_the_blocks_of_a_0_1_matrix(seed):
+    for m in seeded_incidences(seed):
+        if verdict(per_entry_bibd, m)[0] == "refused":
+            continue
+        rows = m.int_rows()
+        design = Design.from_incidence(m)
+        assert design.blocks == tuple(tuple(j for j, e in enumerate(r) if e == 1) for r in rows)
+        assert design.incidence == m
+
+
+@pytest.mark.parametrize("value", [2, -1, Fraction(1, 2)])
+def test_from_incidence_refuses_entries_outside_0_1(value):
+    # A 2 or a -1 used to be read as a 0, which left a certified design
+    # whose incidence matrix verify_bibd refuses.
+    rows = [list(r) for r in INCIDENCE_6x4]
+    rows[0][2] = value
+    with pytest.raises(DesignError, match=r"^incidence matrix must be 0/1 valued$"):
+        verify_bibd(ExactMatrix.from_rows(rows))
+    with pytest.raises(DesignError, match=r"^incidence matrix must be 0/1 valued$"):
+        Design.from_incidence(ExactMatrix.from_rows(rows))
+
+
+def seeded_graphs(seed):
+    """Adjacency-like matrices: strongly regular graphs (the pentagon, block
+    graphs of QSDs, T(5)), mutations of them (an entry flipped on one side
+    only or on both, a 2, a loop), random symmetric 0/1 matrices and a
+    non-square one."""
+    rng = random.Random(seed)
+    pentagon = [[1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)] for i in range(5)]
+    blocks = list(combinations(range(5), 2))
+    triangular = [[int(i != j and len(set(p) & set(q)) == 1) for j, q in enumerate(blocks)]
+                  for i, p in enumerate(blocks)]
+    base = [pentagon, triangular, [list(r) for r in verify_qsd(all_pairs_design(6)).block_graph.int_rows()]]
+    out = []
+    for rows in base:
+        out.append(rows)
+        n = len(rows)
+        i, j = rng.sample(range(n), 2)
+        flipped = [list(r) for r in rows]
+        flipped[i][j] = 1 - flipped[i][j]
+        out.append([list(r) for r in flipped])
+        flipped[j][i] = flipped[i][j]
+        out.append(flipped)
+        doubled = [list(r) for r in rows]
+        doubled[i][j] = doubled[j][i] = 2
+        out.append(doubled)
+        looped = [list(r) for r in rows]
+        looped[j][j] = 1
+        out.append(looped)
+    for _ in range(4):
+        n = rng.randint(2, 9)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = int(rng.random() < 0.5)
+        out.append(rows)
+    out.append([[0, 1, 1], [1, 0, 1]])
+    return [ExactMatrix.from_rows(rows) for rows in out]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_srg_matches_the_per_entry_oracle(seed):
+    verdicts = [(verdict(verify_srg, m), verdict(per_entry_srg, m)) for m in seeded_graphs(seed)]
+    assert all(ours == oracle for ours, oracle in verdicts)
+    assert {ours[0] for ours, _ in verdicts} == {"ok", "refused"}
+
+
+def test_lift_permutation_matches_the_per_entry_count():
+    for design in (paired_design(), fano_plane(), all_pairs_design(6), complement_design(all_pairs_design(7))):
+        col_count, slots = [0] * design.v, []
+        for i, row in enumerate(design.incidence.int_rows()):
+            row_count = 0
+            for j, e in enumerate(row):
+                if e:
+                    slots.append((i, j, row_count, col_count[j]))
+                    row_count, col_count[j] = row_count + 1, col_count[j] + 1
+        assert lift_permutation(design).slots == tuple(slots)

@@ -1099,3 +1099,34 @@ def test_row_product_triangle_and_squared_moduli_match_the_oracle(name, triangle
         want = {(x * x.conjugate()).rational_value() for x in entries}
         den, got = squared_moduli(m, segments)
         assert {None if x is None else Fraction(x, den) for x in got} == want
+
+
+# from_rows takes all-integer rows as their own plane; from_entries lowers
+# the same values.  Both must reach one canonical form, and a row list that
+# is not a matrix is refused the way it was when from_rows went through
+# from_entries.
+@pytest.mark.parametrize("seed", range(4))
+def test_from_rows_of_integers_matches_from_entries(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        values = [[rng.randint(-3, 3) * rng.choice((1, 0, 10**20)) for _ in range(cols)] for _ in range(rows)]
+        mixed = [list(r) for r in values]
+        mixed[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((Fraction(1, 3), Fraction(4), True))
+        for domain in (RATIONAL, cyclo_domain(5), quad_domain(6)):
+            for matrix in (values, mixed):
+                a = ExactMatrix.from_rows(matrix, domain)
+                b = ExactMatrix.from_entries(domain, rows, cols, [x for r in matrix for x in r])
+                assert (a.domain, a.rows, a.cols, a.den, a.planes) == (b.domain, b.rows, b.cols, b.den, b.planes)
+            assert ExactMatrix.from_rows(values, domain).int_rows() == values
+
+
+def test_from_rows_refuses_ragged_and_empty_rows():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2], [Fraction(1, 2)]], [(1, 2), ()]):
+        with pytest.raises(DomainError, match="^ragged rows$"):
+            ExactMatrix.from_rows(rows)
+    for rows in ([[]], [[], []], [()]):
+        with pytest.raises(DomainError, match="^matrix dimensions must be positive$"):
+            ExactMatrix.from_rows(rows)
+    with pytest.raises(IndexError):  # no first row to take the width from
+        ExactMatrix.from_rows([])

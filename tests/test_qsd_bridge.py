@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -408,3 +409,81 @@ def test_constructions_build_a_bounded_number_of_scalars(monkeypatch):
         counts.clear()
         build()
         assert len(counts) <= 16
+
+
+# The per-entry signing and extraction the row-level ones replaced: every
+# entry is tested, multiplied and read on its own.  They are the oracles for
+# canonical_sign and qsd_from_flat_etf.
+def per_entry_sign(m):
+    rows = m.int_rows()
+    if rows is None or any(x not in (1, -1) for r in rows for x in r):
+        raise FrameError("canonical signing applies to +/-1 matrices only")
+    row_signs = tuple(r[0] for r in rows)
+    rows = [[s * x for x in r] for s, r in zip(row_signs, rows)]
+    col_signs = tuple(-1 if sum(r[j] for r in rows) < 0 else 1 for j in range(m.cols))
+    return [[s * x for s, x in zip(col_signs, r)] for r in rows], row_signs, col_signs
+
+
+def per_entry_extraction(frame):
+    signed, _, _ = per_entry_sign(frame.matrix)
+    v, b = frame.matrix.rows, frame.matrix.cols - 1
+    incidence = [[(1 - signed[i][1 + j]) // 2 for i in range(v)] for j in range(b)]
+    blocks = [tuple(i for i in range(v) if row[i] == 1) for row in incidence]
+    return signed, blocks
+
+
+def sign_verdict(sign, m):
+    try:
+        signed, row_signs, col_signs = sign(m)
+    except FrameError as exc:
+        return ("refused", str(exc))
+    rows = signed if isinstance(signed, list) else signed.int_rows()
+    return ("ok", rows, row_signs, col_signs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_sign_matches_the_per_entry_oracle(seed):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(8):
+        d, n = rng.randint(1, 8), rng.randint(1, 12)
+        rows = [[rng.choice((1, -1)) for _ in range(n)] for _ in range(d)]
+        cases.append(rows)
+        i, j = rng.randrange(d), rng.randrange(n)
+        for value in (0, 2, -2, Fraction(1, 2)):
+            cases.append([r if h != i else r[:j] + [value] + r[j + 1:] for h, r in enumerate(rows)])
+    cases.append([list(r) for r in kirkman_etf(standard_kirkman_inputs(2)).primary.matrix.int_rows()])
+    verdicts = [(sign_verdict(canonical_sign, m), sign_verdict(per_entry_sign, m))
+                for m in map(ExactMatrix.from_rows, cases)]
+    assert all(ours == oracle for ours, oracle in verdicts)
+    assert {ours[0] for ours, _ in verdicts} == {"ok", "refused"}
+
+
+@functools.lru_cache(maxsize=None)
+def extraction_frames():
+    """The Kirkman u = 2 and u = 4 frames and the +/-1 (6, 16) harmonic primary."""
+    from etf_forge.constructions import harmonic_etf, verify_difference_set
+
+    out = {}
+    for u in (2, 4):
+        pair = kirkman_etf(standard_kirkman_inputs(u))
+        out[f"kirkman{u}-primary"], out[f"kirkman{u}-complement"] = pair.primary, pair.complement
+    ds = verify_difference_set(AbelianGroup((2, 2, 2, 2)), (1, 2, 3, 5, 10, 15))
+    out["harmonic16-primary"] = harmonic_etf(ds).primary
+    return out
+
+
+@pytest.mark.parametrize("name", ["kirkman2-primary", "kirkman2-complement", "kirkman4-primary",
+                                  "kirkman4-complement", "harmonic16-primary"])
+def test_qsd_from_flat_etf_matches_the_per_entry_oracle(name):
+    frame = extraction_frames()[name]
+    extraction = qsd_from_flat_etf(frame)
+    signed, blocks = per_entry_extraction(frame)
+    oracle = Design(frame.matrix.rows, blocks)
+    assert extraction.signed_matrix.int_rows() == signed
+    assert extraction.signed_matrix.planes == [signed] and extraction.signed_matrix.den == 1
+    assert extraction.design.blocks == oracle.blocks
+    assert extraction.design.params == oracle.params
+    assert extraction.certificate.as_tuple() == verify_qsd(oracle).as_tuple()
+    if name == "harmonic16-primary":
+        assert set().union(*frame.matrix.int_rows()) == {1, -1}

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from etf_forge.serialize import (
     certificate_to_obj,
     dump,
     feasibility_to_obj,
+    json_ints,
     load,
     load_matrix,
     matrix_from_obj,
@@ -626,3 +628,15 @@ def test_load_matrix_keeps_the_collector_paused_through_the_parse(tmp_path, monk
         serialize.load_matrix(bad)
     assert gc.isenabled()
     assert states == [False, False]
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", True, None, 2.0])
+def test_json_ints_refuses_a_non_integer_inside_a_list(bad):
+    # Only an exact int is a JSON integer; int() would read each of these.
+    for value in ([bad], [1, bad, 3], (bad, 1)):
+        with pytest.raises(InputError, match=rf"^design blocks {re.escape(repr(value))} are not integers$"):
+            json_ints(value, "design blocks")
+    with pytest.raises(InputError, match=rf"^design blocks {re.escape(repr([bad]))} are not integers$"):  # the inner list
+        json_ints([[1], [bad]], "design blocks", 2)
+    assert json_ints([1, -2, 3], "design blocks") == (1, -2, 3)
+    assert json_ints([], "design blocks") == ()

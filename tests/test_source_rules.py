@@ -247,3 +247,31 @@ def test_the_cli_dispatches_only_through_its_table():
              if isinstance(side, ast.Attribute) and ast.unparse(side.value) == "args"
              and (side.attr == "cmd" or side.attr.endswith("_cmd"))]
     assert found == []
+
+
+def test_the_qsd_path_checks_and_builds_a_row_at_a_time():
+    # The 0/1 and +/-1 checks, the row sums, the signing and the block
+    # extraction on the flat-frame <-> QSD path work on whole rows: set unions,
+    # map, zip and compress.  A comprehension whose second `for` walks the row
+    # its first one bound is the per-entry scan they replaced.
+    functions = {"matrices.py": ("from_rows", "from_entries"), "serialize.py": ("json_ints",),
+                 "designs.py": ("verify_bibd", "from_incidence", "lift_permutation", "verify_srg"),
+                 "qsd_bridge.py": ("canonical_sign", "qsd_from_flat_etf")}
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found, seen = [], set()
+    for name, wanted in functions.items():
+        path = PACKAGE / name
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(func, ast.FunctionDef) and func.name in wanted):
+                continue
+            seen.add(func.name)
+            for node in ast.walk(func):
+                if not isinstance(node, comprehensions):
+                    continue
+                bound = set()
+                for gen in node.generators:
+                    if {n.id for n in ast.walk(gen.iter) if isinstance(n, ast.Name)} & bound:
+                        found.append(f"{name}:{node.lineno} {func.name}")
+                    bound |= {n.id for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+    assert seen == {f for names in functions.values() for f in names}
+    assert found == []
