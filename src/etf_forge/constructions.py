@@ -19,6 +19,7 @@ Conventions that fix the golden outputs bit-for-bit:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
 from . import designs
@@ -124,8 +125,8 @@ def harmonic_etf(ds: DifferenceSet) -> NaimarkPair:
     return verify_naimark_pair(primary, complement)
 
 
-def _lifted_block_matrix(inputs: SteinerInputs) -> ExactMatrix:
-    """(I_b (x) f_l*) Pi (I_v (x) G1*), assembled block by block.
+def _lifted_block_matrix(inputs: SteinerInputs, column: int) -> ExactMatrix:
+    """(I_b (x) f_l*) Pi (I_v (x) G1*) for column l of F, assembled block by block.
 
     Block (i, j) of the result is conj(F(p, l)) times row q of G1*, where
     (p, q) is the lift position of the incidence one at (i, j); zero rows of
@@ -133,7 +134,7 @@ def _lifted_block_matrix(inputs: SteinerInputs) -> ExactMatrix:
     """
     lift = inputs.lift
     g_star = inputs.g.body.adjoint()  # G1* is rows 1..r of G*
-    f_col = inputs.f.body.adjoint().take_rows([inputs.column - 1]).transpose()
+    f_col = inputs.f.body.adjoint().take_rows([column - 1]).transpose()
     blocks = kron(f_col, g_star.take_rows(range(1, g_star.rows)))  # row p r + q: conj(F(p, l)) G1*[q]
     zero = [0] * (lift.r + 1)
     planes = []
@@ -147,9 +148,14 @@ def _lifted_block_matrix(inputs: SteinerInputs) -> ExactMatrix:
 
 def steiner_etf(inputs: SteinerInputs) -> Frame:
     """The b x v(r+1) frame lifted from a pairwise-balanced design with lam = 1."""
-    frame = Frame(_lifted_block_matrix(inputs))
+    frame = Frame(_lifted_block_matrix(inputs, inputs.column))
     certify_etf(frame)
     return frame
+
+
+def _siblings(inputs: SteinerInputs):
+    """The sibling blocks for columns 2..k of F, each built when it is asked for."""
+    return (_lifted_block_matrix(inputs, l) for l in range(2, inputs.lift.k + 1))
 
 
 def _steiner_tail(inputs: SteinerInputs) -> ExactMatrix:
@@ -167,14 +173,8 @@ def steiner_naimark(inputs: SteinerInputs) -> NaimarkPair:
         raise FrameError("the complement construction is anchored at column 1")
     lift = inputs.lift
     primary = steiner_etf(inputs)
-    siblings = [
-        _lifted_block_matrix(SteinerInputs(lift, inputs.f, inputs.g, column=l))
-        for l in range(2, lift.k + 1)
-    ]
-    tail = _steiner_tail(inputs)
-    stacked = vstack(*siblings, tail) if siblings else tail
     weights = (Fraction(1),) * (lift.b * (lift.k - 1)) + (Fraction(lift.k),) * lift.v
-    complement = Frame(stacked, row_weights=weights)
+    complement = Frame(vstack(*_siblings(inputs), _steiner_tail(inputs)), row_weights=weights)
     return verify_naimark_pair(primary, complement)
 
 
@@ -188,20 +188,13 @@ def kirkman_etf(inputs: KirkmanInputs) -> NaimarkPair:
     st = inputs.steiner
     if st.column != 1:
         raise FrameError("the complement construction is anchored at column 1")
-    design = inputs.design
-    p = design.params
-    lift = st.lift
-    rotation = kron(ExactMatrix.identity(p.r, inputs.e.body.domain), inputs.e.body)
-    primary = Frame(matmul(rotation, _lifted_block_matrix(st)))
+    rotation = kron(ExactMatrix.identity(inputs.design.params.r, inputs.e.body.domain), inputs.e.body)
+    primary = Frame(matmul(rotation, _lifted_block_matrix(st, 1)))
     cert = certify_etf(primary)
     if not cert.flat:
         raise FrameError("flattening failed: the rotated frame is not flat")
-    siblings = [
-        matmul(rotation, _lifted_block_matrix(SteinerInputs(lift, st.f, st.g, column=l)))
-        for l in range(2, lift.k + 1)
-    ]
-    tail = matmul(kron(inputs.e.body, st.f.body), _steiner_tail(st))
-    complement = Frame(vstack(*siblings, tail) if siblings else tail)
+    siblings = map(partial(matmul, rotation), _siblings(st))  # rotated as built: one unrotated block alive at a time
+    complement = Frame(vstack(*siblings, matmul(kron(inputs.e.body, st.f.body), _steiner_tail(st))))
     pair = verify_naimark_pair(primary, complement)
     if not certify_etf(complement).flat:
         raise FrameError("flattening failed: the complement is not flat")

@@ -106,7 +106,7 @@ class ExactMatrix:
     @staticmethod
     def from_rows(rows, domain: Domain = RATIONAL) -> "ExactMatrix":
         rows = [list(r) for r in rows]
-        nc = len(rows[0])
+        nc = len(rows[0]) if rows else 0  # no rows: an empty shape, which the constructor refuses
         if any(len(r) != nc for r in rows):
             raise DomainError("ragged rows")
         if {int}.issuperset(map(type, chain.from_iterable(rows))):  # the rows are the plane

@@ -157,26 +157,19 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
     design = Design(v, [tuple(compress(range(v), map((-1).__eq__, c))) for c in columns])
     qsd = verify_qsd(design)
 
-    w_sq = Fraction(d * (n - d), n - 1)
-    w = rational_sqrt(w_sq)
-    if w is None or w.denominator != 1:
-        raise FrameError(f"w^2 = {w_sq} is not a perfect square")
-    w = int(w)
-    expected = {
-        "k": Fraction(v - w, 2),
-        "x": Fraction(v - 3 * w, 4),
-        "y": Fraction(v - w, 4),
-        "r": Fraction(b * (v - w), 2 * v),
-    }
+    root = _radical_check(Fraction(d * (n - d), n - 1))
+    if not root.is_integer:
+        raise FrameError(f"w^2 = {root.radicand} is not a perfect square")
+    w = root.value
+    expected = dict(zip("vklrbxy", _flat_qsd_params(d, n, w)))
     actual = {"k": qsd.params.k, "x": qsd.x, "y": qsd.y, "r": qsd.params.r}
-    for name in expected:
+    for name in actual:
         if actual[name] != expected[name]:
             raise FrameError(
                 f"extracted parameter {name} = {actual[name]} differs from the "
                 f"closed form {expected[name]}"
             )
-    lam_expected = Fraction(qsd.params.r * (qsd.params.k - 1), v - 1)
-    if qsd.params.lam != lam_expected:
+    if qsd.params.lam != expected["l"]:
         raise FrameError("extracted lambda violates the design relation")
     if d % 2 or w % 2:
         raise FrameError(f"d = {d} and w = {w} must both be even")
@@ -185,60 +178,48 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
     return FlatEtfExtraction(qsd, design, signed, w, qsd.params.k, qsd.x, qsd.y)
 
 
+def _flat_qsd_params(d: int, n: int, w) -> tuple:
+    """(v, k, lam, r, b, x, y) of the QSD that a real flat d x n ETF signs
+    to, with w = sqrt(d(n - d)/(n - 1)); slots may come out fractional."""
+    v, b = d, n - 1
+    k = Fraction(v - w, 2)
+    r = b * k / v
+    return v, k, r * (k - 1) / (v - 1), r, b, Fraction(v - 3 * w, 4), Fraction(v - w, 4)
+
+
 def flat_family_qsd_params(u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two QSD parameter families attached to flat frames on 4u^2 vectors.
 
     Tuple A corresponds to (d, n) = (u(2u-1), 4u^2) and tuple B to its
-    complement (u(2u+1), 4u^2); u must be even.
+    complement (u(2u+1), 4u^2); both have w = u, and u must be even.
     """
     if u < 2:
         raise DesignError("need u >= 2")
     if u % 2:
         raise DesignError(f"u = {u} must be even")
-    a = (
-        2 * u * u - u,
-        u * u - u,
-        u * u - u - 1,
-        2 * u * u - u - 1,
-        4 * u * u - 1,
-        u * (u - 2) // 2,
-        u * (u - 1) // 2,
-    )
-    b = (
-        2 * u * u + u,
-        u * u,
-        u * u - u,
-        2 * u * u - u,
-        4 * u * u - 1,
-        u * (u - 1) // 2,
-        u * u // 2,
-    )
-    return a, b
+    return tuple(tuple(map(int, _flat_qsd_params(d, 4 * u * u, u))) for d in (2 * u * u - u, 2 * u * u + u))
 
 
 def qsd_params_from_rbibd(v_hat: int, k_hat: int, r_hat: int, b_hat: int):
-    """QSD parameters promised by a resolvable design whose rotation sizes
-    admit Hadamard matrices; returns (7-tuple, w).  Every slot must come out
-    an integer.
+    """QSD parameters promised by a resolvable design with lam = 1 whose
+    rotation sizes admit Hadamard matrices; returns (7-tuple, w).  They are
+    the flat-frame parameters at (d, n) = (b, v(r + 1)) with w = v/k, and
+    every slot must come out an integer.
     """
     if v_hat * r_hat != b_hat * k_hat:
         raise DesignError("need v r = b k for the input design")
     if k_hat < 2:
         raise DesignError("need k >= 2")
-    slots = (
-        Fraction(b_hat),
-        Fraction(v_hat * (r_hat - 1), 2 * k_hat),
-        Fraction(v_hat * (r_hat - 1) - 2 * k_hat, 4),
-        Fraction((r_hat - 1) * (v_hat + k_hat - 1), 2),
-        Fraction(r_hat * (v_hat + k_hat - 1)),
-        Fraction(v_hat * (r_hat - 3), 4 * k_hat),
-        Fraction(v_hat * (r_hat - 1), 4 * k_hat),
-    )
-    w = Fraction(v_hat, k_hat)
-    for name, value in zip("vklrbxy", slots + (w,)):
+    if k_hat >= v_hat:
+        raise DesignError("need k < v for the input design")
+    if r_hat * (k_hat - 1) != v_hat - 1:
+        raise DesignError("need r (k - 1) = v - 1 (lam = 1) for the input design")
+    w = Fraction(v_hat, k_hat)  # an integer once x and y are: y - x = w/2
+    slots = _flat_qsd_params(b_hat, v_hat * (r_hat + 1), w)
+    for name, value in zip("vklrbxy", slots):
         if value.denominator != 1:
             raise DesignError(f"parameter slot {name} = {value} is not an integer")
-    return tuple(int(s) for s in slots), int(w)
+    return tuple(map(int, slots)), int(w)
 
 
 class RadicalCheck(Value):

@@ -584,6 +584,23 @@ def test_certify_etf_of_the_u12_primary_is_one_product(workload_frames, monkeypa
     assert products == [("_int_matmul", 576)]
 
 
+def test_certify_etf_settles_the_angles_of_an_etf_without_the_squared_scan(monkeypatch):
+    # One squared modulus over the pairs (j, j + 1) already decides every
+    # angle of an ETF; the per-entry squared scan only names a failing pair.
+    from etf_forge.constructions import harmonic_etf, kirkman_etf, standard_kirkman_inputs, verify_difference_set
+    from etf_forge.hadamard import AbelianGroup
+
+    harmonic = harmonic_etf(verify_difference_set(AbelianGroup((2, 2, 2, 2)), (1, 2, 3, 5, 10, 15))).primary
+    kirkman = kirkman_etf(standard_kirkman_inputs(2)).primary
+    calls = []
+    rational_rows = frames.rational_rows
+    monkeypatch.setattr(frames, "rational_rows", lambda m, squared=False: calls.append(squared) or rational_rows(m, squared))
+    for frame in (harmonic, kirkman):
+        cert = certify_etf(Frame(frame.matrix))
+        assert cert.flat and (cert.d, cert.n) == (frame.d, frame.n)
+    assert calls and True not in calls
+
+
 def test_certified_frames_hold_no_matrix_but_their_own(workload_frames):
     # A frame caches only its certificate: the Gram matrix that certify_etf
     # reads and the stacked row product of the pair check die with the call.

@@ -224,6 +224,74 @@ def test_rbibd_qsd_params_large_instance_is_consistent():
     assert k * (r - 1) * (x + y - 1) - x * y * (b - 1) == k * (k - 1) * (lam - 1)
 
 
+# -- the parameter maps against their hand-expanded closed forms ---------
+#
+# flat_family_qsd_params and qsd_params_from_rbibd both evaluate the flat-ETF
+# QSD parameters at one (d, n, w).  The oracles below are the per-family
+# formulas they replaced, written out slot by slot.
+
+
+def oracle_flat_family(u):
+    a = (2 * u * u - u, u * u - u, u * u - u - 1, 2 * u * u - u - 1, 4 * u * u - 1, u * (u - 2) // 2, u * (u - 1) // 2)
+    b = (2 * u * u + u, u * u, u * u - u, 2 * u * u - u, 4 * u * u - 1, u * (u - 1) // 2, u * u // 2)
+    return a, b
+
+
+def oracle_rbibd(v_hat, k_hat, r_hat, b_hat):
+    """The slot formulas for a resolvable design with lam = 1, without the lam = 1 check."""
+    if v_hat * r_hat != b_hat * k_hat:
+        raise DesignError("need v r = b k for the input design")
+    if k_hat < 2:
+        raise DesignError("need k >= 2")
+    slots = (
+        Fraction(b_hat),
+        Fraction(v_hat * (r_hat - 1), 2 * k_hat),
+        Fraction(v_hat * (r_hat - 1) - 2 * k_hat, 4),
+        Fraction((r_hat - 1) * (v_hat + k_hat - 1), 2),
+        Fraction(r_hat * (v_hat + k_hat - 1)),
+        Fraction(v_hat * (r_hat - 3), 4 * k_hat),
+        Fraction(v_hat * (r_hat - 1), 4 * k_hat),
+    )
+    for name, value in zip("vklrbxy", slots):
+        if value.denominator != 1:
+            raise DesignError(f"parameter slot {name} = {value} is not an integer")
+    return tuple(int(s) for s in slots), v_hat // k_hat
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DesignError as exc:
+        return str(exc)
+
+
+def test_flat_family_params_match_the_hand_expanded_oracle():
+    for u in range(2, 201, 2):
+        assert flat_family_qsd_params(u) == oracle_flat_family(u), u
+
+
+def test_rbibd_params_match_the_slot_oracle_on_every_lambda_one_input():
+    inputs = [(v, k, (v - 1) // (k - 1), v * (v - 1) // (k - 1) // k)
+              for v in range(3, 61) for k in range(2, v)
+              if (v - 1) % (k - 1) == 0 and v * ((v - 1) // (k - 1)) % k == 0]
+    outcomes = [_outcome(qsd_params_from_rbibd, *args) for args in inputs]
+    assert outcomes == [_outcome(oracle_rbibd, *args) for args in inputs]
+    assert sum(isinstance(o, tuple) for o in outcomes) >= 10  # both tuples and messages are compared
+    assert sum(isinstance(o, str) for o in outcomes) >= 10
+
+
+def test_rbibd_params_refuse_designs_that_are_not_resolvable_steiner_systems():
+    # K4's one-factorization taken three times (lam = 3): the slot formulas
+    # return a tuple that breaks (v - 1) lam = r (k - 1), 119 against 140.
+    assert oracle_rbibd(4, 2, 9, 18) == ((18, 8, 7, 20, 45, 3, 4), 2)
+    for args in ((4, 2, 9, 18), (6, 3, 5, 10)):
+        with pytest.raises(DesignError, match=r"^need r \(k - 1\) = v - 1 \(lam = 1\) for the input design$"):
+            qsd_params_from_rbibd(*args)
+    for args in ((3, 3, 1, 1), (2, 2, 1, 1)):  # lam = 1, but one block holds every point
+        with pytest.raises(DesignError, match="^need k < v for the input design$"):
+            qsd_params_from_rbibd(*args)
+
+
 def test_feasibility_pass_cases():
     for d, n in ((6, 16), (66, 144), (78, 144), (28, 64), (276, 576)):
         report = flat_feasibility(d, n)
