@@ -12,21 +12,22 @@ Conventions that fix the golden outputs bit-for-bit:
 * Group characters and elements are indexed in big-endian mixed-radix
   counting order, so the subset {1, 2, 3, 5, 10, 15} of the rank-4
   elementary 2-group reproduces the classical 6 x 16 flat packing verbatim.
-* Resolvable designs list their blocks class by class, and the flattening
-  rotation consumes them in that order.
+* The flattening rotation E acts on runs of v/k consecutive blocks, so a
+  resolvable design lists its blocks class by class; a run that covers a
+  vertex twice is refused, naming the run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from itertools import chain
 from math import isqrt
 
 from . import designs
 from .errors import DesignError, FrameError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
 from .hadamard import AbelianGroup, HadamardMatrix, char_table, hadamard_of_size, kron as kron_hadamard, sylvester
-from .matrices import ExactMatrix, kron, matmul, vstack
+from .matrices import ExactMatrix, kron, vstack
 from .value import Value
 
 
@@ -125,80 +126,83 @@ def harmonic_etf(ds: DifferenceSet) -> NaimarkPair:
     return verify_naimark_pair(primary, complement)
 
 
-def _lifted_block_matrix(inputs: SteinerInputs, column: int) -> ExactMatrix:
-    """(I_b (x) f_l*) Pi (I_v (x) G1*) for column l of F, assembled block by block.
+def _gathered(table: ExactMatrix, index) -> ExactMatrix:
+    """Row i lays the rows of ``table`` named by index[i] side by side; -1 names a zero row."""
+    segments = ([*plane, [0] * table.cols] for plane in table.planes)
+    planes = [[list(chain.from_iterable(map(s.__getitem__, row))) for row in index] for s in segments]
+    return ExactMatrix(table.domain, table.den, planes)
 
-    Block (i, j) of the result is conj(F(p, l)) times row q of G1*, where
-    (p, q) is the lift position of the incidence one at (i, j); zero rows of
-    the incidence matrix contribute zero blocks.
+
+def _lifts(inputs: SteinerInputs, e: ExactMatrix | None, columns):
+    """(I (x) E)(I_b (x) f_l*) Pi (I_v (x) G1*) for each column l of F in turn.
+
+    E (u x u, or 1 x 1 when None) rotates runs of u consecutive blocks.  A run
+    must hold each vertex j at most once, in block c u + beta at lift position
+    (p, q); row c u + a is then E(a, beta) conj(F(p, l)) G1*[q] at j, gathered
+    from a table of the distinct scalars times the rows of G1*: no product.
     """
     lift = inputs.lift
-    g_star = inputs.g.body.adjoint()  # G1* is rows 1..r of G*
-    f_col = inputs.f.body.adjoint().take_rows([column - 1]).transpose()
-    blocks = kron(f_col, g_star.take_rows(range(1, g_star.rows)))  # row p r + q: conj(F(p, l)) G1*[q]
-    zero = [0] * (lift.r + 1)
-    planes = []
-    for plane in blocks.planes:
-        rows = [[zero] * lift.v for _ in range(lift.b)]
+    e = ExactMatrix.identity(1, inputs.f.body.domain) if e is None else e
+    g1_star = inputs.g.body.adjoint().take_rows(range(1, inputs.g.n))  # G1* is rows 1..r of G*
+    for column in columns:
+        scalars = kron(e, inputs.f.body.adjoint().take_rows([column - 1]))  # entry (a, beta k + p)
+        distinct = {}  # an entry's planes -> its row among the distinct scalars
+        sid = [distinct.setdefault(x, len(distinct)) for x in zip(*map(chain.from_iterable, scalars.planes))]
+        column_of = ExactMatrix(scalars.domain, scalars.den, [[[x] for x in plane] for plane in zip(*distinct)])
+        index = [[-1] * lift.v for _ in range(lift.b)]  # each cell's table row s r + q, or -1 for zeros
         for i, j, p, q in lift.slots:
-            rows[i][j] = plane[p * lift.r + q]
-        planes.append([[x for block in row for x in block] for row in rows])
-    return ExactMatrix(blocks.domain, blocks.den, planes)
+            first, beta = i - i % e.rows, i % e.rows
+            if index[first][j] != -1:
+                raise FrameError(f"the run of blocks {first}..{first + e.rows - 1} covers vertex {j} twice: it is not a parallel class")
+            for a in range(e.rows):
+                index[first + a][j] = sid[(a * e.rows + beta) * lift.k + p] * lift.r + q
+        yield _gathered(kron(column_of, g1_star), index)
 
 
 def steiner_etf(inputs: SteinerInputs) -> Frame:
     """The b x v(r+1) frame lifted from a pairwise-balanced design with lam = 1."""
-    frame = Frame(_lifted_block_matrix(inputs, inputs.column))
+    frame = Frame(next(_lifts(inputs, None, [inputs.column])))
     certify_etf(frame)
     return frame
 
 
-def _siblings(inputs: SteinerInputs):
-    """The sibling blocks for columns 2..k of F, each built when it is asked for."""
-    return (_lifted_block_matrix(inputs, l) for l in range(2, inputs.lift.k + 1))
-
-
-def _steiner_tail(inputs: SteinerInputs) -> ExactMatrix:
-    """I_v (x) g2*, the unscaled tail block of the complement (g2 is column 0 of G)."""
-    g2_star = inputs.g.body.adjoint().take_rows([0])
-    return kron(ExactMatrix.identity(inputs.lift.v, g2_star.domain), g2_star)
+def _lifted_pair(inputs: SteinerInputs, e: ExactMatrix | None, tail: ExactMatrix, weights=None, flat=False) -> NaimarkPair:
+    """The certified frame for column 1 of F, and its complement: the blocks
+    for columns 2..k over the tail.  With ``flat``, both must be flat."""
+    if inputs.column != 1:
+        raise FrameError("the complement construction is anchored at column 1")
+    lifts = _lifts(inputs, e, range(1, inputs.lift.k + 1))
+    primary = Frame(next(lifts))
+    if not certify_etf(primary).flat and flat:
+        raise FrameError("flattening failed: the rotated frame is not flat")
+    complement = Frame(vstack(*lifts, tail), row_weights=weights)
+    pair = verify_naimark_pair(primary, complement)
+    if flat and not certify_etf(complement).flat:
+        raise FrameError("flattening failed: the complement is not flat")
+    return pair
 
 
 def steiner_naimark(inputs: SteinerInputs) -> NaimarkPair:
     """Explicit complement: the sibling frames for columns 2..k of F, then the
-    tail I_v (x) g2* carrying the rational weight k (the exact form of the
-    sqrt(k) scale).
+    tail I_v (x) g2* (g2 is column 0 of G) carrying the rational weight k
+    (the exact form of the sqrt(k) scale).
     """
-    if inputs.column != 1:
-        raise FrameError("the complement construction is anchored at column 1")
     lift = inputs.lift
-    primary = steiner_etf(inputs)
     weights = (Fraction(1),) * (lift.b * (lift.k - 1)) + (Fraction(lift.k),) * lift.v
-    complement = Frame(vstack(*_siblings(inputs), _steiner_tail(inputs)), row_weights=weights)
-    return verify_naimark_pair(primary, complement)
+    unit_rows = [[0 if i == j else -1 for j in range(lift.v)] for i in range(lift.v)]  # row j: g2* at vertex j
+    tail = _gathered(inputs.g.body.adjoint().take_rows([0]), unit_rows)
+    return _lifted_pair(inputs, None, tail, weights)
 
 
 def kirkman_etf(inputs: KirkmanInputs) -> NaimarkPair:
-    """Flatten a resolvable design frame with the block rotation I_r (x) E.
+    """Flatten a resolvable design frame: E rotates each parallel class of blocks.
 
-    The complement stacks the rotated siblings and (E (x) F)(I_v (x) g2*);
-    every entry of both frames is unimodular, so the pair stacks into a
-    Hadamard matrix.
+    The complement stacks the rotated siblings over (E (x) F) (x) g2*, which
+    is (E (x) F)(I_v (x) g2*); every entry of both frames is unimodular, so
+    the pair stacks into a Hadamard matrix.
     """
-    st = inputs.steiner
-    if st.column != 1:
-        raise FrameError("the complement construction is anchored at column 1")
-    rotation = kron(ExactMatrix.identity(inputs.design.params.r, inputs.e.body.domain), inputs.e.body)
-    primary = Frame(matmul(rotation, _lifted_block_matrix(st, 1)))
-    cert = certify_etf(primary)
-    if not cert.flat:
-        raise FrameError("flattening failed: the rotated frame is not flat")
-    siblings = map(partial(matmul, rotation), _siblings(st))  # rotated as built: one unrotated block alive at a time
-    complement = Frame(vstack(*siblings, matmul(kron(inputs.e.body, st.f.body), _steiner_tail(st))))
-    pair = verify_naimark_pair(primary, complement)
-    if not certify_etf(complement).flat:
-        raise FrameError("flattening failed: the complement is not flat")
-    return pair
+    st, e = inputs.steiner, inputs.e.body
+    return _lifted_pair(st, e, kron(kron(e, st.f.body), st.g.body.adjoint().take_rows([0])), flat=True)
 
 
 def standard_kirkman_inputs(u: int, e: HadamardMatrix | None = None) -> KirkmanInputs:
@@ -212,11 +216,8 @@ def standard_kirkman_inputs(u: int, e: HadamardMatrix | None = None) -> KirkmanI
         e = hadamard_of_size(u)
     if e.n != u:
         raise FrameError(f"E must have size {u}, got {e.n}")
-    design = designs.round_robin_resolution(2 * u)
-    f = sylvester(1)
-    g = kron_hadamard(e, f)
-    lift = designs.lift_permutation(design)
-    return KirkmanInputs(SteinerInputs(lift, f, g, column=1), e, design)
+    design, f = designs.round_robin_resolution(2 * u), sylvester(1)
+    return KirkmanInputs(SteinerInputs(designs.lift_permutation(design), f, kron_hadamard(e, f)), e, design)
 
 
 def tensor_etf(p1: NaimarkPair, p2: NaimarkPair) -> NaimarkPair:
@@ -230,9 +231,7 @@ def tensor_etf(p1: NaimarkPair, p2: NaimarkPair) -> NaimarkPair:
         n = pair.primary.n
         s = isqrt(n)
         if s * s != n or pair.primary.d * 2 != n - s:
-            raise FrameError(
-                f"pair {idx}: need d = (n - sqrt(n)) / 2, got d={pair.primary.d}, n={n}"
-            )
+            raise FrameError(f"pair {idx}: need d = (n - sqrt(n)) / 2, got d={pair.primary.d}, n={n}")
         if pair.primary.is_weighted() or pair.complement.is_weighted():
             raise FrameError(f"pair {idx}: weighted rows are not supported here")
         if certify_etf(pair.primary).beta != pair.primary.d:

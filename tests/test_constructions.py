@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,12 @@ from etf_forge.constructions import (
     tensor_etf,
     verify_difference_set,
 )
-from etf_forge.designs import Design, all_pairs_design, fano_plane, lift_permutation
+from etf_forge.cli import main
+from etf_forge.designs import Design, all_pairs_design, fano_plane, lift_permutation, round_robin_resolution
 from etf_forge.errors import DesignError, FrameError
 from etf_forge.frames import Frame, certify_etf, certify_hadamard_etf, gram, verify_naimark_pair
-from etf_forge.hadamard import AbelianGroup, dft, sylvester
-from etf_forge.matrices import ExactMatrix
+from etf_forge.hadamard import AbelianGroup, dft, hadamard_of_size, kron as kron_hadamard, sylvester
+from etf_forge.matrices import ExactMatrix, kron, matmul, vstack
 
 from test_frames import FLAT_6x16, SIMPLEX_3x4, STEINER_6x16, STEINER_COMPLEMENT_6x16
 from test_designs import INCIDENCE_6x4
@@ -244,6 +246,107 @@ def test_kirkman_requires_resolution():
     lift = lift_permutation(design)
     with pytest.raises(FrameError):
         KirkmanInputs(SteinerInputs(lift, sylvester(1), sylvester(2), 1), sylvester(1), design)
+
+
+# The product form the lifts were once assembled by, kept as their oracle:
+# (I_b (x) f_l*) Pi (I_v (x) G1*) over the lift's permutation matrix, each
+# run rotated by I_r (x) E, and the tails I_v (x) g2* and (E (x) F)(I_v (x) g2*).
+
+
+def oracle_lift(st, column):
+    lift, g_star = st.lift, st.g.body.adjoint()
+    left = kron(ExactMatrix.identity(lift.b), st.f.body.adjoint().take_rows([column - 1]))
+    right = kron(ExactMatrix.identity(lift.v), g_star.take_rows(range(1, g_star.rows)))
+    return matmul(matmul(left, lift.matrix()), right)
+
+
+def oracle_tail(st):
+    return kron(ExactMatrix.identity(st.lift.v), st.g.body.adjoint().take_rows([0]))
+
+
+def oracle_kirkman(inputs):
+    st, e = inputs.steiner, inputs.e.body
+    rotation = kron(ExactMatrix.identity(inputs.design.params.r, e.domain), e)
+    lifts = [matmul(rotation, oracle_lift(st, l)) for l in range(1, st.lift.k + 1)]
+    return lifts[0], vstack(*lifts[1:], matmul(kron(e, st.f.body), oracle_tail(st)))
+
+
+def assert_same_planes(built, oracle):
+    assert (built.domain, built.den, built.planes) == (oracle.domain, oracle.den, oracle.planes)
+
+
+@pytest.mark.parametrize("u, e", [(2, None), (4, None), (8, None), (3, 3), (4, 4), (5, 5), (6, 6)])
+def test_kirkman_lifts_match_the_product_oracle(u, e):
+    inputs = standard_kirkman_inputs(u, e=None if e is None else dft(e))
+    pair = kirkman_etf(inputs)
+    primary, complement = oracle_kirkman(inputs)
+    assert_same_planes(pair.primary.matrix, primary)
+    assert_same_planes(pair.complement.matrix, complement)
+
+
+@pytest.mark.parametrize("design, f, g", [
+    (fano_plane(), dft(3), sylvester(2)),
+    (fano_plane(), dft(3), dft(4)),
+    (all_pairs_design(8), sylvester(1), dft(8)),
+])
+def test_steiner_lifts_match_the_product_oracle(design, f, g):
+    lift = lift_permutation(design)
+    for column in range(1, lift.k + 1):
+        st = SteinerInputs(lift, f, g, column)
+        assert_same_planes(steiner_etf(st).matrix, oracle_lift(st, column))
+    st = SteinerInputs(lift, f, g, 1)
+    siblings = [oracle_lift(st, l) for l in range(2, lift.k + 1)]
+    assert_same_planes(steiner_naimark(st).complement.matrix, vstack(*siblings, oracle_tail(st)))
+
+
+def test_kirkman_refuses_classes_that_are_not_consecutive_runs():
+    # Round-robin v = 8 with its blocks interleaved across the classes: every
+    # class is still a valid parallel class, but blocks 0..3 (the first block
+    # of classes 0..3, each holding vertex 7) are not one.
+    rr = round_robin_resolution(8)
+    design = Design(8, [rr.blocks[c * 4 + t] for t in range(4) for c in range(7)],
+                    [[t * 7 + c for t in range(4)] for c in range(7)])
+    e, f = hadamard_of_size(4), sylvester(1)
+    inputs = KirkmanInputs(SteinerInputs(lift_permutation(design), f, kron_hadamard(e, f)), e, design)
+    with pytest.raises(FrameError, match=r"^the run of blocks 0\.\.3 covers vertex 7 twice: it is not a parallel class$"):
+        kirkman_etf(inputs)
+
+
+# SHA-256 of every file written by these commands, recorded before the lifts
+# were gathered instead of multiplied.
+LIFTED_ARTIFACT_SHA256 = {
+    ("kirkman", "--u", "4"): {
+        "certificate_complement.json": "5d4816b4f861bf17edd1799de3dae3cf683f88abe57edb0f3bab6e8e94908d0d",
+        "certificate_primary.json": "64adf1d60eaa3670d639096da5bb1e7139020fa1b5cd1e7caa68113dca6f9377",
+        "complement.json": "db5fc605fc51eaa4609551cc92ece5a2872ec5fac5e86a04cbb444e40ff43e4e",
+        "pair.json": "21169c5e0a4a1a923a7f1556232d2dd97a3c4382273a0dcac57fbe281124c03c",
+        "primary.json": "2a0c61deb7d9e8f850b3e9f90302b0193918162ce56ee448dfa6dc6d02efb4dd",
+        "recipe.json": "60f0c8c95ec9e821d02bb8afcd3624cf85283e20b608e3a2725999c2b0c4e059",
+    },
+    ("steiner", "--design", "fano"): {
+        "certificate_complement.json": "26f923c8295f4eb324c49faff2da345a2e44da8c40d31e565d1d1675aed54c8c",
+        "certificate_primary.json": "f54687fdbce09bbc75f14d010422d50382919ad650a44ac913cf2527e9dd9a2e",
+        "complement.json": "d869cdccb2f40feb9fc621659d87479eadd713e45918f3a824b4eda8ff29d972",
+        "pair.json": "5c4516acc58a5e35cbbe033ae2d53c17e2cfa69259d256354e453d6e4f80a155",
+        "primary.json": "4f9d64b4a39cb64a405b756e5346dd8e51c0e0bd2fe092cfb1613dc08beb5d5d",
+        "recipe.json": "8c462d58db6e68c4c782bb39dfa8c3b05a7442565c8fe08056616fd7f523ec21",
+    },
+    ("steiner", "--design", "all-pairs", "--v", "8", "--complex-g"): {
+        "certificate_complement.json": "0b9f8a16f9953aecea92519117264db4abe00e521c0e39fc7dd1af564aa1e10a",
+        "certificate_primary.json": "8a620edd5cf2b64d35cba85bb1496beac3804186366335ab8eaae704c1b4d3cd",
+        "complement.json": "0956fa69924a3cce3e7bb8c772903b86263f7dd259db70245670e6a71a54e0b2",
+        "pair.json": "ad1e80e4292fcda8d5a41ee38faf55754ddc7a2e80c2969e0f1ac6894acd198f",
+        "primary.json": "ad7760a2905adb8f10354a82d39bbdd64247c70b09acb528aa3f5d003435855e",
+        "recipe.json": "746ae240c8e5897e43f5ed1f527a095ca42c40891082004c92e18546da402d6d",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(LIFTED_ARTIFACT_SHA256))
+def test_small_lifted_artifacts_are_byte_identical_to_their_pins(argv, tmp_path):
+    assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == LIFTED_ARTIFACT_SHA256[argv]
 
 
 def test_tensor_golden_6x16():
