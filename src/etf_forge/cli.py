@@ -246,6 +246,12 @@ def main(argv=None) -> int:
     except EtfForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:  # not 1: running out of memory says nothing about an identity
+        sys.stderr.write("resource error: out of memory\n")
+        return 2
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return 130
     text = "".join(map(serialize.canonical_json, documents))
     try:
         if sys.stdout is None:  # fd 1 was closed when the process started

@@ -26,7 +26,7 @@ from math import isqrt
 from . import designs
 from .errors import DesignError, FrameError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
-from .hadamard import AbelianGroup, HadamardMatrix, char_table, hadamard_of_size, kron as kron_hadamard, sylvester
+from .hadamard import AbelianGroup, HadamardMatrix, character_rows, hadamard_of_size, kron as kron_hadamard, sylvester
 from .matrices import ExactMatrix, kron, vstack
 from .value import Value
 
@@ -114,16 +114,21 @@ def harmonic_etf(ds: DifferenceSet) -> NaimarkPair:
     """Restrict the character table to the difference set's rows.
 
     The primary takes the rows indexed by the subset in its listed order;
-    the complement takes the remaining rows in increasing index order.  Both
-    are flat, and stacking them recovers the character table.
+    the complement takes the remaining rows in increasing index order.  The
+    stack S = [P; C] is the table H with its rows permuted, so the pair
+    check S S* = n I is the table's identity H H* = n I, decided once, on
+    the stack; with both frames flat (every entry of H unimodular) the checks
+    decide what ``verify_hadamard(H)`` decides, and H H* is never formed.
     """
-    table = char_table(ds.group)
-    chosen = list(ds.elements)
-    rest = [i for i in range(ds.group.size) if i not in set(chosen)]
-    primary = Frame(table.body.take_rows(chosen))
-    complement = Frame(table.body.take_rows(rest))
-    certify_etf(primary)
-    return verify_naimark_pair(primary, complement)
+    table = character_rows(ds.group)
+    chosen = set(ds.elements)
+    primary = Frame(table.take_rows(ds.elements))
+    complement = Frame(table.take_rows(i for i in range(table.rows) if i not in chosen))
+    cert = certify_etf(primary)
+    pair = verify_naimark_pair(primary, complement)
+    if not (cert.flat and certify_etf(complement).flat):  # the complement's certificate follows from the pair check
+        raise FrameError("a character table entry is not unimodular")
+    return pair
 
 
 def _gathered(table: ExactMatrix, index) -> ExactMatrix:

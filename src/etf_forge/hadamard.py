@@ -3,7 +3,8 @@
 A Hadamard matrix here is an n x n matrix over a cyclotomic domain whose
 entries all have squared modulus one and which satisfies H H* = n I exactly.
 Every generator routes its output through the verifier, so a convention slip
-in a construction cannot produce an unverified object.
+in a construction cannot produce an unverified object (``character_rows``
+is for a construction that decides the same identity on its own output).
 """
 
 from __future__ import annotations
@@ -130,18 +131,27 @@ def kron(h1: HadamardMatrix, h2: HadamardMatrix) -> HadamardMatrix:
     return verify_hadamard(kron_matrices(h1.body, h2.body))
 
 
-def char_table(group: AbelianGroup) -> HadamardMatrix:
-    """The character table: rows are characters, columns group elements.
+def character_rows(group: AbelianGroup) -> ExactMatrix:
+    """The character table, unverified, for a construction that verifies its
+    own output (``char_table`` is the verified table).  Rows are characters
+    and columns group elements.
 
     Both are indexed in the group's big-endian counting order; the entry for
     character a at element g is zeta_m ** (sum_i a_i g_i (m / m_i)) with
-    m = lcm of the factor orders.  For an elementary 2-group this is exactly
-    the doubling-construction matrix of the same size.
+    m = lcm of the factor orders.  A real table (an elementary 2-group) is
+    over the rationals, as ``verify_hadamard`` gives it.
     """
     m = lcm(*group.orders)
     digits = [group.digits(g) for g in range(group.size)]
     weighted = [[x * (m // mi) for x, mi in zip(d, group.orders)] for d in digits]
-    return verify_hadamard(_roots_of_unity(m, [[sum(map(mul, a, g)) % m for g in digits] for a in weighted]))
+    rows = _roots_of_unity(m, [[sum(map(mul, a, g)) % m for g in digits] for a in weighted])
+    return rows if rows.int_rows() is None else rows.with_domain(RATIONAL)
+
+
+def char_table(group: AbelianGroup) -> HadamardMatrix:
+    """The verified ``character_rows``.  For an elementary 2-group this is
+    exactly the doubling-construction matrix of the same size."""
+    return verify_hadamard(character_rows(group))
 
 
 def hadamard_of_size(n: int) -> HadamardMatrix:

@@ -325,10 +325,9 @@ def row_product_triangle(m: ExactMatrix) -> tuple[int, list[list[int | None]]]:
     return den, [r[i:] for i, r in enumerate(full)]
 
 
-def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[int]]:
-    """The rows of the integer polynomial product of the planes, each as the
-    ``width`` coefficients of every output entry in turn.  Each row of b is
-    packed once, entry j at slot offset j * width, so row i of the product is
+def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a b for a and b over one domain.  Each row of b is packed once, entry
+    j at slot offset j * width, so row i of the integer polynomial product is
     one C-level sum of a(i, t) times row t of b over the nonzero a(i, t)."""
     la, lb = len(a.planes), len(b.planes)
     width = la + lb - 1
@@ -347,7 +346,11 @@ def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> list[list[int]]:
             b_rows.append(pack(slots, k))
     a_rows = a.planes[0] if la == 1 else per_entry(a, lambda es: [pack(e, k) for e in es])
     length = b.cols * width
-    return [unpack(sum(map(operator.mul, filter(None, r), compress(b_rows, r))), k, length) for r in a_rows]
+    rows = [unpack(sum(map(operator.mul, filter(None, r), compress(b_rows, r))), k, length) for r in a_rows]
+    if width == 1:
+        return ExactMatrix(a.domain, a.den * b.den, [rows])
+    flat = list(chain.from_iterable(rows))  # one reduction for every entry
+    return from_flat(a.domain, b.cols, a.den * b.den, a.domain.reduce([flat[e::width] for e in range(width)]))
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -365,29 +368,29 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise DomainError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     domain = a.domain.unify(b.domain)
     a, b = a.with_domain(domain), b.with_domain(domain)
-    den = a.den * b.den
     if len(a.planes) == len(b.planes) == 1:
         pa, pb = a.planes[0], b.planes[0]  # b = a^T exactly, up to the first column of b that differs
         rows = _int_matmul(pa) if a.rows == b.cols and all(map(operator.eq, map(list, zip(*pb)), pa)) else None
         if rows:  # row i starts at column i; entry (i, j < i) is the real entry (j, i)
             for i, r in enumerate(rows):  # in place: the rows above row i are already whole
                 r[:0] = [rows[j][i] for j in range(i)]
-        return ExactMatrix(domain, den, [rows or _row_packed_matmul(a, b)])
-    width = len(a.planes) + len(b.planes) - 1
-    flat = list(chain.from_iterable(_row_packed_matmul(a, b)))  # one reduction for every entry
-    return from_flat(domain, b.cols, den, domain.reduce([flat[e::width] for e in range(width)]))
+            return ExactMatrix(domain, a.den * b.den, [rows])
+    return _row_packed_matmul(a, b)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; block (i, j) is a(i, j) * b.
 
     Every product a(i, j) b(p, q) is one entry of the outer product of the
-    flattened operands, taken by the matmul kernel, then laid out in blocks.
+    flattened operands, taken row-packed, then laid out in blocks: with inner
+    dimension 1, the popcount triangle of kron(x, x) would gain nothing.
     """
-    def flat(m, cols):
-        return from_flat(m.domain, cols, m.den, [[x for r in p for x in r] for p in m.planes])
+    domain = a.domain.unify(b.domain)
 
-    outer = matmul(flat(a, 1), flat(b, b.rows * b.cols))
+    def flat(m, cols):
+        return from_flat(m.domain, cols, m.den, [[x for r in p for x in r] for p in m.planes]).with_domain(domain)
+
+    outer = _row_packed_matmul(flat(a, 1), flat(b, b.rows * b.cols))
     ca, cb = a.cols, b.cols
     planes = [
         [[x for j in range(ca) for x in o[i * ca + j][p * cb : (p + 1) * cb]] for i in range(a.rows) for p in range(b.rows)]

@@ -965,6 +965,22 @@ def test_a_value_error_inside_a_verifier_is_not_blamed_on_the_input(tmp_path, ca
         main(["verify", "etf", str(tmp_path / "s" / "primary.json")])
 
 
+@pytest.mark.parametrize("raised, code, line", [(MemoryError, 2, "resource error: out of memory\n"),
+                                                 (KeyboardInterrupt, 130, "interrupted\n")])
+def test_exhausted_memory_and_an_interrupt_exit_with_one_line(raised, code, line, tmp_path, capsys, monkeypatch):
+    # Neither says that an identity failed, so neither exits 1, and neither
+    # is a traceback.
+    import etf_forge.frames as frames
+
+    run(capsys, "construct", "simplex", "--size", "4", "--out", str(tmp_path / "s"))
+
+    def stopped(frame):
+        raise raised
+
+    monkeypatch.setattr(frames, "certify_etf", stopped)
+    assert run(capsys, "verify", "etf", str(tmp_path / "s" / "primary.json")) == (code, "", line)
+
+
 # Entry texts a mutation may put in place of a canonical entry: canonical
 # signs and zeros, other integers, non-canonical spellings and non-entries.
 FUZZ_ENTRIES = ["[[0,1,1]]", "[[0,-1,1]]", "[]", "[[0,0,1]]", "[[0,2,1]]", "[[0,1,2]]", "[[0,2,2]]", "[[1,1,1]]",

@@ -148,6 +148,70 @@ def test_harmonic_is_unital():
         assert any(x == CycloElem.root(x.order, e) for e in range(x.order))
 
 
+HARMONIC_CASES = {
+    "z7": ((7,), (1, 2, 4)),
+    "z13": ((13,), (0, 1, 3, 9)),
+    "z4xz4": ((4, 4), (1, 2, 3, 4, 8, 12)),
+    "z2^4": ((2, 2, 2, 2), (1, 2, 3, 5, 10, 15)),
+    "z31": ((31,), (1, 5, 11, 24, 25, 27)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARMONIC_CASES))
+def test_harmonic_pair_is_the_verified_character_tables_rows(name):
+    # The pair is built from the unverified rows and decided on its own
+    # stack; it must equal the rows of char_table, certificates included (an
+    # elementary 2-group's table is over the rationals).
+    from etf_forge.hadamard import char_table
+
+    orders, subset = HARMONIC_CASES[name]
+    ds = verify_difference_set(AbelianGroup(orders), subset)
+    table = char_table(ds.group).body
+    want = (Frame(table.take_rows(subset)), Frame(table.take_rows(i for i in range(table.rows) if i not in subset)))
+    pair = harmonic_etf(ds)
+    for got, frame in zip((pair.primary, pair.complement), want):
+        assert (got.domain, got.matrix.den, got.matrix.planes) == (frame.domain, frame.matrix.den, frame.matrix.planes)
+        assert certify_etf(got) == certify_etf(frame)
+    assert pair.alpha == verify_naimark_pair(*want).alpha == table.rows
+
+
+def test_harmonic_pair_is_decided_on_its_stack_alone(monkeypatch):
+    # The stack [P; C] is the character table with its rows permuted, so its
+    # row triangle is the table's identity H H* = n I: two Hermitian
+    # products, the primary's Gram and the stack's triangle, and never the
+    # table's own product through verify_hadamard.
+    import etf_forge.hadamard as hadamard
+    import etf_forge.matrices as matrices
+
+    def shape(m):
+        return (m.rows, m.cols) if isinstance(m, ExactMatrix) else (len(m), len(m[0]))
+
+    products = []
+    for name in ("_int_matmul", "_row_packed_matmul"):
+        kernel = getattr(matrices, name)
+        monkeypatch.setattr(matrices, name, lambda *args, _k=kernel, _n=name: products.append((_n, *map(shape, args))) or _k(*args))
+
+    def unverified(m):
+        raise AssertionError("the harmonic pair verifies no Hadamard matrix")
+
+    monkeypatch.setattr(hadamard, "verify_hadamard", unverified)
+    pair = harmonic_etf(verify_difference_set(AbelianGroup((31,)), (1, 5, 11, 24, 25, 27)))
+    assert (pair.primary.d, pair.complement.d, pair.alpha) == (6, 25, 31)
+    assert products == [("_row_packed_matmul", (31, 6), (6, 31)),  # G = P* P
+                        ("_row_packed_matmul", (31, 31), (31, 31))]  # S S*
+
+
+def test_harmonic_refuses_a_pair_that_is_not_flat(monkeypatch):
+    # Flatness of both frames is the table's unimodular-entry check: a table
+    # scaled by 2 is still tight and its pair still splits S S* = 4 n I.
+    import etf_forge.constructions as constructions
+
+    rows = constructions.character_rows
+    monkeypatch.setattr(constructions, "character_rows", lambda group: rows(group).scale(2))
+    with pytest.raises(FrameError, match="^a character table entry is not unimodular$"):
+        harmonic_etf(verify_difference_set(AbelianGroup((7,)), (1, 2, 4)))
+
+
 def test_steiner_golden_column_1():
     frame = steiner_etf(golden_steiner_inputs(1))
     assert frame.matrix == ExactMatrix.from_rows(STEINER_6x16)

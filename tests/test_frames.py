@@ -150,6 +150,39 @@ def test_a_failed_coherence_equality_is_reported_as_not_tight():
         certify_etf(Frame(ExactMatrix.from_rows([[2, 1], [1, 2]])))
 
 
+def test_every_equal_norm_equiangular_frame_off_the_coherence_equality_fails_as_not_tight():
+    # The claim above on seeded frames: column subsets of real and complex
+    # ETFs (equal norms, one squared modulus) that a per-entry oracle finds
+    # not tight, and square frames a I + b J with non-orthogonal columns.
+    from functools import reduce
+    from operator import add
+
+    from etf_forge.hadamard import dft
+
+    def tight(m):  # M M* = alpha I, entry by entry
+        rows = [m.row(i) for i in range(m.rows)]
+        products = [[reduce(add, (x * y.conjugate() for x, y in zip(r, s))) for s in rows] for r in rows]
+        return all(products[i][j] == (products[0][0] if i == j else 0) for i in range(m.rows) for j in range(m.rows))
+
+    rng = random.Random(2026)
+    etfs = [ExactMatrix.from_rows(FLAT_6x16), ExactMatrix.from_rows(SIMPLEX_3x4),
+            dft(7).body.take_rows([1, 2, 4]), dft(13).body.take_rows([0, 1, 3, 9])]
+    cases = []
+    for _ in range(60):
+        m = rng.choice(etfs)
+        sub = m.transpose().take_rows(sorted(rng.sample(range(m.cols), rng.randrange(max(m.rows, 2), m.cols)))).transpose()
+        if not tight(sub):
+            cases.append(Frame(sub))
+    for _ in range(20):
+        n, a, b = rng.randrange(2, 7), rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-2, -1, 1, 2))
+        if 2 * a + n * b:  # <v_i, v_j> = b (2 a + n b) off the diagonal
+            cases.append(Frame(ExactMatrix.from_rows([[a * (i == j) + b for j in range(n)] for i in range(n)])))
+    assert len(cases) >= 50 and {f.domain.order for f in cases} == {1, 7, 13}
+    for frame in cases:
+        with pytest.raises(FrameError, match=r"^not tight: "):
+            certify_etf(frame)
+
+
 def test_irrational_gamma_rejected_in_quadratic_domain():
     r2 = QuadElem(2, 0, 1)
     rows = [[1, 1, r2 * Fraction(1, 2) + Fraction(1, 2)], [1, -1, 0]]

@@ -564,6 +564,33 @@ def oracle_kron(a, b):
                                   for i in range(a.rows * b.rows)], a.domain)
 
 
+def test_kron_matches_the_per_entry_oracle():
+    rng = random.Random(26)
+    for rows, cols, zeros in ((1, 1, False), (1, 5, True), (3, 4, True), (4, 4, False), (5, 2, True)):
+        x, y = _sign_matrix(rng, rows, cols, zeros), _sign_matrix(rng, cols, rows + 1, zeros)
+        for a, b in ((x, x), (x, y), (y, x), (y, y)):
+            k = kron(a, b)
+            want = oracle_kron(a, b)
+            assert (k.domain, k.den, k.planes) == (want.domain, want.den, want.planes)
+
+
+def test_kron_of_a_sign_matrix_with_itself_takes_no_popcount_triangle(monkeypatch, triangles):
+    # kron(x, x) flattens x into an N x 1 operand and its transpose, the
+    # shape of a Gram product; with inner dimension 1 it is an outer product,
+    # which the triangle and its mirror would only slow down.
+    import etf_forge.matrices as matrices
+
+    x = _sign_matrix(random.Random(27), 6, 10, True)
+    assert gram(Frame(x)) == oracle_matmul(x.transpose(), x)
+    assert triangles == [10]  # a +-1 frame's Gram still takes the triangle
+
+    def no_triangle(a):
+        raise AssertionError("kron takes no popcount triangle")
+
+    monkeypatch.setattr(matrices, "_int_matmul", no_triangle)
+    assert kron(x, x) == oracle_kron(x, x)
+
+
 def test_weighted_row_grams_take_the_full_route(triangles):
     rng = random.Random(8)
     for m in (rand_cyclo_matrix(rng, 3, 4, 13), _sign_matrix(rng, 3, 4, False)):

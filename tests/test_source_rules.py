@@ -78,6 +78,26 @@ def test_row_products_go_through_the_triangle():
     assert found == []
 
 
+def test_only_verify_hadamard_makes_a_hadamard_matrix():
+    # Every HadamardMatrix has passed H H* = n I; a construction that built
+    # one from rows it had not verified (the character table's, say) would not.
+    def called(node):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    found, inside = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if path.name == "hadamard.py" and isinstance(node, ast.FunctionDef) and node.name == "verify_hadamard":
+                inside = sum(isinstance(n, ast.Call) and called(n) == "HadamardMatrix" for n in ast.walk(node))
+                node.body = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and called(node) == "HadamardMatrix":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [] and inside == 2
+
+
 def test_no_dataclasses_import():
     # Loading `dataclasses` and generating each class's methods cost every CLI
     # child tens of milliseconds; value classes derive from `value.Value`.
