@@ -189,7 +189,8 @@ def test_harmonic_pair_is_decided_on_its_stack_alone(monkeypatch):
     products = []
     for name in ("_int_matmul", "_row_packed_matmul"):
         kernel = getattr(matrices, name)
-        monkeypatch.setattr(matrices, name, lambda *args, _k=kernel, _n=name: products.append((_n, *map(shape, args))) or _k(*args))
+        monkeypatch.setattr(matrices, name,
+                            lambda *args, _k=kernel, _n=name: products.append((_n, *map(shape, args))) or _k(*args))
 
     def unverified(m):
         raise AssertionError("the harmonic pair verifies no Hadamard matrix")
@@ -201,15 +202,25 @@ def test_harmonic_pair_is_decided_on_its_stack_alone(monkeypatch):
                         ("_row_packed_matmul", (31, 31), (31, 31))]  # S S*
 
 
-def test_harmonic_refuses_a_pair_that_is_not_flat(monkeypatch):
-    # Flatness of both frames is the table's unimodular-entry check: a table
-    # scaled by 2 is still tight and its pair still splits S S* = 4 n I.
+@pytest.mark.parametrize("turned", [(1, 2), (0, 4)], ids=["primary", "complement"])
+def test_harmonic_refuses_a_pair_that_is_not_flat(turned, monkeypatch):
+    # Flatness of both frames is the table's unimodular-entry check.  Turning
+    # two rows of one frame by the rational rotation [[3, 4], [4, -3]] / 5
+    # keeps every identity of the pair and takes their entries off modulus one.
     import etf_forge.constructions as constructions
 
-    rows = constructions.character_rows
-    monkeypatch.setattr(constructions, "character_rows", lambda group: rows(group).scale(2))
+    character_rows = constructions.character_rows
+
+    def rows(group):
+        table = [list(map(Fraction, r)) for r in character_rows(group).planes[0]]
+        x, y = (table[i] for i in turned)
+        table[turned[0]] = [(3 * a + 4 * b) / 5 for a, b in zip(x, y)]
+        table[turned[1]] = [(4 * a - 3 * b) / 5 for a, b in zip(x, y)]
+        return ExactMatrix.from_rows(table)
+
+    monkeypatch.setattr(constructions, "character_rows", rows)
     with pytest.raises(FrameError, match="^a character table entry is not unimodular$"):
-        harmonic_etf(verify_difference_set(AbelianGroup((7,)), (1, 2, 4)))
+        harmonic_etf(verify_difference_set(AbelianGroup((2, 2, 2, 2)), Z2_4_SUBSET_SORTED))
 
 
 def test_steiner_golden_column_1():

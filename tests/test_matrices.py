@@ -582,7 +582,7 @@ def test_kron_of_a_sign_matrix_with_itself_takes_no_popcount_triangle(monkeypatc
 
     x = _sign_matrix(random.Random(27), 6, 10, True)
     assert gram(Frame(x)) == oracle_matmul(x.transpose(), x)
-    assert triangles == [10]  # a +-1 frame's Gram still takes the triangle
+    assert triangles == [10]  # a {-1, 0, 1} frame's Gram still takes the triangle
 
     def no_triangle(a):
         raise AssertionError("kron takes no popcount triangle")
