@@ -20,14 +20,13 @@ Conventions that fix the golden outputs bit-for-bit:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import isqrt
 
 from . import designs
 from .errors import DesignError, FrameError
 from .frames import Frame, NaimarkPair, certify_etf, verify_naimark_pair
 from .hadamard import AbelianGroup, HadamardMatrix, character_rows, hadamard_of_size, kron as kron_hadamard, sylvester
-from .matrices import ExactMatrix, kron, vstack
+from .matrices import ExactMatrix, distinct_entries, gather, kron, vstack
 from .value import Value
 
 
@@ -131,29 +130,18 @@ def harmonic_etf(ds: DifferenceSet) -> NaimarkPair:
     return pair
 
 
-def _gathered(table: ExactMatrix, index) -> ExactMatrix:
-    """Row i lays the rows of ``table`` named by index[i] side by side; -1 names a zero row."""
-    segments = ([*plane, [0] * table.cols] for plane in table.planes)
-    planes = [[list(chain.from_iterable(map(s.__getitem__, row))) for row in index] for s in segments]
-    return ExactMatrix(table.domain, table.den, planes)
-
-
-def _lifts(inputs: SteinerInputs, e: ExactMatrix | None, columns):
+def _lifts(inputs: SteinerInputs, e: ExactMatrix, columns):
     """(I (x) E)(I_b (x) f_l*) Pi (I_v (x) G1*) for each column l of F in turn.
 
-    E (u x u, or 1 x 1 when None) rotates runs of u consecutive blocks.  A run
-    must hold each vertex j at most once, in block c u + beta at lift position
-    (p, q); row c u + a is then E(a, beta) conj(F(p, l)) G1*[q] at j, gathered
-    from a table of the distinct scalars times the rows of G1*: no product.
+    E (u x u, 1 x 1 for a Steiner frame) rotates runs of u consecutive
+    blocks.  A run must hold each vertex j at most once, in block c u + beta at
+    lift position (p, q); row c u + a is then E(a, beta) conj(F(p, l)) G1*[q]
+    at j, gathered from the kron of the distinct scalars with G1*: no product.
     """
     lift = inputs.lift
-    e = ExactMatrix.identity(1, inputs.f.body.domain) if e is None else e
     g1_star = inputs.g.body.adjoint().take_rows(range(1, inputs.g.n))  # G1* is rows 1..r of G*
     for column in columns:
-        scalars = kron(e, inputs.f.body.adjoint().take_rows([column - 1]))  # entry (a, beta k + p)
-        distinct = {}  # an entry's planes -> its row among the distinct scalars
-        sid = [distinct.setdefault(x, len(distinct)) for x in zip(*map(chain.from_iterable, scalars.planes))]
-        column_of = ExactMatrix(scalars.domain, scalars.den, [[[x] for x in plane] for plane in zip(*distinct)])
+        scalars, sid = distinct_entries(kron(e, inputs.f.body.adjoint().take_rows([column - 1])))  # entry (a, beta k + p)
         index = [[-1] * lift.v for _ in range(lift.b)]  # each cell's table row s r + q, or -1 for zeros
         for i, j, p, q in lift.slots:
             first, beta = i - i % e.rows, i % e.rows
@@ -161,26 +149,26 @@ def _lifts(inputs: SteinerInputs, e: ExactMatrix | None, columns):
                 raise FrameError(f"the run of blocks {first}..{first + e.rows - 1} covers vertex {j} twice: it is not a parallel class")
             for a in range(e.rows):
                 index[first + a][j] = sid[(a * e.rows + beta) * lift.k + p] * lift.r + q
-        yield _gathered(kron(column_of, g1_star), index)
+        yield gather(kron(scalars, g1_star), index)
 
 
 def steiner_etf(inputs: SteinerInputs) -> Frame:
     """The b x v(r+1) frame lifted from a pairwise-balanced design with lam = 1."""
-    frame = Frame(next(_lifts(inputs, None, [inputs.column])))
+    frame = Frame(next(_lifts(inputs, ExactMatrix.identity(1), [inputs.column])))
     certify_etf(frame)
     return frame
 
 
-def _lifted_pair(inputs: SteinerInputs, e: ExactMatrix | None, tail: ExactMatrix, weights=None, flat=False) -> NaimarkPair:
-    """The certified frame for column 1 of F, and its complement: the blocks
-    for columns 2..k over the tail.  With ``flat``, both must be flat."""
+def _lifted_pair(inputs: SteinerInputs, e: ExactMatrix, left: ExactMatrix, weights=None, flat=False) -> NaimarkPair:
+    """The certified frame for column 1 of F, and its complement: the blocks for columns
+    2..k over the tail left (x) g2* (g2 is column 0 of G).  With ``flat``, both must be flat."""
     if inputs.column != 1:
         raise FrameError("the complement construction is anchored at column 1")
     lifts = _lifts(inputs, e, range(1, inputs.lift.k + 1))
     primary = Frame(next(lifts))
     if not certify_etf(primary).flat and flat:
         raise FrameError("flattening failed: the rotated frame is not flat")
-    complement = Frame(vstack(*lifts, tail), row_weights=weights)
+    complement = Frame(vstack(*lifts, kron(left, inputs.g.body.adjoint().take_rows([0]))), row_weights=weights)
     pair = verify_naimark_pair(primary, complement)
     if flat and not certify_etf(complement).flat:
         raise FrameError("flattening failed: the complement is not flat")
@@ -189,14 +177,12 @@ def _lifted_pair(inputs: SteinerInputs, e: ExactMatrix | None, tail: ExactMatrix
 
 def steiner_naimark(inputs: SteinerInputs) -> NaimarkPair:
     """Explicit complement: the sibling frames for columns 2..k of F, then the
-    tail I_v (x) g2* (g2 is column 0 of G) carrying the rational weight k
-    (the exact form of the sqrt(k) scale).
+    tail I_v (x) g2* carrying the rational weight k (the exact form of the
+    sqrt(k) scale).
     """
     lift = inputs.lift
     weights = (Fraction(1),) * (lift.b * (lift.k - 1)) + (Fraction(lift.k),) * lift.v
-    unit_rows = [[0 if i == j else -1 for j in range(lift.v)] for i in range(lift.v)]  # row j: g2* at vertex j
-    tail = _gathered(inputs.g.body.adjoint().take_rows([0]), unit_rows)
-    return _lifted_pair(inputs, None, tail, weights)
+    return _lifted_pair(inputs, ExactMatrix.identity(1), ExactMatrix.identity(lift.v), weights)
 
 
 def kirkman_etf(inputs: KirkmanInputs) -> NaimarkPair:
@@ -207,7 +193,7 @@ def kirkman_etf(inputs: KirkmanInputs) -> NaimarkPair:
     the pair stacks into a Hadamard matrix.
     """
     st, e = inputs.steiner, inputs.e.body
-    return _lifted_pair(st, e, kron(kron(e, st.f.body), st.g.body.adjoint().take_rows([0])), flat=True)
+    return _lifted_pair(st, e, kron(e, st.f.body), flat=True)
 
 
 def standard_kirkman_inputs(u: int, e: HadamardMatrix | None = None) -> KirkmanInputs:

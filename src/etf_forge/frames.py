@@ -18,7 +18,7 @@ from math import isqrt
 
 from . import hadamard
 from .errors import FrameError
-from .matrices import Domain, ExactMatrix, matmul, rational_rows, row_product_triangle, scaled_identity, squared_moduli, vstack
+from .matrices import Domain, ExactMatrix, first_nonzero, matmul, rational_rows, row_product_triangle, scaled_identity, squared_moduli, vstack
 from .value import Value
 
 
@@ -97,16 +97,6 @@ def _row_product_diagonal(m: ExactMatrix, weights) -> tuple[list[Fraction], list
     return diag, raw
 
 
-def _first_nonzero(raw, rows, cols) -> tuple[int, int] | None:
-    """The first (i, j > i) of a block of a Hermitian product's upper
-    triangle that is not 0 (an irrational entry reads None), row by row at C speed."""
-    for i in rows:
-        part = raw[i][max(i + 1, cols.start) - i : cols.stop - i]
-        if part.count(0) != len(part):
-            return i, cols.stop - len(part) + next(j for j, x in enumerate(part) if x != 0)
-    return None
-
-
 def _is_flat(frame: Frame) -> bool:
     """Whether every stored entry, after weighting, has squared modulus one."""
     weights = frame.row_weights or (1,) * frame.d
@@ -181,7 +171,7 @@ def certify_etf(frame: Frame) -> EtfCertificate:
         diag, raw = _row_product_diagonal(frame.matrix, frame.row_weights)
         if len(set(diag)) != 1:
             raise FrameError(f"not tight: row squared norms {sorted(set(diag))}") from None
-        at = _first_nonzero(raw, range(d), range(d))
+        at = first_nonzero(raw, range(d), range(d))
         if at:
             raise FrameError(f"not tight: rows {at[0]} and {at[1]} are not orthogonal") from None
         raise
@@ -223,17 +213,17 @@ def verify_naimark_pair(primary: Frame, complement: Frame) -> NaimarkPair:
     if len(alphas) != 1:
         raise FrameError("primary is not tight: unequal row norms")
     alpha = alphas.pop()
-    if _first_nonzero(raw, range(dp), range(dp)):
+    if first_nonzero(raw, range(dp), range(dp)):
         raise FrameError("primary is not tight: rows not orthogonal")
     for i in range(dp, n):
         if diag[i] != alpha:
             raise FrameError(
                 f"complement row {i - dp} has squared norm {diag[i]}, expected {alpha}"
             )
-    at = _first_nonzero(raw, range(dp, n), range(dp, n))
+    at = first_nonzero(raw, range(dp, n), range(dp, n))
     if at:
         raise FrameError(f"complement rows {at[0] - dp} and {at[1] - dp} are not orthogonal")
-    at = _first_nonzero(raw, range(dp), range(dp, n))
+    at = first_nonzero(raw, range(dp), range(dp, n))
     if at:
         raise FrameError(f"cross block P C* is nonzero at ({at[0]}, {at[1] - dp})")
 
@@ -271,8 +261,8 @@ def gram_to_hadamard(frame: Frame) -> hadamard.HadamardMatrix:
     s = isqrt(n)
     if s * s != n:
         raise FrameError(f"sqrt({n}) is not an integer")
-    if cert.d != (n - s) // 2 or (n - s) % 2:
-        raise FrameError(f"need d = (n - sqrt(n)) / 2 = {(n - s) / 2}, got d = {cert.d}")
+    if cert.d != (n - s) // 2:  # n - s = s (s - 1) is even
+        raise FrameError(f"need d = (n - sqrt(n)) / 2 = {(n - s) // 2}, got d = {cert.d}")
     c = Fraction(s - 1) / cert.beta
     g = gram(frame)
     h = scaled_identity(n, s, g.domain) - g.scale(c)

@@ -13,7 +13,7 @@ from math import lcm, prod
 from operator import mul
 
 from .errors import HadamardError
-from .matrices import RATIONAL, ExactMatrix, cyclo_domain, kron as kron_matrices, rational_rows, row_product_triangle, squared_moduli
+from .matrices import RATIONAL, ExactMatrix, cyclo_domain, first_nonzero, kron as kron_matrices, rational_rows, row_product_triangle, squared_moduli
 from .scalars import factorize
 from .value import Value
 
@@ -73,11 +73,9 @@ def verify_hadamard(m: ExactMatrix) -> HadamardMatrix:
         den, sq = rational_rows(m, squared=True)
         i, row = next((i, r) for i, r in enumerate(sq) if r.count(den) != len(r))
         raise HadamardError(f"entry ({i}, {next(j for j, x in enumerate(row) if x != den)}) is not unimodular")
-    den, upper = row_product_triangle(m)
-    for i, r in enumerate(upper):  # m m* is Hermitian: its first mismatch with n I is in the upper triangle
-        if r[0] != n * den or r.count(0) != len(r) - 1:
-            j = next(j for j, x in enumerate(r, i) if x != (n * den if j == i else 0))
-            raise HadamardError(f"rows {i} and {j} fail the orthogonality identity")
+    at = first_nonzero(row_product_triangle(m)[1], range(n), range(n))  # m m* is Hermitian, its diagonal n (n moduli of one)
+    if at:
+        raise HadamardError(f"rows {at[0]} and {at[1]} fail the orthogonality identity")
     if m.int_rows() is not None:
         return HadamardMatrix(n, m.with_domain(RATIONAL), "real")
     return HadamardMatrix(n, m, "complex")

@@ -15,9 +15,12 @@ is its own plane and equality is plane equality.  Every operation works on
 the planes.  A scalar has an entry's form, so ``entry`` and ``row`` build
 scalars straight from the planes (``scalars.element``); ``from_entries``
 lowers a caller's scalars once.  ``rational_rows`` reads rational values,
-zero masks and squared moduli off the planes for the verifiers, and
-``row_product_triangle`` the upper triangle of m m*.  Work per entry is done
-once per distinct entry (``per_entry``, ``squared_moduli``): frames repeat few.
+zero masks and squared moduli off the planes for the verifiers,
+``row_product_triangle`` the upper triangle of m m* and ``first_nonzero`` its
+first failure of m m* = alpha I.  Work per entry is done once per distinct
+entry (``per_entry``, ``squared_moduli``, ``distinct_entries``): frames repeat
+few.  Blocks are laid out one way, by ``gather``: ``kron`` multiplies each
+distinct entry of a by b once, then gathers the blocks from those rows.
 
 A product takes one of two integer routes, chosen from the operands' values
 alone.  A {-1, 0, 1} matrix times its own transpose computes one triangle by
@@ -218,6 +221,21 @@ def from_flat(domain: Domain, cols: int, den: int, flat) -> ExactMatrix:
     return ExactMatrix(domain, den, [[p[i : i + cols] for i in range(0, len(p), cols)] for p in flat])
 
 
+def distinct_entries(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+    """(column, codes): m's distinct entries, told apart by their planes, as one
+    column in order of first appearance, and each entry's row in it, row-major."""
+    rows = {}  # an entry's planes -> its row in the column
+    codes = [rows.setdefault(x, len(rows)) for x in zip(*map(chain.from_iterable, m.planes))]
+    return ExactMatrix(m.domain, m.den, [[[x] for x in plane] for plane in zip(*rows)]), codes
+
+
+def gather(table: ExactMatrix, index) -> ExactMatrix:
+    """Row i lays the rows of ``table`` named by index[i] side by side; -1 names a zero row."""
+    segments = ([*plane, [0] * table.cols] for plane in table.planes)
+    planes = [[list(chain.from_iterable(map(s.__getitem__, row))) for row in index] for s in segments]
+    return ExactMatrix(table.domain, table.den, planes)
+
+
 def per_entry(m: ExactMatrix, fn) -> Iterator[list]:
     """Rows of fn's values at m's entries, each built when it is reached; fn maps the list of
     distinct entries (coordinate tuples) to one value each, and is called once, before any row."""
@@ -325,6 +343,16 @@ def row_product_triangle(m: ExactMatrix) -> tuple[int, list[list[int | None]]]:
     return den, [r[i:] for i, r in enumerate(full)]
 
 
+def first_nonzero(raw, rows: range, cols: range) -> tuple[int, int] | None:
+    """The first (i, j > i) in a block of a Hermitian triangle (``row_product_triangle``)
+    that is not 0 (an irrational entry reads None), row by row at C speed."""
+    for i in rows:
+        part = raw[i][max(i + 1, cols.start) - i : cols.stop - i]
+        if part.count(0) != len(part):
+            return i, cols.stop - len(part) + next(j for j, x in enumerate(part) if x != 0)
+    return None
+
+
 def _row_packed_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a b for a and b over one domain.  Each row of b is packed once, entry
     j at slot offset j * width, so row i of the integer polynomial product is
@@ -381,22 +409,18 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; block (i, j) is a(i, j) * b.
 
-    Every product a(i, j) b(p, q) is one entry of the outer product of the
-    flattened operands, taken row-packed, then laid out in blocks: with inner
-    dimension 1, the popcount triangle of kron(x, x) would gain nothing.
+    Each distinct entry of a multiplies the flattened b once, in one
+    row-packed outer product (with inner dimension 1, the popcount triangle
+    of kron(x, x) would gain nothing); row p of block row i is then gathered
+    as row p of a(i, j) * b for each j in turn.
     """
     domain = a.domain.unify(b.domain)
-
-    def flat(m, cols):
-        return from_flat(m.domain, cols, m.den, [[x for r in p for x in r] for p in m.planes]).with_domain(domain)
-
-    outer = _row_packed_matmul(flat(a, 1), flat(b, b.rows * b.cols))
-    ca, cb = a.cols, b.cols
-    planes = [
-        [[x for j in range(ca) for x in o[i * ca + j][p * cb : (p + 1) * cb]] for i in range(a.rows) for p in range(b.rows)]
-        for o in outer.planes
-    ]
-    return ExactMatrix(outer.domain, outer.den, planes)
+    column, codes = distinct_entries(a)
+    flat_b = from_flat(b.domain, b.rows * b.cols, b.den, map(chain.from_iterable, b.planes))
+    outer = _row_packed_matmul(column.with_domain(domain), flat_b.with_domain(domain))
+    table = from_flat(domain, b.cols, outer.den, map(chain.from_iterable, outer.planes))  # row s rb + p: entry s times row p of b
+    ca, rb = a.cols, b.rows
+    return gather(table, [[c * rb + p for c in codes[i * ca : (i + 1) * ca]] for i in range(a.rows) for p in range(rb)])
 
 
 def vstack(*mats: ExactMatrix) -> ExactMatrix:

@@ -350,6 +350,13 @@ def test_gram_to_hadamard_rejects_simplex():
         gram_to_hadamard(simplex_frame())
 
 
+def test_gram_to_hadamard_names_the_needed_dimension_as_an_integer():
+    # n - sqrt(n) = s (s - 1) is always even, so the needed d is an integer.
+    with pytest.raises(FrameError) as exc:
+        gram_to_hadamard(Frame(sylvester(4).body.drop_row(0)))  # the order-16 simplex
+    assert str(exc.value) == "need d = (n - sqrt(n)) / 2 = 6, got d = 15"
+
+
 def test_hadamard_gram_round_trip():
     f = flat_frame()
     h = gram_to_hadamard(f)

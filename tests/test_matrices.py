@@ -548,7 +548,8 @@ def test_row_packed_route_matches_the_oracle(name, triangles, row_packed):
 
 def test_non_hermitian_products_with_a_zero_are_row_packed(triangles, row_packed):
     # The Kirkman rotation I_r (x) E times a {-1, 0, 1} block matrix, and the
-    # outer product behind kron, once took a popcount per output entry.
+    # outer product behind kron, once took a popcount per output entry; kron's
+    # outer product has one row per distinct entry of a (here -1, 0 and 1).
     rng = random.Random(12)
     e = _sign_matrix(rng, 4, 4, False)
     rotation = kron(ExactMatrix.identity(3), e)
@@ -556,15 +557,34 @@ def test_non_hermitian_products_with_a_zero_are_row_packed(triangles, row_packed
     row_packed.clear()
     assert matmul(rotation, blocks) == oracle_matmul(rotation, blocks)
     assert kron(blocks, e) == oracle_kron(blocks, e)
-    assert row_packed == [(12, 12, 20), (240, 1, 16)] and triangles == []
+    assert row_packed == [(12, 12, 20), (3, 1, 16)] and triangles == []
+
+
+def _kron_cases():
+    """Operand pairs beyond sign matrices; kron takes each over the unified domain."""
+    rng = random.Random(27)
+    zero = ExactMatrix(RATIONAL, 1, [[[0] * 3 for _ in range(2)]])
+    cases = {f"order_{m}": (rand_cyclo_matrix(rng, 3, 2, m), rand_cyclo_matrix(rng, 2, 3, m)) for m in (3, 8, 13)}
+    cases.update({
+        "q_sqrt_6_times_rationals": (rand_quad_matrix(rng, 2, 3, 6), rand_quad_matrix(rng, 3, 2, 1)),
+        "rationals_times_q_sqrt_6": (rand_quad_matrix(rng, 2, 2, 1), rand_quad_matrix(rng, 3, 2, 6)),
+        "fractions": (rand_cyclo_matrix(rng, 3, 4, 1), rand_cyclo_matrix(rng, 2, 3, 1)),
+        "zero_left": (zero, rand_cyclo_matrix(rng, 2, 2, 8)),
+        "orders_3_and_4_lifted_to_12": (rand_cyclo_matrix(rng, 2, 3, 3), rand_cyclo_matrix(rng, 3, 2, 4)),
+        "orders_4_and_3_lifted_to_12": (rand_cyclo_matrix(rng, 3, 3, 4), rand_cyclo_matrix(rng, 2, 2, 3)),
+    })
+    return cases
 
 
 def oracle_kron(a, b):
+    """One scalar product per entry, over the unified domain."""
     return ExactMatrix.from_rows([[x * y for x in a.row(i // b.rows) for y in b.row(i % b.rows)]
-                                  for i in range(a.rows * b.rows)], a.domain)
+                                  for i in range(a.rows * b.rows)], a.domain.unify(b.domain))
 
 
 def test_kron_matches_the_per_entry_oracle():
+    # kron multiplies each distinct entry of a by b once and gathers the
+    # blocks; the oracle multiplies every pair of entries on its own.
     rng = random.Random(26)
     for rows, cols, zeros in ((1, 1, False), (1, 5, True), (3, 4, True), (4, 4, False), (5, 2, True)):
         x, y = _sign_matrix(rng, rows, cols, zeros), _sign_matrix(rng, cols, rows + 1, zeros)
@@ -572,12 +592,17 @@ def test_kron_matches_the_per_entry_oracle():
             k = kron(a, b)
             want = oracle_kron(a, b)
             assert (k.domain, k.den, k.planes) == (want.domain, want.den, want.planes)
+    cases = _kron_cases()
+    for name, (a, b) in cases.items():
+        k, want = kron(a, b), oracle_kron(a, b)
+        assert (k.domain, k.den, k.planes) == (want.domain, want.den, want.planes), name
+    assert kron(*cases["fractions"]).den != 1
 
 
 def test_kron_of_a_sign_matrix_with_itself_takes_no_popcount_triangle(monkeypatch, triangles):
-    # kron(x, x) flattens x into an N x 1 operand and its transpose, the
-    # shape of a Gram product; with inner dimension 1 it is an outer product,
-    # which the triangle and its mirror would only slow down.
+    # kron(x, x) multiplies the column of x's distinct entries by x flattened
+    # into one row: an outer product, with inner dimension 1, which the
+    # triangle and its mirror would only slow down.
     import etf_forge.matrices as matrices
 
     x = _sign_matrix(random.Random(27), 6, 10, True)
@@ -894,6 +919,59 @@ def test_failing_inputs_name_their_identity_and_index():
         got = [outcome(certify_etf, f) for f in frames] + [outcome(verify_naimark_pair, *p) for p in pairs]
         got += [outcome(verify_hadamard, m) for m in hadamards]
         assert got == [message], name
+
+
+def _roots_matrix(exponents, order):
+    """The matrix of zeta_order ** exponents[i][j], over the rationals when order is 2."""
+    if order == 2:
+        return ExactMatrix.from_rows([[(-1) ** e for e in row] for row in exponents])
+    n = len(exponents)
+    return ExactMatrix.from_entries(cyclo_domain(order), n, n, [CycloElem.root(order, e) for row in exponents for e in row])
+
+
+def _flat_exponent_cases(rng, order):
+    """Flat matrices as exponent tables: Hadamard ones with their rows shuffled, the same with
+    row j replaced by zeta^t times row i (i < j) or with one entry turned, and random ones."""
+    if order == 2:
+        from etf_forge.hadamard import paley_one, sylvester
+
+        hadamards = [[[(1 - x) // 2 for x in r] for r in h.body.planes[0]] for h in (sylvester(2), sylvester(3), paley_one(11))]
+    else:
+        hadamards = [[[i * j * (8 // n) % 8 for j in range(n)] for i in range(n)] for n in (4, 8)]  # DFT(4) and DFT(8)
+    for h in hadamards:
+        n = len(h)
+        for _ in range(6):
+            e = rng.sample(h, n)
+            yield e
+            i, j = sorted(rng.sample(range(n), 2))
+            t = rng.randrange(order)
+            yield [[(x + t) % order for x in e[i]] if r == j else e[r] for r in range(n)]
+            r, c = rng.randrange(n), rng.randrange(n)
+            yield [[(x + 1) % order if (a, b) == (r, c) else x for b, x in enumerate(row)] for a, row in enumerate(e)]
+    for n in range(4, 13):
+        yield [[rng.randrange(order) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("order", (2, 8))
+def test_verify_hadamard_names_the_rows_of_the_per_entry_products_first_nonzero(order):
+    # A flat matrix passes the unimodular gate, so every diagonal entry of H H* is n and
+    # the first failure is the first nonzero above the diagonal.  The oracle forms H H*
+    # entry by entry, conjugating zeta^e as zeta^-e.
+    from etf_forge.hadamard import verify_hadamard
+
+    named = set()
+    for e in _flat_exponent_cases(random.Random(order), order):
+        n, h = len(e), _roots_matrix(e, order)
+        product = oracle_matmul(h, _roots_matrix([[-e[j][i] % order for j in range(n)] for i in range(n)], order))
+        assert all(product.entry(i, i).rational_value() == n for i in range(n))
+        at = next(((i, j) for i in range(n) for j in range(i + 1, n) if any(p[i][j] for p in product.planes)), None)
+        got = outcome(verify_hadamard, h)
+        if at is None:
+            assert got.kind == ("real" if order == 2 else "complex")
+        else:
+            assert got == f"rows {at[0]} and {at[1]} fail the orthogonality identity"
+            named.add(at)
+    assert len(named) > 10 and any(i > 0 for i, _ in named)
 
 
 def test_rational_rows_reads_values_zeros_and_squared_moduli():

@@ -98,6 +98,20 @@ def test_only_verify_hadamard_makes_a_hadamard_matrix():
     assert found == [] and inside == 2
 
 
+def test_only_matrices_builds_a_distinct_entry_table():
+    # A table of distinct entries (a dict filled by setdefault) is built by
+    # matrices.distinct_entries and per_entry; a construction that kept its
+    # own would lay entries out a second way.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "setdefault":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_dataclasses_import():
     # Loading `dataclasses` and generating each class's methods cost every CLI
     # child tens of milliseconds; value classes derive from `value.Value`.
