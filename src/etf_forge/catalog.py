@@ -106,9 +106,9 @@ class Catalog:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    try:  # not JSON, not an object, or an object that lacks a key or holds a value of the wrong type
+                    try:  # not JSON (or nested too deeply), not an object, or one that lacks a key or holds a wrong type
                         out.append(CatalogRecord.from_obj(json.loads(line)))
-                    except (ValueError, TypeError, KeyError) as exc:
+                    except (ValueError, RecursionError, TypeError, KeyError) as exc:
                         raise InputError(f"{self.records_file} line {number} is not a catalog record: {exc!r}") from None
         return out
 

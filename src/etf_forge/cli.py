@@ -249,6 +249,9 @@ def main(argv=None) -> int:
     except MemoryError:  # not 1: running out of memory says nothing about an identity
         sys.stderr.write("resource error: out of memory\n")
         return 2
+    except RecursionError:  # a recipe that reads, then nests too deeply to replay
+        sys.stderr.write("input error: a document is nested too deeply\n")
+        return 2
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return 130

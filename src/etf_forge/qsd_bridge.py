@@ -69,10 +69,7 @@ def qsd_frame_scalars(params: DesignParams, x: int, y: int, branch: str = "plus"
     s = QuadElem.sqrt_of_rational(Fraction(b + 1, r - lam))
     sign = 1 if branch == "plus" else -1
     delta = (QuadElem.from_rational(w) + s * (sign * k)) * Fraction(1, v)
-    eps = s * (-sign)
-    if eps != (QuadElem.from_rational(w) - delta * v) * Fraction(1, k):
-        raise FrameError("the scalars break eps = (w - delta v) / k")
-    return w, delta, eps
+    return w, delta, s * (-sign)  # eps = (w - delta v) / k, exactly
 
 
 def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
@@ -140,8 +137,9 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
     After canonical signing the frame reads [1 | J - 2 X^T]; the incidence
     matrix X is scanned as a design and its parameters are checked against
     the closed forms w = sqrt(d(n-d)/(n-1)), k = (v-w)/2, x = (v-3w)/4,
-    y = (v-w)/4.  Frames of d + 1 vectors are excluded (their extraction is
-    a symmetric design, not quasi-symmetric).
+    y = (v-w)/4 and r; lambda then meets its own, and d and w are even.
+    Frames of d + 1 vectors are excluded (their extraction is a symmetric
+    design, not quasi-symmetric).
     """
     cert = certify_etf(frame)
     d, n = cert.d, cert.n
@@ -169,10 +167,6 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
                 f"extracted parameter {name} = {actual[name]} differs from the "
                 f"closed form {expected[name]}"
             )
-    if qsd.params.lam != expected["l"]:
-        raise FrameError("extracted lambda violates the design relation")
-    if d % 2 or w % 2:
-        raise FrameError(f"d = {d} and w = {w} must both be even")
     if n % 16:
         raise FrameError(f"n = {n} must be divisible by 16")
     return FlatEtfExtraction(qsd, design, signed, w, qsd.params.k, qsd.x, qsd.y)

@@ -204,6 +204,7 @@ def replay(rec: dict) -> Artifact:
         right = replay(inputs["right"])
         if left.pair is None or right.pair is None:
             raise EtfForgeError("tensor inputs must be complementary pairs")
+        in_range("tensor vector count", left.primary.n * right.primary.n, 1, MAX_SIDE)
         pair = constructions.tensor_etf(left.pair, right.pair)
         return Artifact(kind, rec, pair.primary, pair)
 

@@ -243,13 +243,13 @@ def dump(obj, path) -> None:
 
 def load(path, decode=None):
     """The JSON value of the file at ``path``, or ``decode`` of the file opened
-    in binary; a ``ValueError`` is bad input."""
+    in binary; a ``ValueError`` or ``RecursionError`` is bad input."""
     with open(path, "rb") as fh:
         enabled = gc.isenabled()
         gc.disable()  # a decoded document is acyclic: a collection while it is alive walks it and frees nothing
         try:
             return json.loads(fh.read().decode()) if decode is None else decode(fh)  # strict UTF-8: loads(bytes) skips a BOM
-        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed JSON, bytes that are not UTF-8, or nested too deeply
             raise InputError(f"{path} is not valid JSON: {exc}") from None
         finally:
             if enabled:

@@ -198,7 +198,7 @@ def test_concurrent_adds_of_one_recipe_record_it_once(tmp_path):
     assert Catalog(cat).audit() == []
 
 
-@pytest.mark.parametrize("damage", ["invalid_json", "missing"])
+@pytest.mark.parametrize("damage", ["invalid_json", "missing", "nested_too_deeply"])
 def test_catalog_audit_lists_unreadable_payload_files_and_audits_the_rest(tmp_path, damage):
     catalog = Catalog(tmp_path / "cat")
     bad = catalog.add(kirkman_recipe())
@@ -206,8 +206,8 @@ def test_catalog_audit_lists_unreadable_payload_files_and_audits_the_rest(tmp_pa
     target = catalog.root / bad.payload / "primary.json"
     if damage == "missing":
         target.unlink()
-    else:
-        target.write_text('{"schema": ')
+    else:  # a document nested too deeply raises RecursionError in the json decoder
+        target.write_text('{"schema": ' if damage == "invalid_json" else "[" * 100_000)
         with pytest.raises(InputError, match="primary.json is not valid JSON"):
             load(target)
     assert catalog.audit() == [bad.id]

@@ -684,6 +684,8 @@ def test_malformed_harmonic_input_is_exit_2(tmp_path, capsys):
             replay(rec)
 
 
+KIRKMAN_8 = {"schema": "etf-forge/recipe/v1", "kind": "kirkman", "inputs": {"u": 8}}  # a pair of 256 vectors
+
 # Recipe values of the right type but outside their range, each refused by
 # recipes.replay as InputError with the message fragment given.  The size
 # bounds are met before anything of that size is built.
@@ -707,6 +709,9 @@ OUT_OF_RANGE_RECIPES = {
     "blocks_v": ("qsd-to-etf", {"design": {"generator": "blocks", "v": 10 ** 30, "blocks": [[1, 2]]}}, "design v"),
     "design_v": ("steiner", {"design": {"generator": "all-pairs", "v": 10 ** 5}, "f": {"generator": "sylvester", "e": 1},
                              "g": {"generator": "size", "n": 4}}, "design v"),
+    # 65,536 vectors: this tensor was once built until memory ran out.
+    "tensor_vector_count": ("tensor", {"left": KIRKMAN_8, "right": KIRKMAN_8},
+                            "tensor vector count must lie in 1..8192, got 65536"),
 }
 
 
@@ -931,8 +936,9 @@ def test_a_design_document_without_blocks_fails_its_identity(tmp_path, capsys):
 
 
 def test_bad_input_outside_the_recipes_is_exit_2(tmp_path, capsys):
-    # cli.main maps only InputError and OSError to exit 2, so every bad input
-    # is turned into an InputError where it is read, named by its place.
+    # cli.main maps only InputError and OSError (and a replay nested too
+    # deeply) to input errors, so every bad input is turned into an
+    # InputError where it is read, named by its place.
     code, stdout, err = run(capsys, "construct", "harmonic", "--group", "2,x", "--subset", "0",
                             "--out", str(tmp_path / "h"))
     _assert_input_error(code, err)
@@ -941,7 +947,8 @@ def test_bad_input_outside_the_recipes_is_exit_2(tmp_path, capsys):
     cat = tmp_path / "cat"
     cat.mkdir()
     for line, reason in ((json.dumps({k: v for k, v in good.items() if k != "kind"}), "KeyError('kind')"),
-                         ("{not json", "JSONDecodeError("), (json.dumps(list(good)), "TypeError(")):
+                         ("{not json", "JSONDecodeError("), (json.dumps(list(good)), "TypeError("),
+                         ("[" * 100_000, "RecursionError(")):
         (cat / "records.jsonl").write_text(json.dumps(good) + "\n\n" + line + "\n")
         for argv in (["list"], ["show", "ab"], ["audit"]):
             code, stdout, err = run(capsys, "catalog", "--catalog", str(cat), *argv)
@@ -979,6 +986,42 @@ def test_exhausted_memory_and_an_interrupt_exit_with_one_line(raised, code, line
 
     monkeypatch.setattr(frames, "certify_etf", stopped)
     assert run(capsys, "verify", "etf", str(tmp_path / "s" / "primary.json")) == (code, "", line)
+
+
+def test_documents_nested_too_deeply_exit_2_with_one_line(tmp_path, capsys):
+    # The json decoder raises RecursionError, not ValueError, past the
+    # recursion limit; each of these once exited 1 with a traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "recipe.json").write_text("[" * 100_000)
+    for argv in (["verify", "etf", str(deep)], ["verify", "qsd", str(deep)],
+                 ["catalog", "--catalog", str(tmp_path / "cat"), "add", str(deep)],
+                 ["construct", "tensor", "--left", str(tmp_path / "d"), "--right", str(tmp_path / "d"),
+                  "--out", str(tmp_path / "t")]):
+        code, stdout, err = run(capsys, *argv)
+        _assert_input_error(code, err)
+        assert "is not valid JSON: maximum recursion depth exceeded" in err and stdout == ""
+    assert not (tmp_path / "cat").exists() and not (tmp_path / "t").exists()
+
+
+def test_a_recipe_that_reads_but_nests_too_deeply_to_replay_exits_2_in_a_child_process(tmp_path):
+    # 985 nested kron sources parse in a fresh process (the decoder's limit is
+    # about 1000 levels), then overflow the stack in hadamard_from_spec.
+    import os
+    import subprocess
+    import sys
+
+    source = '{"generator": "sylvester", "e": 1}'  # as text: json.dumps would overflow here first
+    for _ in range(985):
+        source = f'{{"generator": "kron", "left": {source}, "right": {{"generator": "sylvester", "e": 0}}}}'
+    (tmp_path / "steiner.json").write_text('{"schema": "etf-forge/recipe/v1", "kind": "steiner", "inputs": {'
+                                           f'"design": {{"generator": "fano"}}, "f": {source}, '
+                                           '"g": {"generator": "size", "n": 4}}}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "etf_forge.cli", "catalog", "--catalog", str(tmp_path / "cat"), "add",
+                           str(tmp_path / "steiner.json")], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "input error: a document is nested too deeply\n")
 
 
 # Entry texts a mutation may put in place of a canonical entry: canonical

@@ -378,6 +378,20 @@ def test_verify_bibd_matches_the_per_entry_oracle(seed):
     assert {ours[0] for ours, _ in verdicts} == {"ok", "refused"}
 
 
+def test_verify_bibd_matches_the_per_entry_oracle_on_every_0_1_matrix_of_at_most_12_entries():
+    # verify_bibd leaves bk = vr, (v - 1) lam = r (k - 1) and 0 <= lam < r < b
+    # to the identities it checks; the oracle still checks all three.
+    matrices = designs = 0
+    for b in range(1, 13):
+        for v in range(1, 12 // b + 1):
+            for bits in range(1 << b * v):
+                m = ExactMatrix.from_rows([[bits >> (i * v + j) & 1 for j in range(v)] for i in range(b)])
+                ours = verdict(verify_bibd, m)
+                assert ours == verdict(per_entry_bibd, m), m.int_rows()
+                matrices, designs = matrices + 1, designs + (ours[0] == "ok")
+    assert (matrices, designs) == (35_978, 40)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_from_incidence_reads_the_blocks_of_a_0_1_matrix(seed):
     for m in seeded_incidences(seed):
