@@ -17,10 +17,10 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 
-from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd, verify_qsd
+from .designs import Design, DesignParams, QsdCertificate, srg_params_from_qsd
 from .errors import DesignError, FrameError
 from .frames import Frame, certify_etf
-from .matrices import RATIONAL, ExactMatrix, matmul, quad_domain, rational_rows
+from .matrices import RATIONAL, ExactMatrix, quad_domain
 from .scalars import QuadElem, rational_sqrt
 from .value import Value
 
@@ -77,9 +77,10 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
 
     The certificate must carry its scanned design (parameter-level
     certificates cannot produce a frame).  Returns (frame, link); the frame
-    is certified before it is returned, and all first-column inner products
-    equal +w.  When both scalars are rational the frame lives in the
-    rational domain, otherwise in the quadratic field of their radicand.
+    is certified before it is returned; its first-column inner products are
+    v delta + k eps = w by the scalar laws.  When both scalars are rational
+    the frame lives in the rational domain, otherwise in the quadratic field
+    of their radicand.
     """
     p = cert.params
     w, delta, eps = qsd_frame_scalars(p, cert.x, cert.y, branch)
@@ -96,10 +97,6 @@ def etf_from_qsd(cert: QsdCertificate, branch: str = "plus"):
     planes = [[[den if k == 0 else 0, *map(v.__getitem__, row)] for row in x_t] for k, v in enumerate(values)]
     frame = Frame(ExactMatrix(domain, den, planes))
     certify_etf(frame)
-    den, (g,) = rational_rows(matmul(frame.matrix.adjoint().take_rows([0]), frame.matrix))  # the Gram's row 0
-    for j in range(1, p.b + 1):
-        if g[j] != w * den:
-            raise FrameError(f"first-column inner product at {j} is not +w")
     link = QsdEtfLink(w, p.k, delta, eps, branch, p, cert.x, cert.y)
     return frame, link
 
@@ -134,12 +131,12 @@ class FlatEtfExtraction(Value):
 def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
     """Extract the QSD underneath a real flat ETF with n - 1 > d > 1.
 
-    After canonical signing the frame reads [1 | J - 2 X^T]; the incidence
-    matrix X is scanned as a design and its parameters are checked against
-    the closed forms w = sqrt(d(n-d)/(n-1)), k = (v-w)/2, x = (v-3w)/4,
-    y = (v-w)/4 and r; lambda then meets its own, and d and w are even.
-    Frames of d + 1 vectors are excluded (their extraction is a symmetric
-    design, not quasi-symmetric).
+    After canonical signing the frame reads [1 | J - 2 X^T] and the rows of
+    X are scanned as a design.  The certificate decides the rest: the signed
+    first Gram row is v - 2k = w = sqrt(d(n-d)/(n-1)), and each other entry
+    v - 4k + 4|B_j & B_j'| is +/-w, so the intersection sizes are
+    x = (v-3w)/4 and y = (v-w)/4, and both occur.  Frames of d + 1 vectors
+    are excluded (their extraction is a symmetric design, not quasi-symmetric).
     """
     cert = certify_etf(frame)
     d, n = cert.d, cert.n
@@ -150,26 +147,14 @@ def qsd_from_flat_etf(frame: Frame) -> FlatEtfExtraction:
     if not cert.flat or frame.matrix.int_rows() is None:
         raise FrameError("extraction applies to real flat frames only")
     signed, _, _ = canonical_sign(frame.matrix)
-    v, b = d, n - 1
     columns = list(zip(*signed.int_rows()))[1:]  # block j: the vertices where column j + 1 is -1
-    design = Design(v, [tuple(compress(range(v), map((-1).__eq__, c))) for c in columns])
-    qsd = verify_qsd(design)
-
-    root = _radical_check(Fraction(d * (n - d), n - 1))
-    if not root.is_integer:
-        raise FrameError(f"w^2 = {root.radicand} is not a perfect square")
-    w = root.value
-    expected = dict(zip("vklrbxy", _flat_qsd_params(d, n, w)))
-    actual = {"k": qsd.params.k, "x": qsd.x, "y": qsd.y, "r": qsd.params.r}
-    for name in actual:
-        if actual[name] != expected[name]:
-            raise FrameError(
-                f"extracted parameter {name} = {actual[name]} differs from the "
-                f"closed form {expected[name]}"
-            )
+    design = Design(d, [tuple(compress(range(d), map((-1).__eq__, c))) for c in columns])
+    k = design.params.k
+    w = d - 2 * k  # v = d, and each signed column after the first sums to v - 2k = +w
+    qsd = QsdCertificate(design.params, (d - 3 * w) // 4, (d - w) // 4, design)
     if n % 16:
         raise FrameError(f"n = {n} must be divisible by 16")
-    return FlatEtfExtraction(qsd, design, signed, w, qsd.params.k, qsd.x, qsd.y)
+    return FlatEtfExtraction(qsd, design, signed, w, k, qsd.x, qsd.y)
 
 
 def _flat_qsd_params(d: int, n: int, w) -> tuple:

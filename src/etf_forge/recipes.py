@@ -176,6 +176,8 @@ def replay(rec: dict) -> Artifact:
         in_range("group order", group.size, 2, MAX_SIDE)
         if any(not 0 <= i < group.size for i in subset):
             raise InputError(f"subset indices must lie in 0..{group.size - 1}, got {list(subset)}")
+        if len(set(subset)) != len(subset):
+            raise InputError(f"subset indices must be distinct, got {list(subset)}")
         ds = constructions.verify_difference_set(group, subset)
         pair = constructions.harmonic_etf(ds)
         return Artifact(kind, rec, pair.primary, pair)

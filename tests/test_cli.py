@@ -935,6 +935,55 @@ def test_a_design_document_without_blocks_fails_its_identity(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_broken_resolution_fails_its_identity(tmp_path, capsys):
+    # A design document's parallel classes come from outside the program;
+    # each of the three resolution checks is a failed design identity.
+    from etf_forge.designs import round_robin_resolution
+
+    good = design_to_obj(round_robin_resolution(4))
+    assert good["parallel_classes"] == [[0, 1], [2, 3], [4, 5]]
+    path = tmp_path / "design.json"
+    for classes, message in (([[0, 1], [2, 3]], "expected 3 parallel classes, got 2"),
+                             ([[0, 1], [2, 3], [4, 0]], "parallel classes must partition the block list"),
+                             ([[0, 2], [1, 3], [4, 5]], "class (0, 2) does not partition the vertex set")):
+        path.write_text(json.dumps(dict(good, parallel_classes=classes)))
+        for command in ("qsd", "bibd"):
+            assert run(capsys, "verify", command, str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_verify_hadamard_refuses_a_matrix_that_is_not_square_or_cyclotomic(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(matrix_text(ExactMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, -1]])))
+    assert run(capsys, "verify", "hadamard", str(path)) == (1, "", "error: expected a square matrix, got 2x4\n")
+    path.write_text(json.dumps({"schema": "etf-forge/matrix/v1", "rows": 1, "cols": 1, "entries": [[1, 1, 0, 1]],
+                                "domain": {"kind": "quadratic", "radicand": 2}}))
+    assert run(capsys, "verify", "hadamard", str(path)) == (
+        1, "", "error: Hadamard matrices live over cyclotomic domains\n")
+
+
+def test_harmonic_subsets_repeated_empty_or_full(tmp_path, capsys):
+    # A repeated element is bad input, as a repeated vertex in a block is;
+    # an empty or full subset is a failed difference-set identity.
+    out = str(tmp_path / "h")
+    code, stdout, err = run(capsys, "construct", "harmonic", "--group", "2,2,2,2", "--subset", "1,1,2,10,3,15",
+                            "--out", out)
+    _assert_input_error(code, err)
+    assert err == "input error: subset indices must be distinct, got [1, 1, 2, 10, 3, 15]\n" and stdout == ""
+    for subset, message in (("", "the subset must be nonempty"), ("0,1,2,3", "the subset must be proper")):
+        assert run(capsys, "construct", "harmonic", "--group", "2,2", "--subset", subset, "--out", out) == (
+            1, "", f"error: {message}\n")
+    assert not (tmp_path / "h").exists()
+
+
+def test_tensor_refuses_a_weighted_pair(tmp_path, capsys):
+    # The Steiner complement carries sqrt(k) row weights.
+    steiner, kirkman = str(tmp_path / "st"), str(tmp_path / "k")
+    assert run(capsys, "construct", "steiner", "--design", "all-pairs", "--v", "4", "--out", steiner)[0] == 0
+    assert run(capsys, "construct", "kirkman", "--u", "2", "--out", kirkman)[0] == 0
+    assert run(capsys, "construct", "tensor", "--left", steiner, "--right", kirkman, "--out", str(tmp_path / "t")) == (
+        1, "", "error: pair 1: weighted rows are not supported here\n")
+
+
 def test_bad_input_outside_the_recipes_is_exit_2(tmp_path, capsys):
     # cli.main maps only InputError and OSError (and a replay nested too
     # deeply) to input errors, so every bad input is turned into an
@@ -1263,7 +1312,7 @@ def _recipe_is_malformed(doc) -> bool:
         if not (_is_ints(group) and _is_ints(subset) and group and min(group) >= 2):
             return True
         size = math.prod(group)
-        return not (size <= 8192 and all(0 <= i < size for i in subset))
+        return not (size <= 8192 and all(0 <= i < size for i in subset) and len(set(subset)) == len(subset))
     if kind == "steiner":
         design = inputs.get("design")
         if not isinstance(design, dict) or design.get("generator") != "all-pairs" or not _is_int(design.get("v"), 3, 90):

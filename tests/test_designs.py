@@ -241,6 +241,20 @@ def test_verify_srg_rejects_complete_graph():
         verify_srg(ExactMatrix.from_rows(k4))
 
 
+def test_verify_srg_rejects_a_regular_graph_that_is_not_strongly_regular():
+    # In the hexagon, opposite vertices share no neighbour and the others at
+    # distance two share one.
+    ring = [[1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)] for i in range(6)]
+    with pytest.raises(DesignError, match="^common-neighbor counts are not constant$"):
+        verify_srg(ExactMatrix.from_rows(ring))
+
+
+def test_verify_qsd_rejects_a_design_with_three_intersection_sizes():
+    # Every 3-subset of 6 points is a 2-(6, 3, 4) design; its blocks meet in 0, 1 or 2 points.
+    with pytest.raises(DesignError, match=r"^expected exactly two intersection sizes, found \[0, 1, 2\]$"):
+        verify_qsd(Design(6, combinations(range(6), 3)))
+
+
 def test_etf_params_from_srg():
     cert = QsdCertificate.from_params(15, 3, 1, 7, 35, 0, 1)
     assert etf_params_from_srg(srg_params_from_qsd(cert)) == (15, 36)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from etf_forge import frames
-from etf_forge.errors import FrameError
+from etf_forge.constructions import harmonic_etf, verify_difference_set
+from etf_forge.errors import DesignError, FrameError
 from etf_forge.frames import (
     Frame,
     certify_etf,
@@ -15,8 +16,9 @@ from etf_forge.frames import (
     verify_naimark_pair,
     welch_bound_sq,
 )
-from etf_forge.hadamard import sylvester
+from etf_forge.hadamard import AbelianGroup, paley_one, sylvester
 from etf_forge.matrices import ExactMatrix, quad_domain
+from etf_forge.qsd_bridge import qsd_from_flat_etf
 from etf_forge.scalars import QuadElem
 
 # Golden 6x16 flat synthesis matrix (optimal packing of 16 lines in R^6).
@@ -653,3 +655,31 @@ def test_certified_frames_hold_no_matrix_but_their_own(workload_frames):
             assert frame._certificate is not None, name
             assert [f for f, value in vars(frame).items() if isinstance(value, ExactMatrix)] == ["matrix"], name
             assert not any(isinstance(value, ExactMatrix) for value in vars(frame._certificate).values()), name
+
+
+# Library guards that no other test reaches: the call, its error class and its
+# exact message.  Without its guard, the flat frame over Q(i) would fail in
+# canonical signing instead, under another message.
+LIBRARY_GUARDS = {
+    "hadamard_to_gram": (lambda: hadamard_to_gram(paley_one(3)), FrameError, "matrix is not self-adjoint"),
+    "gram_to_hadamard": (lambda: gram_to_hadamard(Frame(ExactMatrix.ones(1, 5))), FrameError,
+                         "sqrt(5) is not an integer"),
+    "naimark_counts": (lambda: verify_naimark_pair(Frame(ExactMatrix.ones(1, 4)), Frame(ExactMatrix.ones(2, 5))),
+                       FrameError, "primary and complement must have the same vector count"),
+    "welch_range": (lambda: welch_bound_sq(3, 2), FrameError, "need n >= d >= 1 and n > 1, got d=3, n=2"),
+    "extract_cyclotomic": (lambda: qsd_from_flat_etf(harmonic_etf(verify_difference_set(
+        AbelianGroup((4, 4)), (1, 2, 3, 4, 8, 12))).primary), FrameError, "extraction applies to real flat frames only"),
+    "extract_one_row": (lambda: qsd_from_flat_etf(Frame(ExactMatrix.ones(1, 5))), FrameError, "need d > 1"),
+    # n = d: w = 0, k = v/2 and b = v - 1, so the replication r = (v - 1)/2
+    # is no integer and the design is refused before any intersection size.
+    "extract_square": (lambda: qsd_from_flat_etf(Frame(sylvester(2).body)), DesignError,
+                       "vertex replication counts are not constant: [0, 2]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_GUARDS))
+def test_library_guards_name_their_identity(name):
+    call, error, message = LIBRARY_GUARDS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

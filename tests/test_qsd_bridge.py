@@ -18,6 +18,7 @@ from etf_forge.frames import Frame, certify_etf
 from etf_forge.hadamard import AbelianGroup, char_table, dft, sylvester
 from etf_forge.matrices import RATIONAL, ExactMatrix, quad_domain
 from etf_forge.qsd_bridge import (
+    _flat_qsd_params,
     canonical_sign,
     etf_from_qsd,
     flat_family_qsd_params,
@@ -28,7 +29,7 @@ from etf_forge.qsd_bridge import (
     qsd_gives_etf,
     qsd_params_from_rbibd,
 )
-from etf_forge.scalars import CycloElem, QuadElem
+from etf_forge.scalars import CycloElem, QuadElem, rational_sqrt
 
 from test_frames import SIMPLEX_3x4
 
@@ -529,15 +530,21 @@ def test_canonical_sign_matches_the_per_entry_oracle(seed):
 
 @functools.lru_cache(maxsize=None)
 def extraction_frames():
-    """The Kirkman u = 2 and u = 4 frames and the +/-1 (6, 16) harmonic primary."""
-    from etf_forge.constructions import harmonic_etf, verify_difference_set
+    """Every real flat frame of the corpus: the Kirkman pairs at u = 2, 4 and
+    8, the +/-1 (6, 16) harmonic pair and the (6, 16) tensor pair."""
+    from etf_forge.constructions import harmonic_etf, tensor_etf, verify_difference_set
+    from etf_forge.frames import verify_naimark_pair
 
     out = {}
-    for u in (2, 4):
+    for u in (2, 4, 8):
         pair = kirkman_etf(standard_kirkman_inputs(u))
         out[f"kirkman{u}-primary"], out[f"kirkman{u}-complement"] = pair.primary, pair.complement
     ds = verify_difference_set(AbelianGroup((2, 2, 2, 2)), (1, 2, 3, 5, 10, 15))
-    out["harmonic16-primary"] = harmonic_etf(ds).primary
+    pair = harmonic_etf(ds)
+    out["harmonic16-primary"], out["harmonic16-complement"] = pair.primary, pair.complement
+    base = verify_naimark_pair(Frame(ExactMatrix.ones(1, 4)), Frame(ExactMatrix.from_rows(SIMPLEX_3x4)))
+    pair = tensor_etf(base, base)
+    out["tensor16-primary"], out["tensor16-complement"] = pair.primary, pair.complement
     return out
 
 
@@ -555,3 +562,36 @@ def test_qsd_from_flat_etf_matches_the_per_entry_oracle(name):
     assert extraction.certificate.as_tuple() == verify_qsd(oracle).as_tuple()
     if name == "harmonic16-primary":
         assert set().union(*frame.matrix.int_rows()) == {1, -1}
+
+
+@pytest.mark.parametrize("name", [f"{family}-{role}" for family in ("kirkman2", "kirkman4", "kirkman8", "harmonic16",
+                                                                    "tensor16") for role in ("primary", "complement")])
+def test_qsd_from_flat_etf_matches_verify_qsd_and_the_closed_forms(name):
+    # The extraction reads w, k, x and y off the frame certificate; the
+    # standalone scan of X X^T and the closed forms are its oracles.
+    frame = extraction_frames()[name]
+    extraction = qsd_from_flat_etf(frame)
+    assert extraction.certificate.as_tuple() == verify_qsd(extraction.design).as_tuple()
+    cert = certify_etf(frame)
+    w = rational_sqrt(Fraction(cert.d * (cert.n - cert.d), cert.n - 1))
+    v, k, lam, r, b, x, y = _flat_qsd_params(cert.d, cert.n, w)
+    assert (extraction.w, extraction.k, extraction.x, extraction.y) == (w, k, x, y)
+    assert extraction.certificate.as_tuple() == (v, k, lam, r, b, x, y)
+
+
+def test_the_bridge_forms_only_the_products_its_identities_need(monkeypatch):
+    # The extraction takes two popcount triangles, certify_etf's Gram (n rows)
+    # and verify_bibd's X^T X (v rows); building the frame back takes only
+    # the Gram.  No row-packed product is formed either way.
+    import etf_forge.matrices as matrices
+
+    triangles, packed = [], []
+    triangle, row_packed = matrices._int_matmul, matrices._row_packed_matmul
+    monkeypatch.setattr(matrices, "_int_matmul", lambda a: triangles.append(len(a)) or triangle(a))
+    monkeypatch.setattr(matrices, "_row_packed_matmul", lambda a, b: packed.append(a.rows) or row_packed(a, b))
+    frame = Frame(extraction_frames()["kirkman4-primary"].matrix)  # no cached certificate
+    extraction = qsd_from_flat_etf(frame)
+    assert (triangles, packed) == ([64, 28], [])
+    triangles.clear()
+    etf_from_qsd(extraction.certificate, "plus")
+    assert (triangles, packed) == ([64], [])
